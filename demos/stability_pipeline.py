@@ -7,11 +7,11 @@ false nearest neighbors), windowed divergence exponents on the CoM
 velocities, and extrapolated-CoM margins of stability.
 
 The default settings here are scaled down (shorter trial, smaller
-windows) so the demo finishes in seconds; drop --fast for the full
+windows) so the demo finishes in seconds; pass --full for the
 150-stride/15000-point windowing convention, which needs a ~200-stride
 trial and a few minutes.
 
-Usage: python3 demos/stability_pipeline.py [--mode AC|TC] [--seed N] [--fast]
+Usage: python3 demos/stability_pipeline.py [--mode AC|TC] [--seed N] [--full]
 """
 
 import argparse
@@ -24,18 +24,17 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--mode", choices=("AC", "TC"), default="TC")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--fast", action="store_true", default=True)
-    parser.add_argument("--full", dest="fast", action="store_false",
+    parser.add_argument("--full", action="store_true",
                         help="use the full 150-stride windowing convention")
     args = parser.parse_args()
 
-    if args.fast:
+    if args.full:
+        n_strides = 203
+        settings = AnalysisSettings()
+    else:
         n_strides = 60
         settings = AnalysisSettings(exclude_strides=10, window_strides=25,
                                     n_windows=10, points_per_window=2500)
-    else:
-        n_strides = 203
-        settings = AnalysisSettings()
 
     print(f"simulating {n_strides} strides in {args.mode} mode ...")
     spec = TrialSpec(cfg=PlantConfig(), mode=args.mode,

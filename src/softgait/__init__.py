@@ -4,12 +4,11 @@ plant with compliant ground, divergence exponents, margins of stability,
 and quasi-stiffness profiles."""
 
 from .signals import (StrideGrid, TimeSeries, butterworth_lowpass,
-                      finite_difference, moving_average, resample_linear,
-                      time_normalize)
+                      finite_difference, moving_average, time_normalize)
 from .lut import (InvalidLutError, Lut2D, LutDomainError, SyntheticMomentMap,
                   UnreachableTargetError, build_lut_from_map,
-                  default_angle_grid, default_motor_grid, lut_eval,
-                  lut_invert, read_lut_csv, write_lut_csv)
+                  default_angle_grid, default_motor_grid, read_lut_csv,
+                  write_lut_csv)
 from .controllers import (AdmittanceParams, ControllerOutput, ProsthesisState,
                           TibiaPhaseState, admittance_equilibrium,
                           admittance_target, ankle_controller, blend_commands,

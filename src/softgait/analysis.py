@@ -34,7 +34,6 @@ class AnalysisSettings:
     fallback_tau: int = 10
     max_lag: int = 30
     max_dim: int = 8
-    alpha: float = 0.01
 
 
 def analyze_trial(rec: TrialRecording,
@@ -46,9 +45,7 @@ def analyze_trial(rec: TrialRecording,
     nominal_stride = rec.meta.get("stride_period", None)
 
     heel = rec.markers["LHEEL"]
-    heel_vt = TimeSeries(heel[:, 2], rate, 0.0, "VT")
-    heel_ap = TimeSeries(heel[:, 1], rate, 0.0, "AP")
-    strikes = detect_foot_strikes(heel_vt, heel_ap,
+    strikes = detect_foot_strikes(TimeSeries(heel[:, 2], rate, 0.0, "VT"),
                                   nominal_stride_s=nominal_stride)
     if len(strikes) <= settings.exclude_strides + 1:
         raise ValueError("not enough strides after transient exclusion")

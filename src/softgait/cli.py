@@ -55,16 +55,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args) -> int:
     try:
         config = RunConfig.from_file(args.config)
+        if args.seed is not None:
+            config.seed = args.seed
+        spec = config.to_trial_spec()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args.seed is not None:
-        config.seed = args.seed
     try:
-        rec = generate_trial(config.to_trial_spec())
+        rec = generate_trial(spec)
     except SimulationDivergedError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -108,7 +109,7 @@ def cmd_analyze(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         report_path = os.path.join(args.out, "report.json")
         save_report(report, report_path)
-        write_plot_csvs(report, args.out, divergence=report["divergence"])
+        write_plot_csvs(report, args.out)
     except OSError as exc:
         print(f"error writing {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -116,11 +117,28 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _candidate_names(paths: list[str]) -> list[str] | None:
+    """Shortest trailing path suffix, without extension, that tells every
+    candidate apart; None when two paths differ at most in extension."""
+    parts = [os.path.abspath(os.path.splitext(p)[0]).split(os.sep)
+             for p in paths]
+    for n in range(1, max(len(p) for p in parts) + 1):
+        names = ["/".join(p[-n:]) for p in parts]
+        if len(set(names)) == len(names):
+            return names
+    return None
+
+
 def cmd_compare(args) -> int:
+    names = _candidate_names(args.candidates)
+    if names is None:
+        print("invalid arguments: a candidate report is given twice "
+              "(paths equal up to the extension)", file=sys.stderr)
+        return EXIT_INVALID
     try:
         baseline = load_report(args.baseline)
-        candidates = {os.path.splitext(os.path.basename(p))[0] or p:
-                      load_report(p) for p in args.candidates}
+        candidates = {name: load_report(p)
+                      for name, p in zip(names, args.candidates)}
     except RecordingIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -23,7 +23,6 @@ class RunConfig:
     stride_period: float = 1.47
     seed: int = 0
     body_mass: float = 59.0
-    belt_speed: float = 0.65
     noise_mm: float = 1.0
     period_jitter: float = 0.02
     amplitude_jitter: float = 0.02
@@ -69,25 +68,22 @@ class RunConfig:
         return cls.from_dict(raw)
 
     def to_trial_spec(self) -> TrialSpec:
-        cfg = PlantConfig(ground_stiffness=self.ground_stiffness,
-                          belt_speed=self.belt_speed)
         perturbations = []
         for p in self.perturbations:
             try:
-                perturbations.append(Perturbation(**p))
-            except TypeError as exc:
+                pert = Perturbation(**p)
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad perturbation {p}: {exc}") from exc
+            if not 0 <= pert.at_stride < self.n_strides:
+                raise ConfigError(
+                    f"perturbation at_stride {pert.at_stride} outside "
+                    f"[0, {self.n_strides})")
+            perturbations.append(pert)
         return TrialSpec(
-            cfg=cfg, mode=self.mode,
+            cfg=PlantConfig(ground_stiffness=self.ground_stiffness),
+            mode=self.mode,
             params=AdmittanceParams(K_d=self.K_d),
             n_strides=self.n_strides, stride_period=self.stride_period,
             seed=self.seed, period_jitter=self.period_jitter,
             amplitude_jitter=self.amplitude_jitter, noise_mm=self.noise_mm,
-            body_mass=self.body_mass, perturbations=perturbations)
-
-    def describe(self) -> dict:
-        gs = ("rigid" if math.isinf(self.ground_stiffness)
-              else self.ground_stiffness)
-        return {"mode": self.mode, "K_d": self.K_d, "ground_stiffness": gs,
-                "n_strides": self.n_strides, "seed": self.seed,
-                "stride_period": self.stride_period}
+            body_mass=self.body_mass, perturbations=tuple(perturbations))

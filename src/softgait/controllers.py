@@ -28,13 +28,11 @@ def _clamp(v: float, lo: float, hi: float) -> float:
 @dataclass
 class ProsthesisState:
     """What the controllers see each tick: motor position x (mm), ankle
-    angle q (deg, dorsiflexion positive), ankle moment M (Nm), and tibia
-    angular velocity (deg/s)."""
+    angle q (deg, dorsiflexion positive) and ankle moment M (Nm)."""
 
     x: float = 0.0
     q: float = 0.0
     M: float = 0.0
-    tibia_omega: float = 0.0
 
 
 @dataclass
@@ -60,7 +58,6 @@ class TibiaPhaseState:
     ms_omega: float = 0.0
     leak_tau: float = 2.0
     stride_calibration: float = 0.095  # m of stride length per deg of orbit radius
-    wrapped: bool = False
 
     @property
     def L_s_norm(self) -> float:
@@ -69,12 +66,10 @@ class TibiaPhaseState:
 
 @dataclass
 class AdmittanceParams:
-    """Admittance law gains.  Only stiffness is active in this artifact:
-    damping and inertia are pinned to zero."""
+    """Admittance law gains.  Only stiffness is emulated: the law has no
+    damping or inertia terms."""
 
     K_d: float = 15.0        # Nm/deg
-    B_d: float = 0.0
-    I_d: float = 0.0
     fb_gain: float = 0.45    # mm/deg
     k_m: float = 0.1         # mm/Nm, moment feedback gain of the TC path
     moment_filter_hz: float = 4.0  # low-pass on measured moment in the AC path
@@ -82,8 +77,6 @@ class AdmittanceParams:
     def __post_init__(self):
         if not self.K_d > 0:
             raise ValueError("K_d must be positive")
-        if self.B_d != 0.0 or self.I_d != 0.0:
-            raise ValueError("damping and inertia terms are fixed at zero")
 
 
 _OMEGA_FLOOR = 1e-9
@@ -104,20 +97,17 @@ def tibia_phase_update(state: TibiaPhaseState, omega: float,
     if ms_omega < _OMEGA_FLOOR and abs(omega) < _OMEGA_FLOOR:
         # no motion: hold phase and stride length
         return replace(state, theta_integral=theta, theta_mean=theta_mean,
-                       ms_theta=ms_theta, ms_omega=ms_omega, wrapped=False)
+                       ms_theta=ms_theta, ms_omega=ms_omega)
 
     omega_scale = math.sqrt(ms_omega / ms_theta) if ms_theta > _OMEGA_FLOOR else 1.0
     phase = math.atan2(-omega / omega_scale, theta_c) % (2.0 * math.pi)
-    delta = phase - state.phase_angle
-    wrapped = delta < -math.pi
     L_s = state.L_s
-    if wrapped:
+    if phase - state.phase_angle < -math.pi:  # the orbit wrapped: new stride
         radius = math.sqrt(2.0 * ms_theta)
         L_s = state.stride_calibration * radius
     return replace(state, theta_integral=theta, theta_mean=theta_mean,
                    ms_theta=ms_theta, ms_omega=ms_omega, phase_angle=phase,
-                   gait_percent=phase / (2.0 * math.pi), L_s=L_s,
-                   wrapped=wrapped)
+                   gait_percent=phase / (2.0 * math.pi), L_s=L_s)
 
 
 def blend_commands(x_m: float, x_g: float, L_s_norm: float) -> float:

@@ -9,12 +9,10 @@ import os
 
 import numpy as np
 
-from .plant import TrialRecording
+from .plant import PROSTHESIS_KEYS, TrialRecording
 from .stability import AXES
 
 MANIFEST_NAME = "manifest.json"
-PROSTHESIS_KEYS = ("t", "x", "q", "M", "omega", "gait_percent",
-                   "L_s", "q_d", "x_cmd")
 
 
 class RecordingIOError(OSError):
@@ -76,7 +74,6 @@ def save_recording(rec: TrialRecording, out_dir: str) -> str:
 
     manifest = {
         "rate": rec.rate,
-        "excluded_strides": rec.excluded_strides,
         "n_samples": int(len(t)),
         "files": {"markers": "markers.csv", "cop": "cop.csv",
                   "prosthesis": "prosthesis.csv", "events": "events.csv"},
@@ -130,7 +127,6 @@ def load_recording(path: str) -> TrialRecording:
         events_left=np.array(events["left"], dtype=int),
         events_right=np.array(events["right"], dtype=int),
         rate=float(manifest["rate"]),
-        excluded_strides=int(manifest["excluded_strides"]),
         meta=manifest.get("meta", {}))
 
 
@@ -162,8 +158,7 @@ def load_report(path: str) -> dict:
         raise RecordingIOError(f"cannot read report {path}: {exc}") from exc
 
 
-def write_plot_csvs(report: dict, out_dir: str,
-                    divergence: dict | None = None) -> None:
+def write_plot_csvs(report: dict, out_dir: str) -> None:
     """Flat CSVs ready for plotting tools."""
     os.makedirs(out_dir, exist_ok=True)
     qs = report["quasi_stiffness"]
@@ -180,10 +175,9 @@ def write_plot_csvs(report: dict, out_dir: str,
     _write_csv(os.path.join(out_dir, "phase_portrait.csv"),
                ["angle_deg", "angular_velocity_deg_s"],
                [np.asarray(pp["q"]), np.asarray(pp["qdot"])])
-    if divergence:
-        for axis, curve in divergence.items():
-            curve = np.asarray(curve, dtype=float)
-            strides = np.arange(len(curve)) / (len(curve) - 1) * 10.0 \
-                if len(curve) > 1 else np.zeros(1)
-            _write_csv(os.path.join(out_dir, f"divergence_{axis}.csv"),
-                       ["strides", "mean_log_divergence"], [strides, curve])
+    for axis, curve in report["divergence"].items():
+        curve = np.asarray(curve, dtype=float)
+        strides = np.arange(len(curve)) / (len(curve) - 1) * 10.0 \
+            if len(curve) > 1 else np.zeros(1)
+        _write_csv(os.path.join(out_dir, f"divergence_{axis}.csv"),
+                   ["strides", "mean_log_divergence"], [strides, curve])

@@ -154,14 +154,6 @@ class Lut2D:
         return float(cs[k] + t * (cs[k + 1] - cs[k]))
 
 
-def lut_eval(lut: Lut2D, a: float, b: float) -> float:
-    return lut.eval(a, b)
-
-
-def lut_invert(lut: Lut2D, target: float, fixed: tuple[str, float]) -> float:
-    return lut.invert(target, fixed)
-
-
 def build_lut_from_map(moment_map: SyntheticMomentMap, a_grid, b_grid) -> Lut2D:
     """Tabulate the analytic moment map; monotone along the motor axis."""
     a = np.asarray(a_grid, dtype=float)

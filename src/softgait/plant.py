@@ -24,6 +24,9 @@ from .controllers import (AdmittanceParams, ControllerOutput, ProsthesisState,
 from .lut import Lut2D, SyntheticMomentMap
 
 DEG = math.pi / 180.0
+# per-tick channels of the closed-loop log, in recording column order
+PROSTHESIS_KEYS = ("t", "x", "q", "M", "omega", "gait_percent", "L_s", "q_d",
+                   "x_cmd")
 
 
 class SimulationDivergedError(RuntimeError):
@@ -37,14 +40,12 @@ class PlantConfig:
     ankle_inertia: float = 0.005          # kg m^2, foot about the ankle joint
     ankle_damping: float = 0.03           # Nm s/deg, parasitic joint damping
     ground_stiffness: float = math.inf    # kN/m; inf = rigid
-    belt_speed: float = 0.65              # m/s
     motor_loop_bandwidth: float = 40.0    # Hz
     dt: float = 0.01                      # s, matches the 100 Hz analysis rate
 
     def __post_init__(self):
         for name in ("sea_stiffness", "ankle_inertia", "ankle_damping",
-                     "ground_stiffness", "belt_speed",
-                     "motor_loop_bandwidth", "dt"):
+                     "ground_stiffness", "motor_loop_bandwidth", "dt"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -169,7 +170,6 @@ class TrialRecording:
     events_left: np.ndarray               # ground-truth foot-strike indices
     events_right: np.ndarray
     rate: float = 100.0
-    excluded_strides: int = 25            # transient strides skipped by analysis
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -322,8 +322,7 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     plant = PlantState()
     phase = TibiaPhaseState(ssp=0.95)
     m_filt = 0.0
-    log = {k: np.zeros(n) for k in
-           ("t", "x", "q", "M", "omega", "gait_percent", "L_s", "q_d", "x_cmd")}
+    log = {k: np.zeros(n) for k in PROSTHESIS_KEYS}
     cfg = spec.cfg
     for i in range(n):
         Tk = durations[stride_idx[i]]
@@ -331,8 +330,7 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
         omega = -spec.tibia_amplitude * amp_here[i] * (2.0 * math.pi / Tk) \
             * math.sin(two_pi_s[i]) + omega_noise[i]
         phase = tibia_phase_update(phase, omega, dt)
-        meas = ProsthesisState(x=plant.x, q=plant.q, M=plant.moment,
-                               tibia_omega=omega)
+        meas = ProsthesisState(x=plant.x, q=plant.q, M=plant.moment)
         out = step_controller(spec.mode, meas, phase, spec.params,
                               gait_lut, moment_lut, m_prev=m_filt, dt=dt)
         m_filt = out.m_filtered

@@ -1,4 +1,4 @@
-"""Filtering, differentiation, resampling and time-normalization primitives.
+"""Filtering, differentiation and time-normalization primitives.
 
 All analysis stages share these; everything is deterministic and pure.
 Units follow the rest of the package: seconds, Hz, and whatever the
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import butter, filtfilt, lfilter
+from scipy.signal import butter, filtfilt
 
 
 @dataclass
@@ -67,14 +67,11 @@ class StrideGrid:
         return self.n_strides * self.points_per_stride
 
 
-def butterworth_lowpass(series: TimeSeries, order: int, cutoff: float,
-                        zero_phase: bool = True) -> TimeSeries:
-    """Low-pass Butterworth filter with unit DC gain.
-
-    `zero_phase` applies the filter forward and backward (no net phase
-    shift, doubled effective order); single-pass is kept for the simulated
-    real-time control path.
-    """
+def butterworth_lowpass(series: TimeSeries, order: int,
+                        cutoff: float) -> TimeSeries:
+    """Zero-phase low-pass Butterworth filter with unit DC gain: applied
+    forward and backward, so no net phase shift and doubled effective
+    order."""
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
     nyquist = series.sample_rate / 2.0
@@ -83,11 +80,7 @@ def butterworth_lowpass(series: TimeSeries, order: int, cutoff: float,
     if len(series) < 3 * order:
         raise ValueError("series too short for requested filter order")
     b, a = butter(order, cutoff / nyquist, btype="low")
-    if zero_phase:
-        out = filtfilt(b, a, series.samples)
-    else:
-        out = lfilter(b, a, series.samples)
-    return series.with_samples(out)
+    return series.with_samples(filtfilt(b, a, series.samples))
 
 
 def moving_average(series: TimeSeries, window: int) -> TimeSeries:
@@ -111,22 +104,6 @@ def finite_difference(series: TimeSeries, dt: float | None = None) -> TimeSeries
     if not dt > 0:
         raise ValueError("dt must be positive")
     return series.with_samples(np.gradient(series.samples, dt))
-
-
-def resample_linear(series: TimeSeries, target_rate: float) -> TimeSeries:
-    """Resample onto a uniform grid at `target_rate` covering the same time span."""
-    if not target_rate > 0:
-        raise ValueError("target_rate must be positive")
-    if len(series) == 0:
-        raise ValueError("cannot resample an empty series")
-    if target_rate == series.sample_rate:
-        return series.with_samples(series.samples.copy())
-    duration = (len(series) - 1) / series.sample_rate
-    n_out = int(np.floor(duration * target_rate + 1e-9)) + 1
-    t_out = np.arange(n_out) / target_rate
-    t_in = np.arange(len(series)) / series.sample_rate
-    out = np.interp(t_out, t_in, series.samples)
-    return TimeSeries(out, target_rate, series.start_time, series.label)
 
 
 def time_normalize(series: TimeSeries, events: np.ndarray, n_strides: int,

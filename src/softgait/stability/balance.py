@@ -39,14 +39,12 @@ def com_velocity(com: dict[str, TimeSeries]) -> dict[str, TimeSeries]:
     return {axis: finite_difference(ts) for axis, ts in com.items()}
 
 
-def detect_foot_strikes(heel_vt: TimeSeries, heel_ap: TimeSeries | None = None,
+def detect_foot_strikes(heel_vt: TimeSeries,
                         nominal_stride_s: float | None = None,
                         filter_cutoff: float = 5.0,
                         prominence_mm: float = 5.0) -> np.ndarray:
     """Foot-strikes as prominent local minima of the filtered heel height.
 
-    The AP channel is accepted for interface compatibility with richer
-    kinematic detectors but is not needed by this height-minimum scheme.
     Minimum spacing between events is half the nominal stride, estimated
     from the autocorrelation of the height signal when not given.
     """

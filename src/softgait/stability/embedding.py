@@ -91,16 +91,14 @@ def delay_embed(series: TimeSeries, params: EmbeddingParams) -> Attractor:
     """Stack lagged copies: point i = [s(i), s(i+tau), ..., s(i+(d-1)tau)]."""
     x = series.samples
     tau, dim = params.tau, params.dim
-    n_points = len(x) - (dim - 1) * tau
-    if n_points < 1:
+    if len(x) - (dim - 1) * tau < 1:
         raise ValueError(
             f"series of length {len(x)} too short for tau={tau}, dim={dim}")
-    points = np.stack([x[k * tau:k * tau + n_points] for k in range(dim)],
-                      axis=1)
-    return Attractor(points, params, series.sample_rate)
+    return Attractor(_embed_raw(x, tau, dim), params, series.sample_rate)
 
 
 def _embed_raw(x: np.ndarray, tau: int, dim: int) -> np.ndarray:
+    """Lagged copies of x as columns; unlike EmbeddingParams, allows dim 1."""
     n_points = len(x) - (dim - 1) * tau
     return np.stack([x[k * tau:k * tau + n_points] for k in range(dim)], axis=1)
 

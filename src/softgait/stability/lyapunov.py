@@ -127,32 +127,46 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
     time-normalized to `points_per_window` samples, embedded, and analyzed;
     means and standard deviations are taken across windows.  Embedding
     parameters are estimated once on the first window (or passed in).
+
+    Time normalization maps each stride onto its own samples, so every
+    window's normalized series, and its delay vectors, are an exact slice
+    of one normalization and embedding of all the windowed strides.
     """
     events = np.asarray(events, dtype=int)
     n_strides = len(events) - 1
-    if n_strides < window_strides + n_windows - 1:
-        raise ValueError(
-            f"need {window_strides + n_windows - 1} strides, have {n_strides}")
+    total_strides = window_strides + n_windows - 1
+    if n_strides < total_strides:
+        raise ValueError(f"need {total_strides} strides, have {n_strides}")
+    if points_per_window % window_strides != 0:
+        raise ValueError("points_per_window must be divisible by "
+                         "window_strides")
     spst = points_per_window // window_strides
 
+    normalized, _ = time_normalize(series, events[:total_strides + 1],
+                                   total_strides, total_strides * spst)
     if params is None:
-        first, _ = time_normalize(series, events[:window_strides + 1],
-                                  window_strides, points_per_window)
+        first = normalized.with_samples(
+            normalized.samples[:points_per_window])
         try:
             tau = ami_delay(first, max_lag)
         except NoMinimumError:
             tau = fallback_tau
         dim, _ = fnn_dimension(first, tau, max_dim)
         params = EmbeddingParams(tau=tau, dim=dim)
+    n_window_points = points_per_window - (params.dim - 1) * params.tau
+    if n_window_points < 1:
+        raise ValueError(
+            f"window of {points_per_window} points too short for "
+            f"tau={params.tau}, dim={params.dim}")
+    whole = delay_embed(normalized, params)
 
     lam_s = np.empty(n_windows)
     lam_l = np.empty(n_windows)
     curve_sum = None
     for w in range(n_windows):
-        ev = events[w:w + window_strides + 1]
-        normalized, _ = time_normalize(series, ev, window_strides,
-                                       points_per_window)
-        att = delay_embed(normalized, params)
+        lo = w * spst
+        att = Attractor(whole.points[lo:lo + n_window_points], params,
+                        whole.source_rate)
         res = rosenstein_divergence(att, spst)
         lam_s[w] = res.lambda_short
         lam_l[w] = res.lambda_long

@@ -98,10 +98,6 @@ class TestAdmittanceLaw:
         with pytest.raises(ValueError):
             AdmittanceParams(K_d=-1.0)
 
-    def test_damping_and_inertia_are_pinned(self):
-        with pytest.raises(ValueError):
-            AdmittanceParams(B_d=1.0)
-
     def test_equilibrium_is_unloaded_angle(self, moment_lut):
         m = SyntheticMomentMap()
         for x in (-20.0, 0.0, 15.0):

@@ -1,14 +1,17 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
+from softgait.analysis import AnalysisSettings, analyze_trial
 from softgait.cli import main
 from softgait.config import ConfigError, RunConfig
 from softgait.io import (RecordingIOError, _round_sig, load_recording,
                          load_report, save_recording, save_report,
                          write_plot_csvs)
+from softgait.plant import generate_trial, inject_perturbation
 
 TINY_ANALYSIS = {
     "exclude_strides": 5, "window_strides": 20, "n_windows": 5,
@@ -20,20 +23,33 @@ TINY_ANALYSIS = {
 class TestRecordingRoundTrip:
     def test_everything_survives(self, small_tc_trial, tmp_path):
         manifest = save_recording(small_tc_trial, str(tmp_path / "rec"))
-        back = load_recording(manifest)
+        # older manifests also carry `excluded_strides`, which is ignored
+        shutil.copytree(tmp_path / "rec", tmp_path / "legacy")
+        legacy = str(tmp_path / "legacy" / "manifest.json")
+        with open(legacy) as fh:
+            raw = json.load(fh)
+        with open(legacy, "w") as fh:
+            json.dump(dict(raw, excluded_strides=25), fh)
         rec = small_tc_trial
-        assert back.rate == rec.rate
-        assert back.meta == rec.meta
-        assert np.array_equal(back.events_left, rec.events_left)
-        assert np.array_equal(back.events_right, rec.events_right)
-        for name, arr in rec.markers.items():
-            assert np.allclose(back.markers[name], arr, rtol=1e-8,
+        for path in (manifest, legacy):
+            back = load_recording(path)
+            assert back.rate == rec.rate
+            assert back.meta == rec.meta
+            assert np.array_equal(back.events_left, rec.events_left)
+            assert np.array_equal(back.events_right, rec.events_right)
+            for name, arr in rec.markers.items():
+                assert np.allclose(back.markers[name], arr, rtol=1e-8,
+                                   atol=1e-6)
+            assert np.allclose(back.cop_left, rec.cop_left, rtol=1e-8,
                                atol=1e-6)
-        assert np.allclose(back.cop_left, rec.cop_left, rtol=1e-8, atol=1e-6)
-        assert np.allclose(back.prosthesis["M"], rec.prosthesis["M"],
-                           rtol=1e-8, atol=1e-6)
-        # TC mode logs an undefined admittance target; it must stay NaN
-        assert np.all(np.isnan(back.prosthesis["q_d"]))
+            assert np.allclose(back.prosthesis["M"], rec.prosthesis["M"],
+                               rtol=1e-8, atol=1e-6)
+            # TC mode logs an undefined admittance target; it must stay NaN
+            assert np.all(np.isnan(back.prosthesis["q_d"]))
+        settings = AnalysisSettings(**TINY_ANALYSIS)
+        reports = [json.dumps(analyze_trial(load_recording(p), settings),
+                              sort_keys=True) for p in (manifest, legacy)]
+        assert reports[0] == reports[1]
 
     def test_load_accepts_directory(self, small_tc_trial, tmp_path):
         out = str(tmp_path / "rec2")
@@ -78,9 +94,9 @@ class TestPlotCsvs:
             "profiles": {"moment_angle": {"q": [0.0, 1.0], "M": [0.0, 15.0]},
                          "phase_portrait": {"q": [0.0, 1.0],
                                             "qdot": [1.0, 0.0]}},
+            "divergence": {"ML": [0.0, 0.5, 1.0]},
         }
-        write_plot_csvs(report, str(tmp_path),
-                        divergence={"ML": [0.0, 0.5, 1.0]})
+        write_plot_csvs(report, str(tmp_path))
         for name in ("stiffness_profile.csv", "moment_angle.csv",
                      "phase_portrait.csv", "divergence_ML.csv"):
             assert (tmp_path / name).exists()
@@ -94,7 +110,8 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.mode == "AC"
         assert math.isinf(cfg.ground_stiffness)
-        assert cfg.describe()["ground_stiffness"] == "rigid"
+        spec = RunConfig(n_strides=2).to_trial_spec()
+        assert generate_trial(spec).meta["ground_stiffness"] == "rigid"
 
     def test_rigid_string_accepted(self):
         cfg = RunConfig.from_dict({"ground_stiffness": "rigid"})
@@ -103,8 +120,9 @@ class TestRunConfig:
             RunConfig.from_dict({"ground_stiffness": "soft"})
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict({"mode": "TC", "typo_key": 1})
+        for raw in ({"mode": "TC", "typo_key": 1}, {"belt_speed": 0.65}):
+            with pytest.raises(ConfigError):
+                RunConfig.from_dict(raw)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -125,11 +143,21 @@ class TestRunConfig:
         assert spec.cfg.ground_stiffness == 63.0
         assert spec.seed == 5
         assert len(spec.perturbations) == 1
+        spec = inject_perturbation(spec, "stiffness-step", 20, 25.0)
+        assert [p.at_stride for p in spec.perturbations] == [10, 20]
 
     def test_bad_perturbation_rejected(self):
-        cfg = RunConfig(perturbations=[{"bogus": 1}])
-        with pytest.raises(ConfigError):
-            cfg.to_trial_spec()
+        for pert in ({"bogus": 1},
+                     {"kind": "bogus", "at_stride": 1, "magnitude": 1.0},
+                     {"kind": "load-impulse", "at_stride": -1,
+                      "magnitude": 5.0},
+                     {"kind": "load-impulse", "at_stride": 10,
+                      "magnitude": 5.0},
+                     {"kind": "load-impulse", "at_stride": 500,
+                      "magnitude": 5.0}):
+            cfg = RunConfig(n_strides=10, perturbations=[pert])
+            with pytest.raises(ConfigError):
+                cfg.to_trial_spec()
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +201,21 @@ class TestCliSuccess:
         for axis in ("ML", "AP", "VT"):
             assert entry["delta_lambda"][axis]["short"]["delta"] == 0.0
 
+    def test_same_named_candidates_are_all_compared(self, cli_outputs,
+                                                   tmp_path):
+        out_dir = cli_outputs[3]
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            shutil.copy(out_dir / "report.json", tmp_path / name)
+        cmp_path = tmp_path / "c.json"
+        code = main(["compare", str(tmp_path / "a" / "report.json"),
+                     str(tmp_path / "b" / "report.json"),
+                     "--baseline", str(out_dir / "report.json"),
+                     "--out", str(cmp_path)])
+        assert code == 0
+        assert sorted(load_report(str(cmp_path))["candidates"]) == \
+            ["a/report", "b/report"]
+
     def test_seed_override_changes_recording(self, cli_outputs,
                                              tmp_path):
         _, root, rec_dir, _, _ = cli_outputs
@@ -194,10 +237,15 @@ class TestCliErrorCodes:
 
     def test_invalid_config_is_invalid(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"mode": "WRONG"}))
-        code = main(["simulate", "--config", str(bad),
-                     "--out", str(tmp_path / "o")])
-        assert code == 1
+        for raw in ({"mode": "WRONG"},
+                    {"n_strides": 10, "perturbations": [
+                        {"kind": "load-impulse", "at_stride": 500,
+                         "magnitude": 5.0}]}):
+            bad.write_text(json.dumps(raw))
+            code = main(["simulate", "--config", str(bad),
+                         "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert not (tmp_path / "o").exists()
 
     def test_malformed_json_config_is_invalid(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -227,6 +275,13 @@ class TestCliErrorCodes:
         code = main(["compare", str(junk), "--baseline", str(junk),
                      "--out", str(tmp_path / "c.json")])
         assert code == 1
+
+    def test_candidate_given_twice_is_invalid(self, tmp_path, cli_outputs):
+        report = str(cli_outputs[3] / "report.json")
+        code = main(["compare", report, report, "--baseline", report,
+                     "--out", str(tmp_path / "c.json")])
+        assert code == 1
+        assert not (tmp_path / "c.json").exists()
 
     def test_missing_baseline_is_io_error(self, tmp_path):
         junk = tmp_path / "junk.json"

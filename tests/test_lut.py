@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from softgait.lut import (InvalidLutError, Lut2D, LutDomainError,
                           SyntheticMomentMap, UnreachableTargetError,
                           build_lut_from_map, default_angle_grid,
-                          default_motor_grid, lut_eval, lut_invert,
-                          read_lut_csv, write_lut_csv)
+                          default_motor_grid, read_lut_csv, write_lut_csv)
 
 
 class TestSyntheticMomentMap:
@@ -126,10 +125,3 @@ class TestCsvRoundTrip:
         assert back.units[:2] == affine_lut.units[:2]
         assert back.eval(3.3, -2.7) == pytest.approx(
             affine_lut.eval(3.3, -2.7))
-
-
-class TestModuleLevelHelpers:
-    def test_wrappers_delegate(self, affine_lut):
-        assert lut_eval(affine_lut, 1.0, 1.0) == affine_lut.eval(1.0, 1.0)
-        assert lut_invert(affine_lut, 0.0, ("b", 2.0)) == \
-            affine_lut.invert(0.0, ("b", 2.0))

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import butter, lfilter
 
 from softgait.signals import (StrideGrid, TimeSeries, butterworth_lowpass,
                               finite_difference, moving_average,
-                              resample_linear, time_normalize)
+                              time_normalize)
 
 
 def make_series(samples, rate=100.0, label="scalar"):
@@ -24,7 +25,6 @@ class TestTimeSeries:
         assert butterworth_lowpass(ts, 2, 10.0).label == "ML"
         assert finite_difference(ts).label == "ML"
         assert moving_average(ts, 5).label == "ML"
-        assert resample_linear(ts, 50.0).label == "ML"
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -58,7 +58,8 @@ class TestButterworth:
         t = np.arange(2000) / 100.0
         ts = make_series(np.sin(2 * np.pi * 1.0 * t))
         zp = butterworth_lowpass(ts, 2, 5.0).samples
-        sp = butterworth_lowpass(ts, 2, 5.0, zero_phase=False).samples
+        # the same filter in a single causal pass does lag
+        sp = lfilter(*butter(2, 5.0 / 50.0, btype="low"), ts.samples)
         mid = slice(500, 1500)
         lag_zp = np.argmax(np.correlate(zp[mid], ts.samples[mid], "full"))
         lag_sp = np.argmax(np.correlate(sp[mid], ts.samples[mid], "full"))
@@ -119,26 +120,6 @@ class TestFiniteDifference:
     def test_rejects_too_short(self):
         with pytest.raises(ValueError):
             finite_difference(make_series([1.0]))
-
-
-class TestResample:
-    def test_same_rate_is_copy(self):
-        ts = make_series(np.arange(10.0))
-        out = resample_linear(ts, 100.0)
-        assert np.array_equal(out.samples, ts.samples)
-        assert out.samples is not ts.samples
-
-    def test_downsample_by_two(self):
-        ts = make_series(np.arange(11.0), rate=100.0)
-        out = resample_linear(ts, 50.0)
-        assert np.allclose(out.samples, np.arange(0.0, 10.5, 2.0))
-        assert out.sample_rate == 50.0
-
-    def test_linear_signal_resamples_exactly(self):
-        ts = make_series(2.0 * np.arange(101) + 5.0)
-        out = resample_linear(ts, 130.0)
-        expected = 2.0 * 100.0 / 130.0 * np.arange(len(out)) + 5.0
-        assert np.allclose(out.samples, expected)
 
 
 class TestTimeNormalize:
