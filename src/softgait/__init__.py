@@ -7,8 +7,7 @@ from .signals import (StrideGrid, TimeSeries, butterworth_lowpass,
                       finite_difference, moving_average, time_normalize)
 from .lut import (InvalidLutError, Lut2D, LutDomainError, SyntheticMomentMap,
                   UnreachableTargetError, build_lut_from_map,
-                  default_angle_grid, default_motor_grid, read_lut_csv,
-                  write_lut_csv)
+                  default_angle_grid, default_motor_grid)
 from .controllers import (AdmittanceParams, ControllerOutput, ProsthesisState,
                           TibiaPhaseState, admittance_equilibrium,
                           admittance_target, ankle_controller, blend_commands,
@@ -17,8 +16,7 @@ from .controllers import (AdmittanceParams, ControllerOutput, ProsthesisState,
                           tibia_phase_update, tibia_reference_motor)
 from .plant import (Perturbation, PlantConfig, PlantState,
                     SimulationDivergedError, TrialRecording, TrialSpec,
-                    gait_like_velocity, generate_trial, ground_deflection,
-                    inject_perturbation, step_plant)
+                    generate_trial, ground_deflection, step_plant)
 from .stiffness import (CycleAverage, GaitPhaseConfig, StiffnessProfile,
                         average_cycle, quasi_stiffness, segment_cycles)
 from .analysis import (AnalysisSettings, SchemaMismatchError, analyze_trial,

@@ -5,7 +5,7 @@ dictionary that serializes to the report file."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +34,13 @@ class AnalysisSettings:
     fallback_tau: int = 10
     max_lag: int = 30
     max_dim: int = 8
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (not isinstance(value, int)
+                                    or isinstance(value, bool)):
+                raise TypeError(f"{f.name} must be an integer, got {value!r}")
 
 
 def analyze_trial(rec: TrialRecording,

@@ -71,19 +71,18 @@ class RunConfig:
         perturbations = []
         for p in self.perturbations:
             try:
-                pert = Perturbation(**p)
+                perturbations.append(Perturbation(**p))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad perturbation {p}: {exc}") from exc
-            if not 0 <= pert.at_stride < self.n_strides:
-                raise ConfigError(
-                    f"perturbation at_stride {pert.at_stride} outside "
-                    f"[0, {self.n_strides})")
-            perturbations.append(pert)
-        return TrialSpec(
-            cfg=PlantConfig(ground_stiffness=self.ground_stiffness),
-            mode=self.mode,
-            params=AdmittanceParams(K_d=self.K_d),
-            n_strides=self.n_strides, stride_period=self.stride_period,
-            seed=self.seed, period_jitter=self.period_jitter,
-            amplitude_jitter=self.amplitude_jitter, noise_mm=self.noise_mm,
-            body_mass=self.body_mass, perturbations=tuple(perturbations))
+        try:
+            return TrialSpec(
+                cfg=PlantConfig(ground_stiffness=self.ground_stiffness),
+                mode=self.mode,
+                params=AdmittanceParams(K_d=self.K_d),
+                n_strides=self.n_strides, stride_period=self.stride_period,
+                seed=self.seed, period_jitter=self.period_jitter,
+                amplitude_jitter=self.amplitude_jitter,
+                noise_mm=self.noise_mm, body_mass=self.body_mass,
+                perturbations=tuple(perturbations))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc

@@ -11,7 +11,7 @@ command and offsets it by M / K_d to emulate the chosen quasi-stiffness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .lut import Lut2D, SyntheticMomentMap, build_lut_from_map
 
 MOTOR_RANGE_MM = (-40.0, 40.0)
 ANGLE_RANGE_DEG = (-30.0, 30.0)
+SSP = 0.95                  # m, self-selected-pace stride length
+LEAK_TAU = 2.0              # s, leak of the tibia-angle integrator
+STRIDE_CALIBRATION = 0.095  # m of stride length per deg of orbit radius
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
@@ -40,7 +43,7 @@ class TibiaPhaseState:
     """Phase-plane estimator state.
 
     The tibia angle is recovered from angular velocity by leaky
-    integration (time constant ~2 s kills drift).  The phase plane uses
+    integration (time constant LEAK_TAU kills drift).  The phase plane uses
     (theta - running mean, omega / omega_scale) with omega_scale the ratio
     of the two running RMS levels, which makes the orbit near-circular;
     gait percent is the normalized polar angle and stride length is the
@@ -51,17 +54,14 @@ class TibiaPhaseState:
     phase_angle: float = 0.0
     gait_percent: float = 0.0
     L_s: float = 0.0
-    ssp: float = 0.95  # self-selected-pace stride length, m
     # estimator internals
     theta_mean: float = 0.0
     ms_theta: float = 0.0
     ms_omega: float = 0.0
-    leak_tau: float = 2.0
-    stride_calibration: float = 0.095  # m of stride length per deg of orbit radius
 
     @property
     def L_s_norm(self) -> float:
-        return self.L_s / self.ssp
+        return self.L_s / SSP
 
 
 @dataclass
@@ -87,7 +87,7 @@ def tibia_phase_update(state: TibiaPhaseState, omega: float,
     """Advance the phase-plane estimator by one tick of tibia velocity."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    leak = dt / state.leak_tau
+    leak = dt / LEAK_TAU
     theta = state.theta_integral * (1.0 - leak) + omega * dt
     theta_mean = state.theta_mean + (theta - state.theta_mean) * leak
     theta_c = theta - theta_mean
@@ -104,7 +104,7 @@ def tibia_phase_update(state: TibiaPhaseState, omega: float,
     L_s = state.L_s
     if phase - state.phase_angle < -math.pi:  # the orbit wrapped: new stride
         radius = math.sqrt(2.0 * ms_theta)
-        L_s = state.stride_calibration * radius
+        L_s = STRIDE_CALIBRATION * radius
     return replace(state, theta_integral=theta, theta_mean=theta_mean,
                    ms_theta=ms_theta, ms_omega=ms_omega, phase_angle=phase,
                    gait_percent=phase / (2.0 * math.pi), L_s=L_s)
@@ -171,8 +171,6 @@ class ControllerOutput:
 
     x_cmd: float
     x_d_tc: float
-    x_g: float
-    x_m: float
     q_d: float | None = None
     q_e: float | None = None
     m_filtered: float | None = None
@@ -194,7 +192,7 @@ def step_controller(mode: str, state: ProsthesisState, phase: TibiaPhaseState,
     x_m = moment_feedback(state.M, params.k_m)
     x_d_tc = _clamp(blend_commands(x_m, x_g, phase.L_s_norm), *MOTOR_RANGE_MM)
     if mode == "TC":
-        return ControllerOutput(x_cmd=x_d_tc, x_d_tc=x_d_tc, x_g=x_g, x_m=x_m)
+        return ControllerOutput(x_cmd=x_d_tc, x_d_tc=x_d_tc)
     if mode == "AC":
         if m_prev is None:
             m_f = state.M
@@ -208,22 +206,22 @@ def step_controller(mode: str, state: ProsthesisState, phase: TibiaPhaseState,
         # only the admittance offset sees the filtered moment
         x_d_ac = ankle_controller(q_d, state.q, state.M, moment_lut,
                                   params.fb_gain)
-        return ControllerOutput(x_cmd=x_d_ac, x_d_tc=x_d_tc, x_g=x_g, x_m=x_m,
-                                q_d=q_d, q_e=q_e, m_filtered=m_f)
+        return ControllerOutput(x_cmd=x_d_ac, x_d_tc=x_d_tc, q_d=q_d,
+                                q_e=q_e, m_filtered=m_f)
     raise ValueError(f"unknown controller mode {mode!r}")
 
 
 def default_gait_lut(peak_dorsiflexion: float = 8.0,
-                     pushoff_plantarflexion: float = -12.0,
-                     ssp: float = 0.95) -> Lut2D:
+                     pushoff_plantarflexion: float = -12.0) -> Lut2D:
     """Synthetic gait surface: reference ankle angle vs (gait percent,
     stride length).
 
     Shape: dorsiflexion ramp over early stance, a plateau through mid and
     terminal stance, plantarflexion push-off right after stance, and
     return to neutral in swing.  Amplitude scales linearly with stride
-    length.  The plateau before push-off is what lets the admittance
-    wrapper emulate a clean constant stiffness in late stance.
+    length, with unit scale at SSP.  The plateau before push-off is what
+    lets the admittance wrapper emulate a clean constant stiffness in late
+    stance.
     """
     gp = np.linspace(0.0, 1.0, 101)
     shape = np.zeros_like(gp)
@@ -241,8 +239,8 @@ def default_gait_lut(peak_dorsiflexion: float = 8.0,
             u = (s - 0.72) / 0.28
             shape[i] = pushoff_plantarflexion * 0.5 * (1 + math.cos(math.pi * u))
     lengths = np.linspace(0.2, 2.0, 10)
-    values = shape[:, None] * (lengths[None, :] / ssp)
-    return Lut2D(gp, lengths, values, units=("gait fraction", "m", "deg"))
+    values = shape[:, None] * (lengths[None, :] / SSP)
+    return Lut2D(gp, lengths, values)
 
 
 def default_moment_lut(moment_map: SyntheticMomentMap | None = None) -> Lut2D:

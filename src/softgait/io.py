@@ -19,18 +19,9 @@ class RecordingIOError(OSError):
     pass
 
 
-def _fmt(value) -> str:
-    if value is None or (isinstance(value, float) and not math.isfinite(value)):
-        return "nan"
-    return "%.9g" % value
-
-
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    n = len(columns[0])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(_fmt(c[i]) for c in columns) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.9g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _read_csv(path: str) -> tuple[list[str], np.ndarray]:

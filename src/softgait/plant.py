@@ -2,9 +2,11 @@
 plus a synthetic gait-trial generator feeding the analysis pipeline.
 
 The plant is a lumped one-degree-of-freedom ankle: the motor position
-tracks its command through a critically damped second-order loop, the
+tracks its command through a critically damped second-order loop and the
 ankle joint sees the spring torque implied by the moment map plus any
-external load, and the ground deflects linearly with vertical force.
+external load.  The ground deflects linearly with vertical force; that
+deflection shapes the marker templates only, since ground stiffness does
+not enter the ankle dynamics.
 The trial generator drives the controller/plant loop with a kinematic
 template (pelvis sway, heel trajectory, stance load profile) and seeded
 stride-to-stride variability so the stability analysis downstream is
@@ -14,7 +16,7 @@ non-degenerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +37,6 @@ class SimulationDivergedError(RuntimeError):
 
 @dataclass
 class PlantConfig:
-    sea_stiffness: float = 377.0          # kN/m, series spring of the actuator
     moment_map: SyntheticMomentMap = field(default_factory=SyntheticMomentMap)
     ankle_inertia: float = 0.005          # kg m^2, foot about the ankle joint
     ankle_damping: float = 0.03           # Nm s/deg, parasitic joint damping
@@ -44,8 +45,8 @@ class PlantConfig:
     dt: float = 0.01                      # s, matches the 100 Hz analysis rate
 
     def __post_init__(self):
-        for name in ("sea_stiffness", "ankle_inertia", "ankle_damping",
-                     "ground_stiffness", "motor_loop_bandwidth", "dt"):
+        for name in ("ankle_inertia", "ankle_damping", "ground_stiffness",
+                     "motor_loop_bandwidth", "dt"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -62,20 +63,17 @@ class PlantState:
     q: float = 0.0            # ankle angle, deg
     q_dot: float = 0.0
     moment: float = 0.0       # spring moment from the map, Nm
-    vertical_force: float = 0.0   # N, set by the trial template
-    ground_deflection: float = 0.0  # mm
 
 
-def ground_deflection(vertical_force: float, ground_stiffness: float) -> float:
+def ground_deflection(vertical_force, ground_stiffness):
     """Linear surface model: deflection in mm for force in N and stiffness
-    in kN/m (N / (kN/m) = mm)."""
-    if math.isinf(ground_stiffness):
-        return 0.0
+    in kN/m (N / (kN/m) = mm); a rigid (infinite) stiffness gives 0 for
+    any finite force.  Works elementwise on arrays."""
     return vertical_force / ground_stiffness
 
 
 def step_plant(state: PlantState, motor_cmd: float, external_load: float,
-               cfg: PlantConfig, vertical_force: float = 0.0) -> PlantState:
+               cfg: PlantConfig) -> PlantState:
     """Advance the plant by one dt.
 
     Motor: exact discrete update of a critically damped tracker at the
@@ -106,11 +104,8 @@ def step_plant(state: PlantState, motor_cmd: float, external_load: float,
     q_new = q
     q_dot_new = q_dot
 
-    deflection = ground_deflection(vertical_force, cfg.ground_stiffness)
     new = PlantState(x=x_new, x_dot=yd_new, q=q_new, q_dot=q_dot_new,
-                     moment=cfg.moment_map(x_new, q_new),
-                     vertical_force=vertical_force,
-                     ground_deflection=deflection)
+                     moment=cfg.moment_map(x_new, q_new))
     for v in (new.x, new.q, new.x_dot, new.q_dot, new.moment):
         if not math.isfinite(v):
             raise SimulationDivergedError("plant state is no longer finite")
@@ -150,13 +145,11 @@ class TrialSpec:
     tibia_amplitude: float = 10.0   # deg
     perturbations: tuple[Perturbation, ...] = ()
 
-
-def inject_perturbation(spec: TrialSpec, kind: str, at_stride: int,
-                        magnitude: float) -> TrialSpec:
-    if not 0 <= at_stride < spec.n_strides:
-        raise ValueError("at_stride outside trial")
-    pert = Perturbation(kind, at_stride, magnitude)
-    return replace(spec, perturbations=spec.perturbations + (pert,))
+    def __post_init__(self):
+        for p in self.perturbations:
+            if not 0 <= p.at_stride < self.n_strides:
+                raise ValueError(f"perturbation at_stride {p.at_stride} "
+                                 f"outside [0, {self.n_strides})")
 
 
 @dataclass
@@ -270,8 +263,8 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     f_right = np.where(s_right < 0.6,
                        peak * _stance_bump(np.clip(s_right / 0.6, 0, 1)), 0.0) \
         * amp_here
-    defl_left = np.where(np.isinf(k_g), 0.0, f_left / k_g)
-    defl_right = np.where(np.isinf(k_g), 0.0, f_right / k_g)
+    defl_left = ground_deflection(f_left, k_g)
+    defl_right = ground_deflection(f_right, k_g)
     f_total = f_left + f_right
     with np.errstate(invalid="ignore"):
         defl_com = np.where(f_total > 0,
@@ -316,14 +309,13 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     cop_right = cop_channels(s_right, f_right, 80.0)
 
     # closed-loop prosthesis simulation
-    gait_lut = default_gait_lut(ssp=0.95)
+    gait_lut = default_gait_lut()
     moment_lut = default_moment_lut(spec.cfg.moment_map)
     omega_noise = _smooth_noise(rng, n, 2.0)  # deg/s
     plant = PlantState()
-    phase = TibiaPhaseState(ssp=0.95)
+    phase = TibiaPhaseState()
     m_filt = 0.0
     log = {k: np.zeros(n) for k in PROSTHESIS_KEYS}
-    cfg = spec.cfg
     for i in range(n):
         Tk = durations[stride_idx[i]]
         # -sin puts the estimator's phase zero at foot strike
@@ -344,10 +336,7 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
         else:
             g = 0.0
         load = -spec.load_moment_arm * peak * amp_here[i] * g + impulse[i]
-        cfg_i = cfg if k_g[i] == cfg.ground_stiffness \
-            else replace(cfg, ground_stiffness=float(k_g[i]))
-        plant = step_plant(plant, out.x_cmd, load, cfg_i,
-                           vertical_force=float(f_left[i]))
+        plant = step_plant(plant, out.x_cmd, load, spec.cfg)
         log["t"][i] = t[i]
         log["x"][i] = plant.x
         log["q"][i] = plant.q
@@ -373,44 +362,3 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
                           cop_right=cop_right, prosthesis=log,
                           events_left=events_left, events_right=events_right,
                           rate=1.0 / dt, meta=meta)
-
-
-_AXIS_HARMONICS = {
-    # weights of stride harmonics 1..4 per axis, loosely shaped like CoM
-    # velocity spectra during walking
-    "ML": (1.0, 0.9, 0.7, 0.5, 0.3),
-    "AP": (0.6, 1.0, 0.8, 0.55, 0.35),
-    "VT": (0.55, 1.0, 0.8, 0.5, 0.35),
-}
-
-
-def gait_like_velocity(axis: str, seed: int, n_strides: int = 50,
-                       pts_per_stride: int = 100, jitter: float = 0.03,
-                       noise: float = 0.08):
-    """Synthetic stride-periodic velocity with per-stride variability,
-    used to exercise the embedding-parameter estimators."""
-    from .signals import TimeSeries
-    weights = _AXIS_HARMONICS[axis]
-    rng = np.random.default_rng(seed)
-    n = n_strides * pts_per_stride
-    phases = rng.uniform(0, 2 * np.pi, size=len(weights))
-    # per-stride amplitude and phase variability, linearly interpolated so
-    # stride boundaries stay smooth
-    knots = np.arange(n_strides + 1) * pts_per_stride
-    t = np.arange(n)
-    amp_k = 1.0 + jitter * np.clip(rng.standard_normal(n_strides + 1), -3, 3)
-    ph_k = jitter * np.clip(rng.standard_normal(n_strides + 1), -3, 3)
-    stride_amp = np.interp(t, knots, amp_k)
-    stride_ph = np.interp(t, knots, ph_k)
-    s = t / pts_per_stride + stride_ph
-    x = np.zeros(n)
-    for h, (w, ph) in enumerate(zip(weights, phases), start=1):
-        x += w * np.sin(2 * np.pi * h * s + ph)
-    # band-limited noise: white noise through a short gaussian kernel, so
-    # the false-neighbor test sees a low-dimensional signal
-    kern = np.exp(-0.5 * (np.arange(-6, 7) / 2.5) ** 2)
-    kern /= kern.sum()
-    colored = np.convolve(rng.standard_normal(n), kern, mode="same")
-    colored /= max(colored.std(), 1e-12)
-    x = stride_amp * x + noise * colored
-    return TimeSeries(x, float(pts_per_stride), 0.0, axis)

@@ -1,4 +1,5 @@
-"""Independent reference implementations ("oracles") used by the tests.
+"""Independent reference implementations ("oracles") and synthetic inputs
+used by the tests.
 
 Each oracle is written in the most transparent way possible — explicit
 loops, exhaustive enumeration — so that agreement with the optimized
@@ -11,6 +12,8 @@ import math
 from itertools import combinations
 
 import numpy as np
+
+from softgait.signals import TimeSeries
 
 LOG_FLOOR = 1e-300
 
@@ -111,3 +114,43 @@ def shuffle_ranksum_p(a, b, n_shuffles: int, seed: int = 0) -> float:
         hits += int(np.sum(np.abs(2.0 * w - n1 * (n + 1)) >= obs_dev - 1e-9))
         done += m
     return hits / n_shuffles
+
+
+_AXIS_HARMONICS = {
+    # weights of stride harmonics 1..4 per axis, loosely shaped like CoM
+    # velocity spectra during walking
+    "ML": (1.0, 0.9, 0.7, 0.5, 0.3),
+    "AP": (0.6, 1.0, 0.8, 0.55, 0.35),
+    "VT": (0.55, 1.0, 0.8, 0.5, 0.35),
+}
+
+
+def gait_like_velocity(axis: str, seed: int, n_strides: int = 50,
+                       pts_per_stride: int = 100, jitter: float = 0.03,
+                       noise: float = 0.08) -> TimeSeries:
+    """Synthetic stride-periodic velocity with per-stride variability,
+    used to exercise the embedding-parameter estimators."""
+    weights = _AXIS_HARMONICS[axis]
+    rng = np.random.default_rng(seed)
+    n = n_strides * pts_per_stride
+    phases = rng.uniform(0, 2 * np.pi, size=len(weights))
+    # per-stride amplitude and phase variability, linearly interpolated so
+    # stride boundaries stay smooth
+    knots = np.arange(n_strides + 1) * pts_per_stride
+    t = np.arange(n)
+    amp_k = 1.0 + jitter * np.clip(rng.standard_normal(n_strides + 1), -3, 3)
+    ph_k = jitter * np.clip(rng.standard_normal(n_strides + 1), -3, 3)
+    stride_amp = np.interp(t, knots, amp_k)
+    stride_ph = np.interp(t, knots, ph_k)
+    s = t / pts_per_stride + stride_ph
+    x = np.zeros(n)
+    for h, (w, ph) in enumerate(zip(weights, phases), start=1):
+        x += w * np.sin(2 * np.pi * h * s + ph)
+    # band-limited noise: white noise through a short gaussian kernel, so
+    # the false-neighbor test sees a low-dimensional signal
+    kern = np.exp(-0.5 * (np.arange(-6, 7) / 2.5) ** 2)
+    kern /= kern.sum()
+    colored = np.convolve(rng.standard_normal(n), kern, mode="same")
+    colored /= max(colored.std(), 1e-12)
+    x = stride_amp * x + noise * colored
+    return TimeSeries(x, float(pts_per_stride), 0.0, axis)

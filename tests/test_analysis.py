@@ -71,6 +71,12 @@ class TestAnalyzeTrial:
             analyze_trial(small_tc_trial,
                           AnalysisSettings(exclude_strides=500))
 
+    def test_settings_reject_non_integer_counts(self):
+        for bad in ({"n_windows": "5"}, {"window_strides": 25.0},
+                    {"max_dim": True}):
+            with pytest.raises(TypeError):
+                AnalysisSettings(**bad)
+
 
 def fake_report(lam, mos_vals, mode="TC"):
     axes = ("ML", "AP", "VT")

@@ -15,7 +15,7 @@ from softgait.lut import SyntheticMomentMap
 def run_phase_estimator(periods=20, T=1.47, amp=10.0, dt=0.01):
     """Drive the estimator with a clean sinusoidal tibia velocity and
     return (final state, trace of (time, gait_percent))."""
-    state = TibiaPhaseState(ssp=0.95)
+    state = TibiaPhaseState()
     trace = []
     n = int(periods * T / dt)
     for i in range(n):

@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from softgait.config import ConfigError, RunConfig
 from softgait.io import (RecordingIOError, _round_sig, load_recording,
                          load_report, save_recording, save_report,
                          write_plot_csvs)
-from softgait.plant import generate_trial, inject_perturbation
+from softgait.plant import Perturbation, generate_trial
 
 TINY_ANALYSIS = {
     "exclude_strides": 5, "window_strides": 20, "n_windows": 5,
@@ -143,7 +144,8 @@ class TestRunConfig:
         assert spec.cfg.ground_stiffness == 63.0
         assert spec.seed == 5
         assert len(spec.perturbations) == 1
-        spec = inject_perturbation(spec, "stiffness-step", 20, 25.0)
+        spec = replace(spec, perturbations=spec.perturbations
+                       + (Perturbation("stiffness-step", 20, 25.0),))
         assert [p.at_stride for p in spec.perturbations] == [10, 20]
 
     def test_bad_perturbation_rejected(self):
@@ -237,7 +239,7 @@ class TestCliErrorCodes:
 
     def test_invalid_config_is_invalid(self, tmp_path):
         bad = tmp_path / "bad.json"
-        for raw in ({"mode": "WRONG"},
+        for raw in ({"mode": "WRONG"}, {"mode": "TC", "K_d": 0.0},
                     {"n_strides": 10, "perturbations": [
                         {"kind": "load-impulse", "at_stride": 500,
                          "magnitude": 5.0}]}):
@@ -268,6 +270,18 @@ class TestCliErrorCodes:
         code = main(["analyze", str(rec), "--config", str(bad),
                      "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_wrong_typed_analysis_setting_is_invalid(self, tmp_path,
+                                                     small_tc_trial, capsys):
+        rec = tmp_path / "rec"
+        save_recording(small_tc_trial, str(rec))
+        bad = tmp_path / "settings.json"
+        bad.write_text(json.dumps({"n_windows": "5"}))
+        code = main(["analyze", str(rec), "--config", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("invalid config:")
+        assert not (tmp_path / "o").exists()
 
     def test_schema_mismatch_is_invalid(self, tmp_path):
         junk = tmp_path / "junk.json"

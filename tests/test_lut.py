@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from softgait.lut import (InvalidLutError, Lut2D, LutDomainError,
                           SyntheticMomentMap, UnreachableTargetError,
                           build_lut_from_map, default_angle_grid,
-                          default_motor_grid, read_lut_csv, write_lut_csv)
+                          default_motor_grid)
 
 
 class TestSyntheticMomentMap:
@@ -75,11 +75,16 @@ class TestInvert:
             affine_lut.invert(1e6, ("b", 0.0))
 
     def test_inversion_requires_declared_monotonicity(self):
-        lut = Lut2D([0.0, 1.0], [0.0, 1.0],
-                    [[0.0, 0.0], [1.0, 1.0]], monotone_axis="a")
+        # monotonicity is read off the values: strict along a, flat along b
+        lut = Lut2D([0.0, 1.0], [0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(InvalidLutError):
-            lut.invert(0.5, ("a", 0.5))   # free axis b not declared monotone
+            lut.invert(0.5, ("a", 0.5))   # free axis b is not monotone
         assert lut.invert(0.5, ("b", 0.5)) == pytest.approx(0.5)
+        # a rise-and-fall slice along a would have two roots for 0.5
+        lut = Lut2D([0.0, 1.0, 2.0], [0.0, 1.0],
+                    [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(InvalidLutError):
+            lut.invert(0.5, ("b", 0.5))
 
     def test_decreasing_slices_invert(self):
         # values decrease along axis b (as a moment map does with angle)
@@ -98,30 +103,8 @@ class TestValidation:
         with pytest.raises(InvalidLutError):
             Lut2D([0.0, 1.0], [0.0, 1.0], np.zeros((3, 2)))
 
-    def test_rejects_false_monotone_claim(self):
-        values = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(InvalidLutError):
-            Lut2D([0.0, 1.0], [0.0, 1.0], values, monotone_axis="a")
-
     def test_both_axes_validated(self):
         values = np.array([[0.0, 1.0], [1.0, 2.0]])
-        lut = Lut2D([0.0, 1.0], [0.0, 1.0], values, monotone_axis="both")
+        lut = Lut2D([0.0, 1.0], [0.0, 1.0], values)
         assert lut.invert(1.0, ("a", 0.0)) == pytest.approx(1.0)
         assert lut.invert(1.0, ("b", 0.0)) == pytest.approx(1.0)
-
-    def test_rejects_unknown_monotone_axis(self):
-        with pytest.raises(InvalidLutError):
-            Lut2D([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2)), monotone_axis="c")
-
-
-class TestCsvRoundTrip:
-    def test_round_trip_preserves_everything(self, affine_lut, tmp_path):
-        path = tmp_path / "map.csv"
-        write_lut_csv(affine_lut, path)
-        back = read_lut_csv(path, monotone_axis="both")
-        assert np.allclose(back.axis_a, affine_lut.axis_a)
-        assert np.allclose(back.axis_b, affine_lut.axis_b)
-        assert np.allclose(back.values, affine_lut.values)
-        assert back.units[:2] == affine_lut.units[:2]
-        assert back.eval(3.3, -2.7) == pytest.approx(
-            affine_lut.eval(3.3, -2.7))

@@ -1,13 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from helpers import gait_like_velocity
 from softgait.lut import SyntheticMomentMap
 from softgait.plant import (PlantConfig, PlantState, Perturbation, TrialSpec,
-                            gait_like_velocity, generate_trial,
-                            ground_deflection, inject_perturbation,
-                            step_plant)
+                            generate_trial, ground_deflection, step_plant)
 
 
 class TestGroundDeflection:
@@ -18,6 +18,12 @@ class TestGroundDeflection:
         assert ground_deflection(630.0, 63.0) == pytest.approx(10.0)
         assert ground_deflection(315.0, 63.0) == pytest.approx(5.0)
         assert ground_deflection(630.0, 126.0) == pytest.approx(5.0)
+
+    def test_elementwise_on_arrays(self):
+        force = np.array([0.0, 630.0, 630.0])
+        k_g = np.array([math.inf, math.inf, 63.0])
+        assert np.array_equal(ground_deflection(force, k_g),
+                              [0.0, 0.0, 10.0])
 
 
 class TestStepPlant:
@@ -49,12 +55,6 @@ class TestStepPlant:
         q_expected = m.unloaded_angle(10.0) + load / (m.sigma * m.rho)
         assert state.q == pytest.approx(q_expected, abs=1e-2)
 
-    def test_records_vertical_force_and_deflection(self):
-        cfg = PlantConfig(ground_stiffness=63.0)
-        state = step_plant(PlantState(), 0.0, 0.0, cfg, vertical_force=630.0)
-        assert state.vertical_force == 630.0
-        assert state.ground_deflection == pytest.approx(10.0)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PlantConfig(ankle_inertia=0.0)
@@ -65,9 +65,16 @@ class TestStepPlant:
 class TestPerturbations:
     def test_inject_returns_new_spec(self):
         spec = TrialSpec()
-        out = inject_perturbation(spec, "stiffness-step", 5, 25.0)
-        assert len(out.perturbations) == 1
+        pert = Perturbation("stiffness-step", 5, 25.0)
+        out = replace(spec, perturbations=spec.perturbations + (pert,))
+        assert out.perturbations == (pert,)
         assert len(spec.perturbations) == 0
+
+    def test_rejects_perturbation_outside_trial(self):
+        for at_stride in (-1, 10):
+            pert = Perturbation("stiffness-step", at_stride, 25.0)
+            with pytest.raises(ValueError):
+                TrialSpec(n_strides=10, perturbations=(pert,))
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -76,7 +83,8 @@ class TestPerturbations:
     def test_stiffness_step_changes_late_deflection(self):
         base = TrialSpec(cfg=PlantConfig(ground_stiffness=63.0),
                          n_strides=10, seed=3, noise_mm=0.0)
-        stepped = inject_perturbation(base, "stiffness-step", 5, 25.0)
+        stepped = replace(base, perturbations=(
+            Perturbation("stiffness-step", 5, 25.0),))
         a = generate_trial(base)
         b = generate_trial(stepped)
         heel_a = a.markers["LHEEL"][:, 2]
