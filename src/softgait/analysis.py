@@ -38,7 +38,7 @@ class AnalysisSettings:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and (not isinstance(value, int)
+            if f.type in ("int", int) and (not isinstance(value, int)
                                     or isinstance(value, bool)):
                 raise TypeError(f"{f.name} must be an integer, got {value!r}")
 

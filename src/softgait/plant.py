@@ -121,6 +121,8 @@ class Perturbation:
     def __post_init__(self):
         if self.kind not in ("stiffness-step", "load-impulse"):
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        if self.kind == "stiffness-step" and not self.magnitude > 0:
+            raise ValueError("stiffness-step magnitude must be positive")
 
 
 @dataclass

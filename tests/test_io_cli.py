@@ -156,7 +156,11 @@ class TestRunConfig:
                      {"kind": "load-impulse", "at_stride": 10,
                       "magnitude": 5.0},
                      {"kind": "load-impulse", "at_stride": 500,
-                      "magnitude": 5.0}):
+                      "magnitude": 5.0},
+                     {"kind": "stiffness-step", "at_stride": 1,
+                      "magnitude": 0.0},
+                     {"kind": "stiffness-step", "at_stride": 1,
+                      "magnitude": -25.0}):
             cfg = RunConfig(n_strides=10, perturbations=[pert])
             with pytest.raises(ConfigError):
                 cfg.to_trial_spec()
@@ -262,26 +266,17 @@ class TestCliErrorCodes:
         assert code == 2
 
     def test_bad_analysis_settings_is_invalid(self, tmp_path,
-                                              small_tc_trial):
+                                              small_tc_trial, capsys):
         rec = tmp_path / "rec"
         save_recording(small_tc_trial, str(rec))
         bad = tmp_path / "settings.json"
-        bad.write_text(json.dumps({"no_such_setting": 1}))
-        code = main(["analyze", str(rec), "--config", str(bad),
-                     "--out", str(tmp_path / "o")])
-        assert code == 1
-
-    def test_wrong_typed_analysis_setting_is_invalid(self, tmp_path,
-                                                     small_tc_trial, capsys):
-        rec = tmp_path / "rec"
-        save_recording(small_tc_trial, str(rec))
-        bad = tmp_path / "settings.json"
-        bad.write_text(json.dumps({"n_windows": "5"}))
-        code = main(["analyze", str(rec), "--config", str(bad),
-                     "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("invalid config:")
-        assert not (tmp_path / "o").exists()
+        for raw in ({"no_such_setting": 1}, {"n_windows": "5"}):
+            bad.write_text(json.dumps(raw))
+            code = main(["analyze", str(rec), "--config", str(bad),
+                         "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("invalid config:")
+            assert not (tmp_path / "o").exists()
 
     def test_schema_mismatch_is_invalid(self, tmp_path):
         junk = tmp_path / "junk.json"

@@ -80,6 +80,12 @@ class TestPerturbations:
         with pytest.raises(ValueError):
             Perturbation("nonsense", 0, 1.0)
 
+    def test_rejects_non_positive_stiffness_step(self):
+        for magnitude in (0.0, -25.0, math.nan):
+            with pytest.raises(ValueError):
+                TrialSpec(n_strides=10, perturbations=(
+                    Perturbation("stiffness-step", 1, magnitude),))
+
     def test_stiffness_step_changes_late_deflection(self):
         base = TrialSpec(cfg=PlantConfig(ground_stiffness=63.0),
                          n_strides=10, seed=3, noise_mm=0.0)
