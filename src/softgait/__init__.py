@@ -3,8 +3,8 @@ analysis: signal utilities, lookup-table engine, controllers, a closed-loop
 plant with compliant ground, divergence exponents, margins of stability,
 and quasi-stiffness profiles."""
 
-from .signals import (StrideGrid, TimeSeries, butterworth_lowpass,
-                      finite_difference, moving_average, time_normalize)
+from .signals import (TimeSeries, butterworth_lowpass, finite_difference,
+                      moving_average, time_normalize)
 from .lut import (InvalidLutError, Lut2D, LutDomainError, SyntheticMomentMap,
                   UnreachableTargetError, build_lut_from_map,
                   default_angle_grid, default_motor_grid)
@@ -17,8 +17,8 @@ from .controllers import (AdmittanceParams, ControllerOutput, ProsthesisState,
 from .plant import (Perturbation, PlantConfig, PlantState,
                     SimulationDivergedError, TrialRecording, TrialSpec,
                     generate_trial, ground_deflection, step_plant)
-from .stiffness import (CycleAverage, GaitPhaseConfig, StiffnessProfile,
-                        average_cycle, quasi_stiffness, segment_cycles)
+from .stiffness import (CycleAverage, StiffnessProfile, average_cycle,
+                        quasi_stiffness, segment_cycles)
 from .analysis import (AnalysisSettings, SchemaMismatchError, analyze_trial,
                        compare_reports)
 from .config import ConfigError, RunConfig

@@ -31,9 +31,6 @@ class AnalysisSettings:
     n_windows: int = 25
     points_per_window: int = 15000
     embedding_overrides: dict | None = None   # axis -> (tau, dim)
-    fallback_tau: int = 10
-    max_lag: int = 30
-    max_dim: int = 8
 
     def __post_init__(self):
         for f in fields(self):
@@ -52,7 +49,7 @@ def analyze_trial(rec: TrialRecording,
     nominal_stride = rec.meta.get("stride_period", None)
 
     heel = rec.markers["LHEEL"]
-    strikes = detect_foot_strikes(TimeSeries(heel[:, 2], rate, 0.0, "VT"),
+    strikes = detect_foot_strikes(TimeSeries(heel[:, 2], rate),
                                   nominal_stride_s=nominal_stride)
     if len(strikes) <= settings.exclude_strides + 1:
         raise ValueError("not enough strides after transient exclusion")
@@ -79,9 +76,7 @@ def analyze_trial(rec: TrialRecording,
         params = EmbeddingParams(*override) if override else None
         res = windowed_lyapunov(vel_lyap[axis], events,
                                 settings.window_strides, n_windows,
-                                settings.points_per_window, params,
-                                settings.max_lag, settings.fallback_tau,
-                                settings.max_dim)
+                                settings.points_per_window, params)
         lam[axis] = res
 
     # margins of stability on 5 Hz kinematics and averaged CoP

@@ -170,9 +170,7 @@ class ControllerOutput:
     """One tick of controller diagnostics alongside the motor command."""
 
     x_cmd: float
-    x_d_tc: float
     q_d: float | None = None
-    q_e: float | None = None
     m_filtered: float | None = None
 
 
@@ -192,7 +190,7 @@ def step_controller(mode: str, state: ProsthesisState, phase: TibiaPhaseState,
     x_m = moment_feedback(state.M, params.k_m)
     x_d_tc = _clamp(blend_commands(x_m, x_g, phase.L_s_norm), *MOTOR_RANGE_MM)
     if mode == "TC":
-        return ControllerOutput(x_cmd=x_d_tc, x_d_tc=x_d_tc)
+        return ControllerOutput(x_cmd=x_d_tc)
     if mode == "AC":
         if m_prev is None:
             m_f = state.M
@@ -206,8 +204,7 @@ def step_controller(mode: str, state: ProsthesisState, phase: TibiaPhaseState,
         # only the admittance offset sees the filtered moment
         x_d_ac = ankle_controller(q_d, state.q, state.M, moment_lut,
                                   params.fb_gain)
-        return ControllerOutput(x_cmd=x_d_ac, x_d_tc=x_d_tc, q_d=q_d,
-                                q_e=q_e, m_filtered=m_f)
+        return ControllerOutput(x_cmd=x_d_ac, q_d=q_d, m_filtered=m_f)
     raise ValueError(f"unknown controller mode {mode!r}")
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from .plant import PROSTHESIS_KEYS, TrialRecording
 from .stability import AXES
+from .stability.lyapunov import HORIZON_STRIDES
 
 MANIFEST_NAME = "manifest.json"
 
@@ -86,9 +87,15 @@ def load_recording(path: str) -> TrialRecording:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise RecordingIOError(f"cannot read manifest {path}: {exc}") from exc
-    base = os.path.dirname(path)
-    files = manifest["files"]
+    try:
+        return _read_trial(os.path.dirname(path), manifest)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise RecordingIOError(f"cannot read recording {path}: {exc}") \
+            from exc
 
+
+def _read_trial(base: str, manifest: dict) -> TrialRecording:
+    files = manifest["files"]
     header, data = _read_csv(os.path.join(base, files["markers"]))
     names = sorted({h.rsplit("_", 1)[0] for h in header[1:]})
     markers = {}
@@ -168,7 +175,7 @@ def write_plot_csvs(report: dict, out_dir: str) -> None:
                [np.asarray(pp["q"]), np.asarray(pp["qdot"])])
     for axis, curve in report["divergence"].items():
         curve = np.asarray(curve, dtype=float)
-        strides = np.arange(len(curve)) / (len(curve) - 1) * 10.0 \
-            if len(curve) > 1 else np.zeros(1)
+        strides = (np.arange(len(curve)) / (len(curve) - 1) * HORIZON_STRIDES
+                   if len(curve) > 1 else np.zeros(1))
         _write_csv(os.path.join(out_dir, f"divergence_{axis}.csv"),
                    ["strides", "mean_log_divergence"], [strides, curve])

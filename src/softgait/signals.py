@@ -7,7 +7,7 @@ underlying channel carries (mm, deg, Nm).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import butter, filtfilt
@@ -15,16 +15,10 @@ from scipy.signal import butter, filtfilt
 
 @dataclass
 class TimeSeries:
-    """A uniformly sampled scalar signal.
-
-    `label` tags the axis the signal belongs to ("ML", "AP", "VT" or
-    "scalar"); it is carried through every operation untouched.
-    """
+    """A uniformly sampled scalar signal."""
 
     samples: np.ndarray
     sample_rate: float
-    start_time: float = 0.0
-    label: str = "scalar"
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -42,29 +36,8 @@ class TimeSeries:
     def dt(self) -> float:
         return 1.0 / self.sample_rate
 
-    def times(self) -> np.ndarray:
-        return self.start_time + np.arange(len(self.samples)) / self.sample_rate
-
     def with_samples(self, samples: np.ndarray) -> "TimeSeries":
-        return replace(self, samples=np.asarray(samples, dtype=float))
-
-
-@dataclass
-class StrideGrid:
-    """Bookkeeping for a stride-normalized signal."""
-
-    stride_boundaries: np.ndarray  # original sample indices, len n_strides + 1
-    n_strides: int
-    points_per_stride: int
-
-    def __post_init__(self):
-        self.stride_boundaries = np.asarray(self.stride_boundaries)
-        if np.any(np.diff(self.stride_boundaries) <= 0):
-            raise ValueError("stride boundaries must be strictly increasing")
-
-    @property
-    def total_points(self) -> int:
-        return self.n_strides * self.points_per_stride
+        return TimeSeries(samples, self.sample_rate)
 
 
 def butterworth_lowpass(series: TimeSeries, order: int,
@@ -95,19 +68,15 @@ def moving_average(series: TimeSeries, window: int) -> TimeSeries:
     return series.with_samples(out)
 
 
-def finite_difference(series: TimeSeries, dt: float | None = None) -> TimeSeries:
+def finite_difference(series: TimeSeries) -> TimeSeries:
     """Numerical derivative: central differences interior, one-sided at the ends."""
     if len(series) < 2:
         raise ValueError("need at least 2 samples to differentiate")
-    if dt is None:
-        dt = series.dt
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    return series.with_samples(np.gradient(series.samples, dt))
+    return series.with_samples(np.gradient(series.samples, series.dt))
 
 
 def time_normalize(series: TimeSeries, events: np.ndarray, n_strides: int,
-                   n_points: int) -> tuple[TimeSeries, StrideGrid]:
+                   n_points: int) -> TimeSeries:
     """Map the first `n_strides` strides onto a fixed grid of `n_points` samples.
 
     Each stride (between consecutive events) becomes n_points/n_strides
@@ -130,6 +99,4 @@ def time_normalize(series: TimeSeries, events: np.ndarray, n_strides: int,
         a, b = boundaries[k], boundaries[k + 1]
         # half-open stride [a, b) so strides concatenate without duplicates
         positions[k * pps:(k + 1) * pps] = a + (b - a) * np.arange(pps) / pps
-    out = np.interp(positions, idx, series.samples)
-    grid = StrideGrid(boundaries, n_strides, pps)
-    return TimeSeries(out, float(pps), 0.0, series.label), grid
+    return TimeSeries(np.interp(positions, idx, series.samples), float(pps))

@@ -11,6 +11,9 @@ from scipy.signal import find_peaks
 from ..signals import TimeSeries, butterworth_lowpass, finite_difference
 
 GRAVITY = 9.81  # m/s^2
+STRIKE_FILTER = (4, 5.0)       # order, cutoff Hz for heel height
+STRIKE_PROMINENCE_MM = 5.0     # minimum depth of a foot-strike minimum
+STANCE_FORCE_FRACTION = 0.05   # of body weight, stance threshold
 
 PELVIS_MARKERS = ("LASI", "RASI", "LPSI", "RPSI")
 AXES = ("ML", "AP", "VT")
@@ -30,7 +33,7 @@ def estimate_com(markers: dict[str, np.ndarray],
             raise MarkerGapError(f"marker {name} has non-finite frames")
     stack = np.stack([markers[name] for name in PELVIS_MARKERS])
     com = stack.mean(axis=0)
-    return {axis: TimeSeries(com[:, k], rate, 0.0, axis)
+    return {axis: TimeSeries(com[:, k], rate)
             for k, axis in enumerate(AXES)}
 
 
@@ -40,19 +43,18 @@ def com_velocity(com: dict[str, TimeSeries]) -> dict[str, TimeSeries]:
 
 
 def detect_foot_strikes(heel_vt: TimeSeries,
-                        nominal_stride_s: float | None = None,
-                        filter_cutoff: float = 5.0,
-                        prominence_mm: float = 5.0) -> np.ndarray:
+                        nominal_stride_s: float | None = None) -> np.ndarray:
     """Foot-strikes as prominent local minima of the filtered heel height.
 
     Minimum spacing between events is half the nominal stride, estimated
     from the autocorrelation of the height signal when not given.
     """
-    vt = butterworth_lowpass(heel_vt, 4, filter_cutoff).samples
+    vt = butterworth_lowpass(heel_vt, *STRIKE_FILTER).samples
     if nominal_stride_s is None:
         nominal_stride_s = _dominant_period(vt, heel_vt.sample_rate)
     min_dist = max(int(0.5 * nominal_stride_s * heel_vt.sample_rate), 1)
-    peaks, _ = find_peaks(-vt, prominence=prominence_mm, distance=min_dist)
+    peaks, _ = find_peaks(-vt, prominence=STRIKE_PROMINENCE_MM,
+                          distance=min_dist)
     if len(peaks) == 0:
         raise ValueError("no foot-strike minima found")
     return peaks
@@ -136,7 +138,7 @@ def mos_ap(xcom_ap: TimeSeries, cop_ap: np.ndarray, stance: np.ndarray,
     return _mos(xcom_ap, cop_ap, stance, events, np.max)
 
 
-def stance_frames(vertical_force: np.ndarray, body_weight_n: float,
-                  threshold_fraction: float = 0.05) -> np.ndarray:
+def stance_frames(vertical_force: np.ndarray,
+                  body_weight_n: float) -> np.ndarray:
     """Stance mask: vertical force above a body-weight fraction."""
-    return vertical_force > threshold_fraction * body_weight_n
+    return vertical_force > STANCE_FORCE_FRACTION * body_weight_n

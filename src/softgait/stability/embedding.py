@@ -11,6 +11,11 @@ from scipy.spatial import cKDTree
 from ..signals import TimeSeries
 
 
+FNN_RATIO_TOL = 15.0    # Kennel's first criterion: extra/pair distance
+FNN_SIZE_TOL = 2.0      # Kennel's second criterion: distance/attractor size
+FNN_THRESHOLD = 0.01    # FNN fraction at which a dimension is accepted
+
+
 class NoMinimumError(ValueError):
     """Mutual information has no local minimum within the searched lags."""
 
@@ -31,10 +36,6 @@ class EmbeddingParams:
 class Attractor:
     points: np.ndarray     # (n_points, dim)
     params: EmbeddingParams
-    source_rate: float     # samples per stride after normalization
-
-    def __len__(self):
-        return len(self.points)
 
 
 def _quantile_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
@@ -94,7 +95,7 @@ def delay_embed(series: TimeSeries, params: EmbeddingParams) -> Attractor:
     if len(x) - (dim - 1) * tau < 1:
         raise ValueError(
             f"series of length {len(x)} too short for tau={tau}, dim={dim}")
-    return Attractor(_embed_raw(x, tau, dim), params, series.sample_rate)
+    return Attractor(_embed_raw(x, tau, dim), params)
 
 
 def _embed_raw(x: np.ndarray, tau: int, dim: int) -> np.ndarray:
@@ -103,13 +104,13 @@ def _embed_raw(x: np.ndarray, tau: int, dim: int) -> np.ndarray:
     return np.stack([x[k * tau:k * tau + n_points] for k in range(dim)], axis=1)
 
 
-def fnn_fractions(series: TimeSeries, tau: int, max_dim: int,
-                  r_tol: float = 15.0, a_tol: float = 2.0) -> np.ndarray:
+def fnn_fractions(series: TimeSeries, tau: int, max_dim: int) -> np.ndarray:
     """False-nearest-neighbor fraction for each dimension 1..max_dim.
 
     A neighbor pair in dimension d is false when the extra coordinate at
-    d+1 either blows up relative to the pair distance (ratio > r_tol) or
-    relative to the attractor size (Kennel's second criterion, a_tol).
+    d+1 either blows up relative to the pair distance (FNN_RATIO_TOL) or
+    relative to the attractor size (Kennel's second criterion,
+    FNN_SIZE_TOL).
     """
     x = series.samples
     attractor_size = float(np.std(x))
@@ -129,24 +130,23 @@ def fnn_fractions(series: TimeSeries, tau: int, max_dim: int,
         extra = np.abs(x[i + dim * tau] - x[idx + dim * tau])
         nonzero = dist > 0
         ratio_false = np.zeros(usable, dtype=bool)
-        ratio_false[nonzero] = extra[nonzero] / dist[nonzero] > r_tol
+        ratio_false[nonzero] = extra[nonzero] / dist[nonzero] > FNN_RATIO_TOL
         ratio_false[~nonzero] = extra[~nonzero] > 0
         new_dist = np.hypot(dist, extra)
-        size_false = new_dist / attractor_size > a_tol
+        size_false = new_dist / attractor_size > FNN_SIZE_TOL
         fractions[dim - 1] = np.mean(ratio_false | size_false)
     return fractions
 
 
-def fnn_dimension(series: TimeSeries, tau: int, max_dim: int = 8,
-                  r_tol: float = 15.0, a_tol: float = 2.0,
-                  threshold: float = 0.01) -> tuple[int, bool]:
-    """Smallest embedding dimension with FNN fraction below threshold.
+def fnn_dimension(series: TimeSeries, tau: int,
+                  max_dim: int) -> tuple[int, bool]:
+    """Smallest embedding dimension with FNN fraction below FNN_THRESHOLD.
 
     Returns (dim, saturated); saturated means the fraction never de-
     creased below the threshold and max_dim was returned instead.
     """
-    fractions = fnn_fractions(series, tau, max_dim, r_tol, a_tol)
-    below = np.nonzero(fractions < threshold)[0]
+    fractions = fnn_fractions(series, tau, max_dim)
+    below = np.nonzero(fractions < FNN_THRESHOLD)[0]
     if len(below) == 0:
         return max_dim, True
     return max(int(below[0]) + 1, 2), False

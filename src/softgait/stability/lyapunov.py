@@ -1,6 +1,7 @@
 """Divergence-exponent estimation: nearest-neighbor tracking over a
-10-stride horizon and least-squares slopes of the mean log-distance curve
-over the 0-1 and 4-10 stride intervals (per-stride units)."""
+horizon of HORIZON_STRIDES strides and least-squares slopes of the mean
+log-distance curve over strides 0-1 and 4 to the horizon (per-stride
+units)."""
 
 from __future__ import annotations
 
@@ -14,15 +15,18 @@ from .embedding import (Attractor, EmbeddingParams, NoMinimumError, ami_delay,
                         delay_embed, fnn_dimension)
 
 _LOG_FLOOR = 1e-300
+HORIZON_STRIDES = 10   # strides each neighbor pair is tracked for
+MAX_LAG = 30           # AMI lags searched for the embedding delay
+FALLBACK_TAU = 10      # delay used when AMI has no minimum within MAX_LAG
+MAX_DIM = 8            # largest embedding dimension FNN may return
 
 
 @dataclass
 class DivergenceResult:
     curve: np.ndarray          # mean ln distance, length horizon_samples + 1
     lambda_short: float        # slope over strides [0, 1]
-    lambda_long: float         # slope over strides [4, 10]
+    lambda_long: float         # slope over strides [4, HORIZON_STRIDES]
     n_pairs: int
-    samples_per_stride: int
 
 
 def _slope(curve: np.ndarray, spst: int, s0: float, s1: float) -> float:
@@ -32,16 +36,14 @@ def _slope(curve: np.ndarray, spst: int, s0: float, s1: float) -> float:
     return float(np.polyfit(strides, seg, 1)[0])
 
 
-def rosenstein_divergence(att: Attractor, samples_per_stride: int,
-                          horizon_strides: int = 10,
-                          theiler: int | None = None) -> DivergenceResult:
-    """Track each point's nearest neighbor (outside the Theiler window)
-    for `horizon_strides` strides and average the log distances."""
+def rosenstein_divergence(att: Attractor,
+                          samples_per_stride: int) -> DivergenceResult:
+    """Track each point's nearest neighbor (outside a one-stride Theiler
+    window) for HORIZON_STRIDES strides and average the log distances."""
     pts = att.points
     n = len(pts)
-    horizon = horizon_strides * samples_per_stride
-    if theiler is None:
-        theiler = samples_per_stride
+    horizon = HORIZON_STRIDES * samples_per_stride
+    theiler = samples_per_stride
     if n <= horizon + theiler:
         raise ValueError("attractor too short for the requested horizon")
 
@@ -98,9 +100,8 @@ def rosenstein_divergence(att: Attractor, samples_per_stride: int,
     return DivergenceResult(
         curve=curve,
         lambda_short=_slope(curve, samples_per_stride, 0.0, 1.0),
-        lambda_long=_slope(curve, samples_per_stride, 4.0, 10.0),
-        n_pairs=len(i_idx),
-        samples_per_stride=samples_per_stride)
+        lambda_long=_slope(curve, samples_per_stride, 4.0, HORIZON_STRIDES),
+        n_pairs=len(i_idx))
 
 
 @dataclass
@@ -118,9 +119,8 @@ class WindowedLyapunov:
 def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
                       window_strides: int = 150, n_windows: int = 25,
                       points_per_window: int = 15000,
-                      params: EmbeddingParams | None = None,
-                      max_lag: int = 30, fallback_tau: int = 10,
-                      max_dim: int = 8) -> WindowedLyapunov:
+                      params: EmbeddingParams | None = None
+                      ) -> WindowedLyapunov:
     """Divergence exponents over overlapping windows of strides.
 
     Window w covers strides [w, w + window_strides); each window is
@@ -142,16 +142,16 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
                          "window_strides")
     spst = points_per_window // window_strides
 
-    normalized, _ = time_normalize(series, events[:total_strides + 1],
-                                   total_strides, total_strides * spst)
+    normalized = time_normalize(series, events[:total_strides + 1],
+                                total_strides, total_strides * spst)
     if params is None:
         first = normalized.with_samples(
             normalized.samples[:points_per_window])
         try:
-            tau = ami_delay(first, max_lag)
+            tau = ami_delay(first, MAX_LAG)
         except NoMinimumError:
-            tau = fallback_tau
-        dim, _ = fnn_dimension(first, tau, max_dim)
+            tau = FALLBACK_TAU
+        dim, _ = fnn_dimension(first, tau, MAX_DIM)
         params = EmbeddingParams(tau=tau, dim=dim)
     n_window_points = points_per_window - (params.dim - 1) * params.tau
     if n_window_points < 1:
@@ -165,8 +165,7 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
     curve_sum = None
     for w in range(n_windows):
         lo = w * spst
-        att = Attractor(whole.points[lo:lo + n_window_points], params,
-                        whole.source_rate)
+        att = Attractor(whole.points[lo:lo + n_window_points], params)
         res = rosenstein_divergence(att, spst)
         lam_s[w] = res.lambda_short
         lam_l[w] = res.lambda_long

@@ -3,47 +3,37 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass
-class GaitPhaseConfig:
-    stance_fraction: float = 0.60       # of the gait cycle, from foot-strike
-    window_start: float = 0.20          # of stance (end of loading response)
-    window_end: float = 0.85            # of stance (start of pre-swing)
-    points_per_cycle: int = 100
-    regression_width: float = 0.05      # of stance, sliding-fit window
-    plateau_tol_deg: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 < self.window_start < self.window_end < 1.0:
-            raise ValueError("require 0 < window_start < window_end < 1")
+POINTS_PER_CYCLE = 100
+STANCE_FRACTION = 0.60     # of the gait cycle, from foot-strike
+WINDOW_START = 0.20        # of stance (end of loading response)
+WINDOW_END = 0.85          # of stance (start of pre-swing)
+REGRESSION_WIDTH = 0.05    # of stance, sliding-fit window
+PLATEAU_TOL_DEG = 1e-3
 
 
 @dataclass
 class CycleAverage:
-    mean_moment: np.ndarray   # Nm, length points_per_cycle
+    mean_moment: np.ndarray   # Nm, length POINTS_PER_CYCLE
     mean_angle: np.ndarray    # deg
-    n_cycles: int
 
     def __post_init__(self):
         if len(self.mean_moment) != len(self.mean_angle):
             raise ValueError("profiles must have equal length")
-        if self.n_cycles < 1:
-            raise ValueError("need at least one cycle")
 
 
-def segment_cycles(signals: dict[str, np.ndarray], foot_strikes: np.ndarray,
-                   points_per_cycle: int = 100) -> list[dict[str, np.ndarray]]:
+def segment_cycles(signals: dict[str, np.ndarray],
+                   foot_strikes: np.ndarray) -> list[dict[str, np.ndarray]]:
     """Slice each signal into [strike_k, strike_{k+1}) cycles, resampled to
-    a common normalized length."""
+    POINTS_PER_CYCLE samples."""
     foot_strikes = np.asarray(foot_strikes, dtype=int)
     if len(foot_strikes) < 2:
         raise ValueError("need at least two foot-strikes")
     cycles = []
-    u = np.arange(points_per_cycle) / points_per_cycle
+    u = np.arange(POINTS_PER_CYCLE) / POINTS_PER_CYCLE
     for k in range(len(foot_strikes) - 1):
         a, b = foot_strikes[k], foot_strikes[k + 1]
         pos = a + (b - a) * u
@@ -53,21 +43,20 @@ def segment_cycles(signals: dict[str, np.ndarray], foot_strikes: np.ndarray,
     return cycles
 
 
-def average_cycle(cycles: list[dict[str, np.ndarray]],
-                  moment_key: str = "M", angle_key: str = "q") -> CycleAverage:
-    """Pointwise mean of the moment and angle profiles across cycles."""
+def average_cycle(cycles: list[dict[str, np.ndarray]]) -> CycleAverage:
+    """Pointwise mean of the moment ("M") and angle ("q") profiles across
+    cycles."""
     if len(cycles) == 0:
         raise ValueError("no cycles to average")
-    moment = np.mean([c[moment_key] for c in cycles], axis=0)
-    angle = np.mean([c[angle_key] for c in cycles], axis=0)
-    return CycleAverage(moment, angle, len(cycles))
+    moment = np.mean([c["M"] for c in cycles], axis=0)
+    angle = np.mean([c["q"] for c in cycles], axis=0)
+    return CycleAverage(moment, angle)
 
 
 @dataclass
 class StiffnessProfile:
     stance_percent: np.ndarray     # [20, 85] window, percent of stance
     stiffness: np.ndarray          # Nm/deg; NaN where the angle plateaus
-    masked: np.ndarray             # bool, plateau flags
 
     def terminal_value(self, at_percent: float = 60.0) -> float:
         """Profile value nearest to the requested stance percent."""
@@ -75,34 +64,29 @@ class StiffnessProfile:
         return float(self.stiffness[i])
 
 
-def quasi_stiffness(avg: CycleAverage,
-                    cfg: GaitPhaseConfig | None = None) -> StiffnessProfile:
+def quasi_stiffness(avg: CycleAverage) -> StiffnessProfile:
     """Instantaneous moment-angle slope over 20-85% of stance.
 
     Centered sliding-window linear regression (window 5% of stance) on the
     averaged profiles; windows where the angle stays within the plateau
-    tolerance are masked rather than extrapolated.
+    tolerance are left NaN rather than extrapolated.
     """
-    if cfg is None:
-        cfg = GaitPhaseConfig()
     n = len(avg.mean_moment)
-    stance_n = int(round(cfg.stance_fraction * n))
+    stance_n = int(round(STANCE_FRACTION * n))
     if stance_n < 3:
         raise ValueError("cycle profile too short for a stance segment")
     q = avg.mean_angle[:stance_n]
     m = avg.mean_moment[:stance_n]
-    half = max(int(round(cfg.regression_width * stance_n / 2)), 1)
-    i0 = int(round(cfg.window_start * stance_n))
-    i1 = int(round(cfg.window_end * stance_n))
+    half = max(int(round(REGRESSION_WIDTH * stance_n / 2)), 1)
+    i0 = int(round(WINDOW_START * stance_n))
+    i1 = int(round(WINDOW_END * stance_n))
     centers = np.arange(i0, i1 + 1)
     stiffness = np.full(len(centers), np.nan)
-    masked = np.zeros(len(centers), dtype=bool)
     for out_i, c in enumerate(centers):
         lo, hi = max(c - half, 0), min(c + half + 1, stance_n)
         qw, mw = q[lo:hi], m[lo:hi]
-        if np.ptp(qw) < cfg.plateau_tol_deg:
-            masked[out_i] = True
+        if np.ptp(qw) < PLATEAU_TOL_DEG:
             continue
         stiffness[out_i] = np.polyfit(qw, mw, 1)[0]
     stance_percent = centers / stance_n * 100.0
-    return StiffnessProfile(stance_percent, stiffness, masked)
+    return StiffnessProfile(stance_percent, stiffness)

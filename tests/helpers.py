@@ -153,4 +153,4 @@ def gait_like_velocity(axis: str, seed: int, n_strides: int = 50,
     colored = np.convolve(rng.standard_normal(n), kern, mode="same")
     colored /= max(colored.std(), 1e-12)
     x = stride_amp * x + noise * colored
-    return TimeSeries(x, float(pts_per_stride), 0.0, axis)
+    return TimeSeries(x, float(pts_per_stride))

@@ -109,7 +109,7 @@ def test_criterion_3_rosenstein_correctness():
                 2 * np.pi * h * s / 200 + rng.uniform(0, 2 * np.pi))
     pts += 0.01 * rng.normal(size=pts.shape)
     from softgait.stability.embedding import Attractor
-    att = Attractor(pts, EmbeddingParams(tau=1, dim=3), 10.0)
+    att = Attractor(pts, EmbeddingParams(tau=1, dim=3))
     res = rosenstein_divergence(att, samples_per_stride=10)
     oracle = brute_force_divergence(pts, 10)
     ok = bool(np.max(np.abs(res.curve - oracle)) < 1e-12)
@@ -123,8 +123,8 @@ def test_criterion_3_rosenstein_correctness():
     com_ml = np.mean([rec.markers[mk][:, 0] for mk in
                       ("LASI", "RASI", "LPSI", "RPSI")], axis=0)
     vel = np.gradient(com_ml, 1.0 / rec.rate)
-    one_stride, _ = time_normalize(TimeSeries(vel, rec.rate),
-                                   rec.events_left[20:22], 1, 100)
+    one_stride = time_normalize(TimeSeries(vel, rec.rate),
+                                rec.events_left[20:22], 1, 100)
     periodic = TimeSeries(np.tile(one_stride.samples, 30), 100.0)
     att = delay_embed(periodic, EmbeddingParams(tau=10, dim=5))
     res = rosenstein_divergence(att, samples_per_stride=100)
@@ -164,7 +164,7 @@ def test_criterion_5_mos_oracle_equivalence():
         ap = mos_ap(xc, cop, stance, events).per_cycle.tolist()
         ok &= ml == exhaustive_mos(xc.samples, cop, stance, events, "min")
         ok &= ap == exhaustive_mos(xc.samples, cop, stance, events, "max")
-    com = {a: TimeSeries(np.full(20, 7.0), 100.0, 0.0, a)
+    com = {a: TimeSeries(np.full(20, 7.0), 100.0)
            for a in ("ML", "AP", "VT")}
     vel = {a: ts.with_samples(np.zeros(20)) for a, ts in com.items()}
     still = xcom(com, vel, 0.97)
@@ -192,9 +192,9 @@ def test_criterion_6_windowing_contract():
     ok = len(res.per_window_short) == 25
     ok &= len(res.per_window_long) == 25
     # per-window normalization: 150 strides onto 15000 points
-    first_window, grid = time_normalize(series, events[:151], 150, 15000)
+    first_window = time_normalize(series, events[:151], 150, 15000)
     ok &= len(first_window) == 15000
-    ok &= grid.points_per_stride == 100
+    ok &= first_window.sample_rate == 100.0   # points per stride
     ok &= len(res.mean_curve) == 10 * 100 + 1
     # too few strides for the full window set must be rejected, not padded
     try:

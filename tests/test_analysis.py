@@ -73,7 +73,7 @@ class TestAnalyzeTrial:
 
     def test_settings_reject_non_integer_counts(self):
         for bad in ({"n_windows": "5"}, {"window_strides": 25.0},
-                    {"max_dim": True}):
+                    {"points_per_window": True}):
             with pytest.raises(TypeError):
                 AnalysisSettings(**bad)
 

@@ -126,19 +126,31 @@ class TestAnkleController:
 
 
 class TestStepController:
+    # mid-stance phase at half the self-selected stride length, so the TC
+    # command blends moment feedback with the gait reference
+    STATE = ProsthesisState(M=15.0)
+    PHASE = TibiaPhaseState(gait_percent=0.4, L_s=0.475)
+
     def test_tc_mode_has_no_admittance_fields(self, gait_lut, moment_lut):
-        out = step_controller("TC", ProsthesisState(), TibiaPhaseState(),
-                              AdmittanceParams(), gait_lut, moment_lut)
-        assert out.q_d is None and out.q_e is None
-        assert out.x_cmd == out.x_d_tc
+        params = AdmittanceParams()
+        out = step_controller("TC", self.STATE, self.PHASE, params,
+                              gait_lut, moment_lut)
+        assert out.q_d is None and out.m_filtered is None
+        x_g = tibia_reference_motor(0.4, 0.475, gait_lut, moment_lut)
+        x_m = moment_feedback(15.0, params.k_m)
+        expected = blend_commands(x_m, x_g, self.PHASE.L_s_norm)
+        assert MOTOR_RANGE_MM[0] < expected < MOTOR_RANGE_MM[1]
+        assert x_m != x_g
+        assert out.x_cmd == expected
 
     def test_ac_mode_reports_admittance_fields(self, gait_lut, moment_lut):
-        state = ProsthesisState(M=15.0)
-        out = step_controller("AC", state, TibiaPhaseState(),
-                              AdmittanceParams(K_d=15.0), gait_lut,
-                              moment_lut, m_prev=15.0)
-        assert out.q_d is not None and out.q_e is not None
-        assert out.q_d == pytest.approx(out.q_e + 1.0)
+        params = AdmittanceParams(K_d=15.0)
+        tc = step_controller("TC", self.STATE, self.PHASE, params,
+                             gait_lut, moment_lut)
+        out = step_controller("AC", self.STATE, self.PHASE, params,
+                              gait_lut, moment_lut, m_prev=15.0)
+        q_e = admittance_equilibrium(tc.x_cmd, moment_lut)
+        assert out.q_d == pytest.approx(q_e + 15.0 / params.K_d)
 
     def test_moment_filter_initialization_and_update(self, gait_lut,
                                                      moment_lut):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from softgait.signals import TimeSeries
-from softgait.stability.embedding import (Attractor, EmbeddingParams,
-                                          NoMinimumError, ami_curve,
-                                          ami_delay, delay_embed,
+from softgait.stability.embedding import (EmbeddingParams, NoMinimumError,
+                                          ami_curve, ami_delay, delay_embed,
                                           fnn_dimension, fnn_fractions,
                                           mutual_information)
 
@@ -91,10 +90,6 @@ class TestDelayEmbed:
             EmbeddingParams(tau=0, dim=3)
         with pytest.raises(ValueError):
             EmbeddingParams(tau=3, dim=1)
-
-    def test_len_reports_point_count(self):
-        att = Attractor(np.zeros((7, 2)), EmbeddingParams(1, 2), 100.0)
-        assert len(att) == 7
 
 
 class TestFnn:

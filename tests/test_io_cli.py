@@ -265,12 +265,45 @@ class TestCliErrorCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_damaged_recording_is_io_error(self, tmp_path, small_tc_trial,
+                                           capsys):
+        good = tmp_path / "good"
+        save_recording(small_tc_trial, str(good))
+
+        def drop_markers(rec):
+            (rec / "markers.csv").unlink()
+
+        def truncate_prosthesis(rec):
+            path = rec / "prosthesis.csv"
+            text = path.read_text()
+            path.write_text(text[:len(text) // 2])
+
+        def rename_side(rec):
+            path = rec / "events.csv"
+            path.write_text(path.read_text().replace("right,", "middle,"))
+
+        def manifest_not_object(rec):
+            path = rec / "manifest.json"
+            path.write_text(json.dumps([json.loads(path.read_text())]))
+
+        for damage in (drop_markers, truncate_prosthesis, rename_side,
+                       manifest_not_object):
+            rec = tmp_path / damage.__name__
+            shutil.copytree(good, rec)
+            damage(rec)
+            out = tmp_path / f"out_{damage.__name__}"
+            code = main(["analyze", str(rec), "--out", str(out)])
+            assert code == 2, damage.__name__
+            assert capsys.readouterr().err.startswith("error:")
+            assert not out.exists()
+
     def test_bad_analysis_settings_is_invalid(self, tmp_path,
                                               small_tc_trial, capsys):
         rec = tmp_path / "rec"
         save_recording(small_tc_trial, str(rec))
         bad = tmp_path / "settings.json"
-        for raw in ({"no_such_setting": 1}, {"n_windows": "5"}):
+        for raw in ({"no_such_setting": 1}, {"n_windows": "5"},
+                    {"max_lag": 20}):
             bad.write_text(json.dumps(raw))
             code = main(["analyze", str(rec), "--config", str(bad),
                          "--out", str(tmp_path / "o")])

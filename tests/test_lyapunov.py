@@ -5,8 +5,7 @@ from helpers import brute_force_divergence
 from softgait.signals import TimeSeries
 from softgait.stability.embedding import (Attractor, EmbeddingParams,
                                           delay_embed)
-from softgait.stability.lyapunov import (DivergenceResult,
-                                         rosenstein_divergence,
+from softgait.stability.lyapunov import (rosenstein_divergence,
                                          windowed_lyapunov)
 
 
@@ -21,14 +20,13 @@ def toy_attractor(n=200, dim=3, seed=0):
             pts[:, d] += rng.normal() * np.sin(2 * np.pi * h * t / n
                                                + rng.uniform(0, 2 * np.pi))
     pts += 0.01 * rng.normal(size=pts.shape)
-    return Attractor(pts, EmbeddingParams(tau=1, dim=dim), 10.0)
+    return Attractor(pts, EmbeddingParams(tau=1, dim=dim))
 
 
 class TestAgainstBruteForce:
     def test_generic_path_matches_oracle(self):
         att = toy_attractor()
-        res = rosenstein_divergence(att, samples_per_stride=10,
-                                    horizon_strides=10)
+        res = rosenstein_divergence(att, samples_per_stride=10)
         oracle = brute_force_divergence(att.points, 10, 10)
         assert np.max(np.abs(res.curve - oracle)) < 1e-12
 
@@ -38,8 +36,7 @@ class TestAgainstBruteForce:
         x = np.sin(2 * np.pi * t / 40.0) + 0.3 * np.sin(2 * np.pi * t / 13.0)
         x += 0.02 * rng.normal(size=len(x))
         att = delay_embed(TimeSeries(x, 40.0), EmbeddingParams(tau=5, dim=3))
-        res = rosenstein_divergence(att, samples_per_stride=15,
-                                    horizon_strides=10)
+        res = rosenstein_divergence(att, samples_per_stride=15)
         oracle = brute_force_divergence(att.points, 15, 10)
         assert np.max(np.abs(res.curve - oracle)) < 1e-12
 
@@ -59,17 +56,14 @@ class TestDivergenceProperties:
         # curve that rises exactly 1 per stride gives slope 1
         spst = 50
         curve = np.arange(10 * spst + 1) / spst
-        res = DivergenceResult(curve, 0.0, 0.0, 1, spst)
         from softgait.stability.lyapunov import _slope
         assert _slope(curve, spst, 0.0, 1.0) == pytest.approx(1.0)
         assert _slope(curve, spst, 4.0, 10.0) == pytest.approx(1.0)
-        assert res.samples_per_stride == spst
 
     def test_too_short_attractor_raises(self):
         att = toy_attractor(n=50)
         with pytest.raises(ValueError):
-            rosenstein_divergence(att, samples_per_stride=10,
-                                  horizon_strides=10)
+            rosenstein_divergence(att, samples_per_stride=10)
 
     def test_reports_pair_count(self):
         att = toy_attractor()
@@ -100,8 +94,7 @@ class TestWindowed:
     def test_estimates_parameters_when_not_given(self):
         series, events = self.make_series_and_events(18)
         res = windowed_lyapunov(series, events, window_strides=12,
-                                n_windows=3, points_per_window=1800,
-                                max_lag=20, max_dim=4)
+                                n_windows=3, points_per_window=1800)
         assert res.params.tau >= 1
         assert res.params.dim >= 2
 

@@ -30,7 +30,6 @@ class TestEstimateCom:
         expected = stack.mean(axis=0)
         for k, axis in enumerate(("ML", "AP", "VT")):
             assert np.allclose(com[axis].samples, expected[:, k])
-            assert com[axis].label == axis
 
     def test_missing_marker_raises(self):
         markers = make_markers()
@@ -47,7 +46,7 @@ class TestEstimateCom:
 
 class TestXcom:
     def test_zero_velocity_reduces_to_com(self):
-        com = {a: TimeSeries(np.full(50, v), 100.0, 0.0, a)
+        com = {a: TimeSeries(np.full(50, v), 100.0)
                for a, v in (("ML", 12.0), ("AP", -3.0), ("VT", 970.0))}
         vel = {a: ts.with_samples(np.zeros(50)) for a, ts in com.items()}
         out = xcom(com, vel, 0.97)
@@ -55,7 +54,7 @@ class TestXcom:
         assert np.allclose(out["AP"].samples, -3.0)
 
     def test_velocity_shifts_by_v_over_omega(self):
-        com = {a: TimeSeries(np.zeros(10), 100.0, 0.0, a)
+        com = {a: TimeSeries(np.zeros(10), 100.0)
                for a in ("ML", "AP", "VT")}
         vel = {a: ts.with_samples(np.full(10, 100.0))
                for a, ts in com.items()}
@@ -149,7 +148,7 @@ class TestFootStrikeDetection:
 
 class TestComVelocity:
     def test_differentiates_each_axis(self):
-        com = {a: TimeSeries(np.arange(50.0) * k, 100.0, 0.0, a)
+        com = {a: TimeSeries(np.arange(50.0) * k, 100.0)
                for k, a in enumerate(("ML", "AP", "VT"), start=1)}
         vel = com_velocity(com)
         assert np.allclose(vel["ML"].samples, 100.0)

@@ -167,10 +167,9 @@ class TestGaitLikeVelocity:
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
-    def test_length_and_label(self):
+    def test_length(self):
         ts = gait_like_velocity("VT", seed=0, n_strides=20, pts_per_stride=50)
         assert len(ts) == 1000
-        assert ts.label == "VT"
 
     def test_stride_periodicity_dominates(self):
         ts = gait_like_velocity("ML", seed=1)

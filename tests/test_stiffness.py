@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from softgait.stiffness import (CycleAverage, GaitPhaseConfig,
-                                StiffnessProfile, average_cycle,
-                                quasi_stiffness, segment_cycles)
+from softgait.stiffness import (CycleAverage, StiffnessProfile,
+                                average_cycle, quasi_stiffness,
+                                segment_cycles)
 
 
 def linear_cycles(K, n_cycles=5, pts=100):
@@ -19,14 +19,14 @@ class TestSegmentation:
         n = 500
         sig = {"q": np.sin(np.arange(n) * 0.1), "M": np.cos(np.arange(n) * 0.1)}
         events = np.array([0, 120, 260, 410])
-        cycles = segment_cycles(sig, events, points_per_cycle=100)
+        cycles = segment_cycles(sig, events)
         assert len(cycles) == 3
         for c in cycles:
             assert len(c["q"]) == 100 and len(c["M"]) == 100
 
     def test_cycle_start_is_event_sample(self):
         sig = {"v": np.arange(300.0)}
-        cycles = segment_cycles(sig, np.array([10, 150, 290]), 50)
+        cycles = segment_cycles(sig, np.array([10, 150, 290]))
         assert cycles[0]["v"][0] == 10.0
         assert cycles[1]["v"][0] == 150.0
 
@@ -42,7 +42,6 @@ class TestAveraging:
         avg = average_cycle(cycles)
         assert np.allclose(avg.mean_angle, 2.0)
         assert np.allclose(avg.mean_moment, 4.0)
-        assert avg.n_cycles == 2
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -50,9 +49,7 @@ class TestAveraging:
 
     def test_cycle_average_validation(self):
         with pytest.raises(ValueError):
-            CycleAverage(np.zeros(5), np.zeros(4), 1)
-        with pytest.raises(ValueError):
-            CycleAverage(np.zeros(5), np.zeros(5), 0)
+            CycleAverage(np.zeros(5), np.zeros(4))
 
 
 class TestQuasiStiffness:
@@ -60,8 +57,7 @@ class TestQuasiStiffness:
         for K in (5.0, 12.5, 20.0):
             avg = average_cycle(linear_cycles(K))
             profile = quasi_stiffness(avg)
-            valid = profile.stiffness[~profile.masked]
-            valid = valid[np.isfinite(valid)]
+            valid = profile.stiffness[np.isfinite(profile.stiffness)]
             assert np.allclose(valid, K, atol=1e-6)
 
     def test_window_covers_20_to_85_percent_of_stance(self):
@@ -74,21 +70,15 @@ class TestQuasiStiffness:
         pts = 100
         q = np.zeros(pts)          # angle never moves
         m = np.linspace(0.0, 30.0, pts)
-        profile = quasi_stiffness(CycleAverage(m, q, 1))
-        assert np.all(profile.masked)
+        profile = quasi_stiffness(CycleAverage(m, q))
         assert np.all(np.isnan(profile.stiffness))
 
     def test_terminal_value_picks_nearest_sample(self):
         profile = StiffnessProfile(np.array([50.0, 60.0, 70.0]),
-                                   np.array([1.0, 2.0, 3.0]),
-                                   np.zeros(3, dtype=bool))
+                                   np.array([1.0, 2.0, 3.0]))
         assert profile.terminal_value(60.0) == 2.0
         assert profile.terminal_value(64.0) == 2.0
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GaitPhaseConfig(window_start=0.9, window_end=0.2)
-
     def test_too_short_profile_raises(self):
         with pytest.raises(ValueError):
-            quasi_stiffness(CycleAverage(np.zeros(3), np.zeros(3), 1))
+            quasi_stiffness(CycleAverage(np.zeros(3), np.zeros(3)))
