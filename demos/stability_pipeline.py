@@ -16,7 +16,7 @@ Usage: python3 demos/stability_pipeline.py [--mode AC|TC] [--seed N] [--full]
 
 import argparse
 
-from softgait import AdmittanceParams, PlantConfig, TrialSpec, generate_trial
+from softgait import RunConfig, generate_trial
 from softgait.analysis import AnalysisSettings, analyze_trial
 
 
@@ -37,9 +37,8 @@ def main():
                                     n_windows=10, points_per_window=2500)
 
     print(f"simulating {n_strides} strides in {args.mode} mode ...")
-    spec = TrialSpec(cfg=PlantConfig(), mode=args.mode,
-                     params=AdmittanceParams(K_d=15.0),
-                     n_strides=n_strides, seed=args.seed)
+    spec = RunConfig(mode=args.mode, K_d=15.0, n_strides=n_strides,
+                     seed=args.seed).to_trial_spec()
     rec = generate_trial(spec)
 
     print("analyzing ...")

@@ -15,16 +15,14 @@ import os
 
 import numpy as np
 
-from softgait import (AdmittanceParams, PlantConfig, TrialSpec,
-                      generate_trial)
+from softgait import RunConfig, generate_trial
 from softgait.signals import TimeSeries, butterworth_lowpass
 from softgait.stiffness import average_cycle, quasi_stiffness, segment_cycles
 
 
 def stiffness_profile(mode, K_d, n_strides=60, seed=0):
-    spec = TrialSpec(cfg=PlantConfig(), mode=mode,
-                     params=AdmittanceParams(K_d=K_d), n_strides=n_strides,
-                     seed=seed)
+    spec = RunConfig(mode=mode, K_d=K_d, n_strides=n_strides,
+                     seed=seed).to_trial_spec()
     rec = generate_trial(spec)
     events = rec.events_left[10:]   # let the phase estimator settle
     q = butterworth_lowpass(

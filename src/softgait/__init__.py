@@ -8,15 +8,15 @@ from .signals import (TimeSeries, butterworth_lowpass, finite_difference,
 from .lut import (InvalidLutError, Lut2D, LutDomainError, SyntheticMomentMap,
                   UnreachableTargetError, build_lut_from_map,
                   default_angle_grid, default_motor_grid)
-from .controllers import (AdmittanceParams, ControllerOutput, ProsthesisState,
-                          TibiaPhaseState, admittance_equilibrium,
+from .controllers import (ControllerOutput, ProsthesisState, TibiaPhaseState,
+                          admittance_equilibrium,
                           admittance_target, ankle_controller, blend_commands,
                           default_gait_lut, default_moment_lut,
                           moment_feedback, step_controller,
                           tibia_phase_update, tibia_reference_motor)
-from .plant import (Perturbation, PlantConfig, PlantState,
-                    SimulationDivergedError, TrialRecording, TrialSpec,
-                    generate_trial, ground_deflection, step_plant)
+from .plant import (Perturbation, PlantState, SimulationDivergedError,
+                    TrialRecording, TrialSpec, generate_trial,
+                    ground_deflection, step_plant)
 from .stiffness import (CycleAverage, StiffnessProfile, average_cycle,
                         quasi_stiffness, segment_cycles)
 from .analysis import (AnalysisSettings, SchemaMismatchError, analyze_trial,

@@ -10,13 +10,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .plant import TrialRecording
-from .signals import TimeSeries, butterworth_lowpass, moving_average
+from .signals import (TimeSeries, butterworth_lowpass, finite_difference,
+                      moving_average)
 from .stability import (AXES, EmbeddingParams, com_velocity,
                         detect_foot_strikes, estimate_com, mos_ap, mos_ml,
                         pendulum_eigenfrequency, pendulum_length,
                         stance_frames, windowed_lyapunov, xcom)
 from .stability.stats import delta_lambda, wilcoxon_ranksum
-from .stiffness import (average_cycle, quasi_stiffness, segment_cycles)
+from .stiffness import average_cycle, quasi_stiffness, segment_cycles
 
 LYAPUNOV_FILTER = (2, 10.0)   # order, cutoff Hz for divergence CoM
 MOS_FILTER = (4, 5.0)         # order, cutoff Hz for MOS kinematics
@@ -35,9 +36,26 @@ class AnalysisSettings:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in ("int", int) and (not isinstance(value, int)
-                                    or isinstance(value, bool)):
+            if f.type in ("int", int) and not _is_int(value):
                 raise TypeError(f"{f.name} must be an integer, got {value!r}")
+        overrides = self.embedding_overrides
+        if overrides is None:
+            return
+        if not isinstance(overrides, dict):
+            raise TypeError("embedding_overrides must map axes to (tau, dim), "
+                            f"got {overrides!r}")
+        for axis, pair in overrides.items():
+            if axis not in AXES:
+                raise ValueError(f"embedding_overrides: unknown axis {axis!r}")
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(_is_int(v) for v in pair)):
+                raise TypeError(f"embedding_overrides[{axis!r}] must be two "
+                                f"integers (tau, dim), got {pair!r}")
+            EmbeddingParams(*pair)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def analyze_trial(rec: TrialRecording,
@@ -45,7 +63,10 @@ def analyze_trial(rec: TrialRecording,
     if settings is None:
         settings = AnalysisSettings()
     rate = rec.rate
-    body_weight = rec.meta.get("body_mass", 59.0) * 9.81
+    try:
+        body_weight = rec.meta["body_mass"] * 9.81
+    except KeyError:
+        raise ValueError("recording meta has no body_mass") from None
     nominal_stride = rec.meta.get("stride_period", None)
 
     heel = rec.markers["LHEEL"]
@@ -100,22 +121,18 @@ def analyze_trial(rec: TrialRecording,
         (rec.events_right >= events[0]) & (rec.events_right <= events[-1])]
     right_ml, right_ap = side_mos(rec.cop_right, right_events)
 
-    # quasi-stiffness on filtered prosthesis moment/angle
+    # quasi-stiffness and phase portrait (angular velocity vs angle) of the
+    # average cycle, on filtered prosthesis angle and moment
     q_f = butterworth_lowpass(
         TimeSeries(rec.prosthesis["q"], rate), *PROSTHESIS_FILTER)
     m_f = butterworth_lowpass(
         TimeSeries(rec.prosthesis["M"], rate), *PROSTHESIS_FILTER)
-    cycles = segment_cycles({"q": q_f.samples, "M": m_f.samples}, events)
+    qdot_f = butterworth_lowpass(finite_difference(q_f), *PROSTHESIS_FILTER)
+    cycles = segment_cycles({"q": q_f.samples, "M": m_f.samples,
+                             "qdot": qdot_f.samples}, events)
     avg = average_cycle(cycles)
     profile = quasi_stiffness(avg)
-
-    # phase portrait (angular velocity vs angle) of the average cycle
-    qdot = np.gradient(q_f.samples, 1.0 / rate)
-    qdot_f = butterworth_lowpass(TimeSeries(qdot, rate), *PROSTHESIS_FILTER)
-    pp_cycles = segment_cycles({"q": q_f.samples, "qdot": qdot_f.samples},
-                               events)
-    pp_avg_q = np.mean([c["q"] for c in pp_cycles], axis=0)
-    pp_avg_qdot = np.mean([c["qdot"] for c in pp_cycles], axis=0)
+    mean_qdot = np.mean([c["qdot"] for c in cycles], axis=0)
 
     report = {
         "meta": dict(rec.meta),
@@ -145,8 +162,8 @@ def analyze_trial(rec: TrialRecording,
         "profiles": {
             "moment_angle": {"q": avg.mean_angle.tolist(),
                              "M": avg.mean_moment.tolist()},
-            "phase_portrait": {"q": pp_avg_q.tolist(),
-                               "qdot": pp_avg_qdot.tolist()},
+            "phase_portrait": {"q": avg.mean_angle.tolist(),
+                               "qdot": mean_qdot.tolist()},
         },
     }
     return report

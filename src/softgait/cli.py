@@ -92,7 +92,7 @@ def cmd_analyze(args) -> int:
             return EXIT_INVALID
         try:
             settings = AnalysisSettings(**raw)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             print(f"invalid config: {exc}", file=sys.stderr)
             return EXIT_INVALID
     try:

@@ -1,4 +1,7 @@
-"""Run configuration: a JSON file describing one simulated trial."""
+"""Run configuration: a JSON file describing one simulated trial.
+
+`RunConfig` owns every default of a trial; `plant.TrialSpec`, which
+`RunConfig.to_trial_spec` builds, owns every range rule."""
 
 from __future__ import annotations
 
@@ -6,8 +9,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .controllers import AdmittanceParams
-from .plant import PlantConfig, Perturbation, TrialSpec
+from .plant import Perturbation, TrialSpec
 
 
 class ConfigError(ValueError):
@@ -17,7 +19,7 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     mode: str = "AC"                     # "AC" or "TC"
-    K_d: float = 15.0                    # Nm/deg, admittance only
+    K_d: float = 15.0                    # Nm/deg, read by AC only
     ground_stiffness: float = math.inf   # kN/m; inf = rigid belt
     n_strides: int = 200
     stride_period: float = 1.47
@@ -27,18 +29,6 @@ class RunConfig:
     period_jitter: float = 0.02
     amplitude_jitter: float = 0.02
     perturbations: list[dict] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.mode not in ("AC", "TC"):
-            raise ConfigError(f"mode must be AC or TC, got {self.mode!r}")
-        if self.mode == "AC" and not self.K_d > 0:
-            raise ConfigError("K_d must be positive for admittance control")
-        if not self.ground_stiffness > 0:
-            raise ConfigError("ground_stiffness must be positive")
-        if self.n_strides < 2:
-            raise ConfigError("n_strides must be at least 2")
-        if not self.stride_period > 0:
-            raise ConfigError("stride_period must be positive")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -53,10 +43,7 @@ class RunConfig:
             if gs != "rigid":
                 raise ConfigError(f"bad ground_stiffness {gs!r}")
             raw = dict(raw, ground_stiffness=math.inf)
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**raw)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -68,21 +55,19 @@ class RunConfig:
         return cls.from_dict(raw)
 
     def to_trial_spec(self) -> TrialSpec:
-        perturbations = []
-        for p in self.perturbations:
-            try:
-                perturbations.append(Perturbation(**p))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad perturbation {p}: {exc}") from exc
+        """The validated trial (the two classes share their field names);
+        a value out of range or of the wrong type is a ConfigError."""
         try:
-            return TrialSpec(
-                cfg=PlantConfig(ground_stiffness=self.ground_stiffness),
-                mode=self.mode,
-                params=AdmittanceParams(K_d=self.K_d),
-                n_strides=self.n_strides, stride_period=self.stride_period,
-                seed=self.seed, period_jitter=self.period_jitter,
-                amplitude_jitter=self.amplitude_jitter,
-                noise_mm=self.noise_mm, body_mass=self.body_mass,
-                perturbations=tuple(perturbations))
-        except ValueError as exc:
+            return TrialSpec(**dict(vars(self), perturbations=tuple(
+                _perturbation(p) for p in self.perturbations)))
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _perturbation(raw: dict) -> Perturbation:
+    try:
+        return Perturbation(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad perturbation {raw}: {exc}") from exc

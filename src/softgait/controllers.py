@@ -6,6 +6,7 @@ length, a gait surface gives the reference ankle angle, and the moment map
 inversion turns that into a motor command.  The admittance controller (AC)
 wraps the TC: it derives the unloaded equilibrium angle from the TC
 command and offsets it by M / K_d to emulate the chosen quasi-stiffness.
+Only stiffness is emulated: the law has no damping or inertia terms.
 """
 
 from __future__ import annotations
@@ -15,13 +16,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lut import Lut2D, SyntheticMomentMap, build_lut_from_map
+from .lut import (MOMENT_MAP, Lut2D, build_lut_from_map, default_angle_grid,
+                  default_motor_grid)
 
 MOTOR_RANGE_MM = (-40.0, 40.0)
 ANGLE_RANGE_DEG = (-30.0, 30.0)
 SSP = 0.95                  # m, self-selected-pace stride length
 LEAK_TAU = 2.0              # s, leak of the tibia-angle integrator
 STRIDE_CALIBRATION = 0.095  # m of stride length per deg of orbit radius
+K_M = 0.1                   # mm/Nm, moment feedback gain of the TC path
+FB_GAIN = 0.45              # mm/deg, angle feedback of the AC position loop
+MOMENT_FILTER_HZ = 4.0      # low-pass on measured moment in the AC path
+PEAK_DORSIFLEXION = 8.0     # deg, gait surface plateau at SSP
+PUSHOFF_PLANTARFLEXION = -12.0  # deg, gait surface push-off at SSP
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
@@ -62,21 +69,6 @@ class TibiaPhaseState:
     @property
     def L_s_norm(self) -> float:
         return self.L_s / SSP
-
-
-@dataclass
-class AdmittanceParams:
-    """Admittance law gains.  Only stiffness is emulated: the law has no
-    damping or inertia terms."""
-
-    K_d: float = 15.0        # Nm/deg
-    fb_gain: float = 0.45    # mm/deg
-    k_m: float = 0.1         # mm/Nm, moment feedback gain of the TC path
-    moment_filter_hz: float = 4.0  # low-pass on measured moment in the AC path
-
-    def __post_init__(self):
-        if not self.K_d > 0:
-            raise ValueError("K_d must be positive")
 
 
 _OMEGA_FLOOR = 1e-9
@@ -120,10 +112,9 @@ def blend_commands(x_m: float, x_g: float, L_s_norm: float) -> float:
     return a * x_m + (1.0 - a) * x_g
 
 
-def moment_feedback(M: float, k_m: float = 0.1,
-                    motor_range: tuple[float, float] = MOTOR_RANGE_MM) -> float:
+def moment_feedback(M: float) -> float:
     """Proportional moment-to-motor command, clamped to the motor range."""
-    return _clamp(k_m * M, *motor_range)
+    return _clamp(K_M * M, *MOTOR_RANGE_MM)
 
 
 def tibia_reference_motor(gait_percent: float, L_s: float, gait_lut: Lut2D,
@@ -142,16 +133,15 @@ def admittance_equilibrium(x_d_tc: float, moment_lut: Lut2D) -> float:
     return moment_lut.invert(0.0, ("a", x))
 
 
-def admittance_target(q_e: float, M: float, K_d: float,
-                      angle_range: tuple[float, float] = ANGLE_RANGE_DEG) -> float:
+def admittance_target(q_e: float, M: float, K_d: float) -> float:
     """Admittance law: desired angle is the equilibrium offset by M / K_d."""
     if not K_d > 0:
         raise ValueError("K_d must be positive")
-    return _clamp(q_e + M / K_d, *angle_range)
+    return _clamp(q_e + M / K_d, *ANGLE_RANGE_DEG)
 
 
-def ankle_controller(q_d: float, q: float, M: float, moment_lut: Lut2D,
-                     K: float = 0.45) -> float:
+def ankle_controller(q_d: float, q: float, M: float,
+                     moment_lut: Lut2D) -> float:
     """Feedforward (moment-map inversion at the desired angle) plus
     proportional feedback on the angle error."""
     qd = _clamp(q_d, moment_lut.axis_b[0], moment_lut.axis_b[-1])
@@ -161,7 +151,7 @@ def ankle_controller(q_d: float, q: float, M: float, moment_lut: Lut2D,
         # moment not reachable at this angle: saturate at the range edge
         lo, hi = moment_lut.axis_a[0], moment_lut.axis_a[-1]
         x_ff = hi if M > moment_lut.eval(hi, qd) else lo
-    x_fb = K * (qd - q)
+    x_fb = FB_GAIN * (qd - q)
     return _clamp(x_ff + x_fb, MOTOR_RANGE_MM[0], MOTOR_RANGE_MM[1])
 
 
@@ -175,7 +165,7 @@ class ControllerOutput:
 
 
 def step_controller(mode: str, state: ProsthesisState, phase: TibiaPhaseState,
-                    params: AdmittanceParams, gait_lut: Lut2D,
+                    K_d: float, gait_lut: Lut2D,
                     moment_lut: Lut2D, m_prev: float | None = None,
                     dt: float = 0.01) -> ControllerOutput:
     """Compose one control tick in either TC or AC mode.
@@ -187,7 +177,7 @@ def step_controller(mode: str, state: ProsthesisState, phase: TibiaPhaseState,
     """
     x_g = tibia_reference_motor(phase.gait_percent, phase.L_s, gait_lut,
                                 moment_lut)
-    x_m = moment_feedback(state.M, params.k_m)
+    x_m = moment_feedback(state.M)
     x_d_tc = _clamp(blend_commands(x_m, x_g, phase.L_s_norm), *MOTOR_RANGE_MM)
     if mode == "TC":
         return ControllerOutput(x_cmd=x_d_tc)
@@ -196,20 +186,18 @@ def step_controller(mode: str, state: ProsthesisState, phase: TibiaPhaseState,
             m_f = state.M
         else:
             alpha = 1.0 - math.exp(-2.0 * math.pi
-                                   * params.moment_filter_hz * dt)
+                                   * MOMENT_FILTER_HZ * dt)
             m_f = m_prev + alpha * (state.M - m_prev)
         q_e = admittance_equilibrium(x_d_tc, moment_lut)
-        q_d = admittance_target(q_e, m_f, params.K_d)
+        q_d = admittance_target(q_e, m_f, K_d)
         # raw moment in the map inversion keeps the position loop exact;
         # only the admittance offset sees the filtered moment
-        x_d_ac = ankle_controller(q_d, state.q, state.M, moment_lut,
-                                  params.fb_gain)
+        x_d_ac = ankle_controller(q_d, state.q, state.M, moment_lut)
         return ControllerOutput(x_cmd=x_d_ac, q_d=q_d, m_filtered=m_f)
     raise ValueError(f"unknown controller mode {mode!r}")
 
 
-def default_gait_lut(peak_dorsiflexion: float = 8.0,
-                     pushoff_plantarflexion: float = -12.0) -> Lut2D:
+def default_gait_lut() -> Lut2D:
     """Synthetic gait surface: reference ankle angle vs (gait percent,
     stride length).
 
@@ -224,25 +212,23 @@ def default_gait_lut(peak_dorsiflexion: float = 8.0,
     shape = np.zeros_like(gp)
     for i, s in enumerate(gp):
         if s < 0.25:
-            shape[i] = peak_dorsiflexion * 0.5 * (1 - math.cos(math.pi * s / 0.25))
+            shape[i] = PEAK_DORSIFLEXION * 0.5 * (1 - math.cos(math.pi * s / 0.25))
         elif s < 0.60:
-            shape[i] = peak_dorsiflexion
+            shape[i] = PEAK_DORSIFLEXION
         elif s < 0.72:
             u = (s - 0.60) / 0.12
-            shape[i] = (peak_dorsiflexion
-                        + (pushoff_plantarflexion - peak_dorsiflexion)
+            shape[i] = (PEAK_DORSIFLEXION
+                        + (PUSHOFF_PLANTARFLEXION - PEAK_DORSIFLEXION)
                         * 0.5 * (1 - math.cos(math.pi * u)))
         else:
             u = (s - 0.72) / 0.28
-            shape[i] = pushoff_plantarflexion * 0.5 * (1 + math.cos(math.pi * u))
+            shape[i] = PUSHOFF_PLANTARFLEXION * 0.5 * (1 + math.cos(math.pi * u))
     lengths = np.linspace(0.2, 2.0, 10)
     values = shape[:, None] * (lengths[None, :] / SSP)
     return Lut2D(gp, lengths, values)
 
 
-def default_moment_lut(moment_map: SyntheticMomentMap | None = None) -> Lut2D:
-    from .lut import default_angle_grid, default_motor_grid
-    if moment_map is None:
-        moment_map = SyntheticMomentMap()
-    return build_lut_from_map(moment_map, default_motor_grid(),
+def default_moment_lut() -> Lut2D:
+    """The controllers' table of the ankle's moment map."""
+    return build_lut_from_map(MOMENT_MAP, default_motor_grid(),
                               default_angle_grid())

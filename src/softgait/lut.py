@@ -138,6 +138,10 @@ def build_lut_from_map(moment_map: SyntheticMomentMap, a_grid, b_grid) -> Lut2D:
     return Lut2D(a, b, values)
 
 
+# the simulated ankle's moment map, read by the plant and the controllers
+MOMENT_MAP = SyntheticMomentMap()
+
+
 def default_motor_grid() -> np.ndarray:
     return np.arange(-40.0, 40.0 + 0.5, 1.0)
 

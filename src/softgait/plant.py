@@ -16,16 +16,29 @@ non-degenerate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import (AdmittanceParams, ControllerOutput, ProsthesisState,
-                          TibiaPhaseState, default_gait_lut, default_moment_lut,
-                          step_controller, tibia_phase_update)
-from .lut import Lut2D, SyntheticMomentMap
+from .controllers import (ProsthesisState, TibiaPhaseState, default_gait_lut,
+                          default_moment_lut, step_controller,
+                          tibia_phase_update)
+from .lut import MOMENT_MAP
 
 DEG = math.pi / 180.0
+ANKLE_INERTIA = 0.005             # kg m^2, foot about the ankle joint
+INERTIA_DEG = ANKLE_INERTIA * DEG  # the same, in Nm per (deg/s^2)
+ANKLE_DAMPING = 0.03              # Nm s/deg, parasitic joint damping
+MOTOR_LOOP_BANDWIDTH = 40.0       # Hz
+DT = 0.01                         # s, matches the 100 Hz analysis rate
+# kinematic template of the trial generator
+LOAD_MOMENT_ARM = 0.055   # m, peak CoP lever arm at the ankle
+PELVIS_HEIGHT = 970.0     # mm, CoM height over heel level
+ML_SWAY = 20.0            # mm
+AP_SWAY = 12.0            # mm
+VT_BOUNCE = 10.0          # mm
+TIBIA_AMPLITUDE = 10.0    # deg
 # per-tick channels of the closed-loop log, in recording column order
 PROSTHESIS_KEYS = ("t", "x", "q", "M", "omega", "gait_percent", "L_s", "q_d",
                    "x_cmd")
@@ -33,27 +46,6 @@ PROSTHESIS_KEYS = ("t", "x", "q", "M", "omega", "gait_percent", "L_s", "q_d",
 
 class SimulationDivergedError(RuntimeError):
     pass
-
-
-@dataclass
-class PlantConfig:
-    moment_map: SyntheticMomentMap = field(default_factory=SyntheticMomentMap)
-    ankle_inertia: float = 0.005          # kg m^2, foot about the ankle joint
-    ankle_damping: float = 0.03           # Nm s/deg, parasitic joint damping
-    ground_stiffness: float = math.inf    # kN/m; inf = rigid
-    motor_loop_bandwidth: float = 40.0    # Hz
-    dt: float = 0.01                      # s, matches the 100 Hz analysis rate
-
-    def __post_init__(self):
-        for name in ("ankle_inertia", "ankle_damping", "ground_stiffness",
-                     "motor_loop_bandwidth", "dt"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-
-    @property
-    def inertia_deg(self) -> float:
-        """Ankle inertia expressed as Nm per (deg/s^2)."""
-        return self.ankle_inertia * DEG
 
 
 @dataclass
@@ -72,20 +64,20 @@ def ground_deflection(vertical_force, ground_stiffness):
     return vertical_force / ground_stiffness
 
 
-def step_plant(state: PlantState, motor_cmd: float, external_load: float,
-               cfg: PlantConfig) -> PlantState:
+def step_plant(state: PlantState, motor_cmd: float,
+               external_load: float) -> PlantState:
     """Advance the plant by one dt.
 
-    Motor: exact discrete update of a critically damped tracker at the
-    configured bandwidth.  Ankle: semi-implicit Euler of
+    Motor: exact discrete update of a critically damped tracker at
+    MOTOR_LOOP_BANDWIDTH.  Ankle: semi-implicit Euler of
     I qdd = M(x, q) + M_ext - b qd, where the map moment is the restoring
     spring torque (positive toward the zero-moment angle).
     """
-    w = 2.0 * math.pi * cfg.motor_loop_bandwidth
+    w = 2.0 * math.pi * MOTOR_LOOP_BANDWIDTH
     # the ankle is much faster than dt, so integrate on a finer sub-grid
     # (semi-implicit Euler is only stable well below the natural period)
     n_sub = 20
-    h = cfg.dt / n_sub
+    h = DT / n_sub
     e = math.exp(-w * h)
     y = state.x - motor_cmd
     yd = state.x_dot
@@ -95,17 +87,13 @@ def step_plant(state: PlantState, motor_cmd: float, external_load: float,
         # closed form of ydd = -2 w yd - w^2 y over one substep
         y, yd = e * (y + (yd + w * y) * h), e * (yd - w * h * (yd + w * y))
         x_here = y + motor_cmd
-        qdd = (cfg.moment_map(x_here, q) + external_load
-               - cfg.ankle_damping * q_dot) / cfg.inertia_deg
+        qdd = (MOMENT_MAP(x_here, q) + external_load
+               - ANKLE_DAMPING * q_dot) / INERTIA_DEG
         q_dot = q_dot + qdd * h
         q = q + q_dot * h
     x_new = y + motor_cmd
-    yd_new = yd
-    q_new = q
-    q_dot_new = q_dot
-
-    new = PlantState(x=x_new, x_dot=yd_new, q=q_new, q_dot=q_dot_new,
-                     moment=cfg.moment_map(x_new, q_new))
+    new = PlantState(x=x_new, x_dot=yd, q=q, q_dot=q_dot,
+                     moment=MOMENT_MAP(x_new, q))
     for v in (new.x, new.q, new.x_dot, new.q_dot, new.moment):
         if not math.isfinite(v):
             raise SimulationDivergedError("plant state is no longer finite")
@@ -127,27 +115,34 @@ class Perturbation:
 
 @dataclass
 class TrialSpec:
-    """Everything that determines a generated trial, including the seed."""
+    """Everything that determines a generated trial, including the seed.
 
-    cfg: PlantConfig = field(default_factory=PlantConfig)
-    mode: str = "TC"
-    params: AdmittanceParams = field(default_factory=AdmittanceParams)
-    n_strides: int = 200
-    stride_period: float = 1.47     # s, mean stride duration
-    seed: int = 0
-    period_jitter: float = 0.02     # fractional sd of stride period
-    amplitude_jitter: float = 0.02  # fractional sd of per-stride amplitudes
-    noise_mm: float = 1.0           # marker measurement noise, smoothed
-    body_mass: float = 59.0         # kg
-    load_moment_arm: float = 0.055  # m, peak CoP lever arm at the ankle
-    pelvis_height: float = 970.0    # mm, CoM height over heel level
-    ml_sway: float = 20.0           # mm
-    ap_sway: float = 12.0           # mm
-    vt_bounce: float = 10.0         # mm
-    tibia_amplitude: float = 10.0   # deg
+    The defaults live in `config.RunConfig`; the range rules live here.
+    """
+
+    mode: str                 # "AC" or "TC"
+    K_d: float                # Nm/deg, commanded quasi-stiffness (AC)
+    ground_stiffness: float   # kN/m; inf = rigid
+    n_strides: int
+    stride_period: float      # s, mean stride duration
+    seed: int
+    period_jitter: float      # fractional sd of stride period
+    amplitude_jitter: float   # fractional sd of per-stride amplitudes
+    noise_mm: float           # marker measurement noise, smoothed
+    body_mass: float          # kg
     perturbations: tuple[Perturbation, ...] = ()
 
     def __post_init__(self):
+        if self.mode not in ("AC", "TC"):
+            raise ValueError(f"mode must be AC or TC, got {self.mode!r}")
+        for name in ("K_d", "ground_stiffness", "stride_period", "body_mass"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not (isinstance(self.n_strides, numbers.Integral)
+                and self.n_strides >= 2):
+            raise ValueError("n_strides must be an integer of at least 2")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
         for p in self.perturbations:
             if not 0 <= p.at_stride < self.n_strides:
                 raise ValueError(f"perturbation at_stride {p.at_stride} "
@@ -224,10 +219,7 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     Deterministic per spec (including seed): identical specs give
     bitwise-identical recordings.
     """
-    if spec.n_strides < 2:
-        raise ValueError("need at least two strides")
     rng = np.random.default_rng(spec.seed)
-    dt = spec.cfg.dt
     T = spec.stride_period
 
     period_g = np.clip(rng.standard_normal(spec.n_strides), -3, 3)
@@ -236,8 +228,8 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     amps = 1.0 + spec.amplitude_jitter * amp_g
     starts = np.concatenate(([0.0], np.cumsum(durations)))
     total = starts[-1]
-    n = int(math.floor(total / dt))
-    t = np.arange(n) * dt
+    n = int(math.floor(total / DT))
+    t = np.arange(n) * DT
 
     # continuous stride phase: k + s with s in [0, 1) inside stride k
     stride_idx = np.clip(np.searchsorted(starts, t, side="right") - 1,
@@ -246,7 +238,7 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     amp_here = amps[stride_idx]
 
     # ground stiffness per sample (stiffness-step perturbations)
-    k_g = np.full(n, spec.cfg.ground_stiffness)
+    k_g = np.full(n, spec.ground_stiffness)
     impulse = np.zeros(n)
     for p in spec.perturbations:
         mask = stride_idx >= p.at_stride
@@ -275,11 +267,11 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
 
     # pelvis / CoM template (mm)
     two_pi_s = 2.0 * math.pi * s_local
-    com_ml = -spec.ml_sway * amp_here * np.sin(two_pi_s) \
+    com_ml = -ML_SWAY * amp_here * np.sin(two_pi_s) \
         + _smooth_noise(rng, n, spec.noise_mm)
-    com_ap = spec.ap_sway * amp_here * np.sin(2.0 * two_pi_s + 0.7) \
+    com_ap = AP_SWAY * amp_here * np.sin(2.0 * two_pi_s + 0.7) \
         + _smooth_noise(rng, n, spec.noise_mm)
-    com_vt = spec.pelvis_height + spec.vt_bounce * amp_here \
+    com_vt = PELVIS_HEIGHT + VT_BOUNCE * amp_here \
         * np.cos(2.0 * two_pi_s) - defl_com \
         + _smooth_noise(rng, n, spec.noise_mm)
 
@@ -312,7 +304,7 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
 
     # closed-loop prosthesis simulation
     gait_lut = default_gait_lut()
-    moment_lut = default_moment_lut(spec.cfg.moment_map)
+    moment_lut = default_moment_lut()
     omega_noise = _smooth_noise(rng, n, 2.0)  # deg/s
     plant = PlantState()
     phase = TibiaPhaseState()
@@ -321,12 +313,12 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     for i in range(n):
         Tk = durations[stride_idx[i]]
         # -sin puts the estimator's phase zero at foot strike
-        omega = -spec.tibia_amplitude * amp_here[i] * (2.0 * math.pi / Tk) \
+        omega = -TIBIA_AMPLITUDE * amp_here[i] * (2.0 * math.pi / Tk) \
             * math.sin(two_pi_s[i]) + omega_noise[i]
-        phase = tibia_phase_update(phase, omega, dt)
+        phase = tibia_phase_update(phase, omega, DT)
         meas = ProsthesisState(x=plant.x, q=plant.q, M=plant.moment)
-        out = step_controller(spec.mode, meas, phase, spec.params,
-                              gait_lut, moment_lut, m_prev=m_filt, dt=dt)
+        out = step_controller(spec.mode, meas, phase, spec.K_d,
+                              gait_lut, moment_lut, m_prev=m_filt, dt=DT)
         m_filt = out.m_filtered
         # the ankle moment rises monotonically through stance as the CoP
         # travels heel to toe, then releases quickly at toe-off
@@ -337,8 +329,8 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
             g = math.cos(0.5 * math.pi * (u_st - 0.95) / 0.05) ** 2
         else:
             g = 0.0
-        load = -spec.load_moment_arm * peak * amp_here[i] * g + impulse[i]
-        plant = step_plant(plant, out.x_cmd, load, spec.cfg)
+        load = -LOAD_MOMENT_ARM * peak * amp_here[i] * g + impulse[i]
+        plant = step_plant(plant, out.x_cmd, load)
         log["t"][i] = t[i]
         log["x"][i] = plant.x
         log["q"][i] = plant.q
@@ -349,18 +341,18 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
         log["q_d"][i] = out.q_d if out.q_d is not None else math.nan
         log["x_cmd"][i] = out.x_cmd
 
-    events_left = np.round(starts[:-1] / dt).astype(int)
+    events_left = np.round(starts[:-1] / DT).astype(int)
     events_left = events_left[events_left < n]
     right_times = starts[:-1] + 0.5 * durations
-    events_right = np.round(right_times / dt).astype(int)
+    events_right = np.round(right_times / DT).astype(int)
     events_right = events_right[events_right < n]
 
-    meta = {"mode": spec.mode, "K_d": spec.params.K_d, "seed": spec.seed,
+    meta = {"mode": spec.mode, "K_d": spec.K_d, "seed": spec.seed,
             "n_strides": spec.n_strides, "stride_period": spec.stride_period,
-            "ground_stiffness": ("rigid" if math.isinf(spec.cfg.ground_stiffness)
-                                 else spec.cfg.ground_stiffness),
+            "ground_stiffness": ("rigid" if math.isinf(spec.ground_stiffness)
+                                 else spec.ground_stiffness),
             "body_mass": spec.body_mass}
     return TrialRecording(markers=markers, cop_left=cop_left,
                           cop_right=cop_right, prosthesis=log,
                           events_left=events_left, events_right=events_right,
-                          rate=1.0 / dt, meta=meta)
+                          rate=1.0 / DT, meta=meta)

@@ -5,8 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from softgait import (AdmittanceParams, PlantConfig, TrialSpec,
-                      default_gait_lut, default_moment_lut, generate_trial)
+from softgait import (RunConfig, default_gait_lut, default_moment_lut,
+                      generate_trial)
 
 
 @pytest.fixture(scope="session")
@@ -22,12 +22,12 @@ def gait_lut():
 @pytest.fixture(scope="session")
 def small_tc_trial():
     """A short tibia-controller trial shared by IO / analysis tests."""
-    spec = TrialSpec(cfg=PlantConfig(), mode="TC", n_strides=45, seed=7)
+    spec = RunConfig(mode="TC", n_strides=45, seed=7).to_trial_spec()
     return generate_trial(spec)
 
 
 @pytest.fixture(scope="session")
 def small_ac_trial():
-    spec = TrialSpec(cfg=PlantConfig(), mode="AC",
-                     params=AdmittanceParams(K_d=15.0), n_strides=45, seed=7)
+    spec = RunConfig(mode="AC", K_d=15.0, n_strides=45,
+                     seed=7).to_trial_spec()
     return generate_trial(spec)

@@ -14,8 +14,7 @@ import pytest
 from helpers import (brute_force_divergence, exhaustive_mos,
                      exhaustive_ranksum_p, gait_like_velocity,
                      shuffle_ranksum_p)
-from softgait import (AdmittanceParams, PlantConfig, TrialSpec,
-                      generate_trial)
+from softgait import RunConfig, generate_trial
 from softgait.analysis import compare_reports
 from softgait.cli import main
 from softgait.plant import ground_deflection
@@ -37,9 +36,8 @@ def _verdict(n: int, description: str, ok: bool):
 
 def _stiffness_profile(mode: str, K_d: float, seed: int = 0):
     """Closed-loop 60-stride trial and its quasi-stiffness profile."""
-    spec = TrialSpec(cfg=PlantConfig(), mode=mode,
-                     params=AdmittanceParams(K_d=K_d), n_strides=60,
-                     seed=seed)
+    spec = RunConfig(mode=mode, K_d=K_d, n_strides=60,
+                     seed=seed).to_trial_spec()
     rec = generate_trial(spec)
     events = rec.events_left[10:]   # drop the estimator's transient
     q = butterworth_lowpass(
@@ -117,8 +115,8 @@ def test_criterion_3_rosenstein_correctness():
     # noiseless periodic trial: jitter and noise off, one mid-trial stride
     # waveform repeated exactly (simulation floats carry ~1e-12 stride-to-
     # stride jitter, so exact periodicity is imposed by tiling)
-    spec = TrialSpec(cfg=PlantConfig(), mode="TC", n_strides=40, seed=0,
-                     period_jitter=0.0, amplitude_jitter=0.0, noise_mm=0.0)
+    spec = RunConfig(mode="TC", n_strides=40, seed=0, period_jitter=0.0,
+                     amplitude_jitter=0.0, noise_mm=0.0).to_trial_spec()
     rec = generate_trial(spec)
     com_ml = np.mean([rec.markers[mk][:, 0] for mk in
                       ("LASI", "RASI", "LPSI", "RPSI")], axis=0)
@@ -214,11 +212,11 @@ def test_criterion_7_ground_compliance():
     # whole-trial wiring: the heel marker sinks by F/k_g, so the rigid and
     # compliant trials differ by a deflection that scales as 1/k_g
     base = dict(mode="TC", n_strides=8, seed=2, noise_mm=0.0)
-    rigid = generate_trial(TrialSpec(cfg=PlantConfig(), **base))
-    soft63 = generate_trial(TrialSpec(
-        cfg=PlantConfig(ground_stiffness=63.0), **base))
-    soft25 = generate_trial(TrialSpec(
-        cfg=PlantConfig(ground_stiffness=25.0), **base))
+    rigid = generate_trial(RunConfig(**base).to_trial_spec())
+    soft63 = generate_trial(RunConfig(
+        ground_stiffness=63.0, **base).to_trial_spec())
+    soft25 = generate_trial(RunConfig(
+        ground_stiffness=25.0, **base).to_trial_spec())
     heel = lambda rec: rec.markers["LHEEL"][:, 2]
     d63 = np.max(heel(rigid) - heel(soft63))
     d25 = np.max(heel(rigid) - heel(soft25))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from softgait.controllers import (MOTOR_RANGE_MM, AdmittanceParams,
+from softgait.controllers import (MOMENT_FILTER_HZ, MOTOR_RANGE_MM,
                                   ProsthesisState, TibiaPhaseState,
                                   admittance_equilibrium, admittance_target,
                                   ankle_controller, blend_commands,
@@ -78,9 +78,9 @@ class TestBlending:
 
 class TestMomentFeedback:
     def test_proportional_and_clamped(self):
-        assert moment_feedback(10.0, 0.1) == pytest.approx(1.0)
-        assert moment_feedback(1e5, 0.1) == MOTOR_RANGE_MM[1]
-        assert moment_feedback(-1e5, 0.1) == MOTOR_RANGE_MM[0]
+        assert moment_feedback(10.0) == pytest.approx(1.0)
+        assert moment_feedback(1e5) == MOTOR_RANGE_MM[1]
+        assert moment_feedback(-1e5) == MOTOR_RANGE_MM[0]
 
 
 class TestAdmittanceLaw:
@@ -95,8 +95,6 @@ class TestAdmittanceLaw:
     def test_rejects_nonpositive_stiffness(self):
         with pytest.raises(ValueError):
             admittance_target(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            AdmittanceParams(K_d=-1.0)
 
     def test_equilibrium_is_unloaded_angle(self, moment_lut):
         m = SyntheticMomentMap()
@@ -117,7 +115,7 @@ class TestAnkleController:
 
     def test_feedback_acts_on_angle_error(self, moment_lut):
         base = ankle_controller(5.0, 5.0, 0.0, moment_lut)
-        ahead = ankle_controller(5.0, 3.0, 0.0, moment_lut, K=0.45)
+        ahead = ankle_controller(5.0, 3.0, 0.0, moment_lut)
         assert ahead - base == pytest.approx(0.45 * 2.0, abs=1e-9)
 
     def test_unreachable_moment_saturates(self, moment_lut):
@@ -132,42 +130,40 @@ class TestStepController:
     PHASE = TibiaPhaseState(gait_percent=0.4, L_s=0.475)
 
     def test_tc_mode_has_no_admittance_fields(self, gait_lut, moment_lut):
-        params = AdmittanceParams()
-        out = step_controller("TC", self.STATE, self.PHASE, params,
+        out = step_controller("TC", self.STATE, self.PHASE, 15.0,
                               gait_lut, moment_lut)
         assert out.q_d is None and out.m_filtered is None
         x_g = tibia_reference_motor(0.4, 0.475, gait_lut, moment_lut)
-        x_m = moment_feedback(15.0, params.k_m)
+        x_m = moment_feedback(15.0)
         expected = blend_commands(x_m, x_g, self.PHASE.L_s_norm)
         assert MOTOR_RANGE_MM[0] < expected < MOTOR_RANGE_MM[1]
         assert x_m != x_g
         assert out.x_cmd == expected
 
     def test_ac_mode_reports_admittance_fields(self, gait_lut, moment_lut):
-        params = AdmittanceParams(K_d=15.0)
-        tc = step_controller("TC", self.STATE, self.PHASE, params,
+        K_d = 15.0
+        tc = step_controller("TC", self.STATE, self.PHASE, K_d,
                              gait_lut, moment_lut)
-        out = step_controller("AC", self.STATE, self.PHASE, params,
+        out = step_controller("AC", self.STATE, self.PHASE, K_d,
                               gait_lut, moment_lut, m_prev=15.0)
         q_e = admittance_equilibrium(tc.x_cmd, moment_lut)
-        assert out.q_d == pytest.approx(q_e + 15.0 / params.K_d)
+        assert out.q_d == pytest.approx(q_e + 15.0 / K_d)
 
     def test_moment_filter_initialization_and_update(self, gait_lut,
                                                      moment_lut):
         state = ProsthesisState(M=20.0)
-        params = AdmittanceParams()
-        first = step_controller("AC", state, TibiaPhaseState(), params,
+        first = step_controller("AC", state, TibiaPhaseState(), 15.0,
                                 gait_lut, moment_lut, m_prev=None)
         assert first.m_filtered == pytest.approx(20.0)
-        stepped = step_controller("AC", state, TibiaPhaseState(), params,
+        stepped = step_controller("AC", state, TibiaPhaseState(), 15.0,
                                   gait_lut, moment_lut, m_prev=0.0, dt=0.01)
-        alpha = 1.0 - math.exp(-2 * math.pi * params.moment_filter_hz * 0.01)
+        alpha = 1.0 - math.exp(-2 * math.pi * MOMENT_FILTER_HZ * 0.01)
         assert stepped.m_filtered == pytest.approx(alpha * 20.0)
 
     def test_unknown_mode_raises(self, gait_lut, moment_lut):
         with pytest.raises(ValueError):
             step_controller("XX", ProsthesisState(), TibiaPhaseState(),
-                            AdmittanceParams(), gait_lut, moment_lut)
+                            15.0, gait_lut, moment_lut)
 
 
 class TestTibiaReference:

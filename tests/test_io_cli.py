@@ -127,11 +127,11 @@ class TestRunConfig:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            RunConfig(mode="XX")
+            RunConfig(mode="XX").to_trial_spec()
         with pytest.raises(ConfigError):
-            RunConfig(mode="AC", K_d=0.0)
+            RunConfig(mode="AC", K_d=0.0).to_trial_spec()
         with pytest.raises(ConfigError):
-            RunConfig(n_strides=1)
+            RunConfig(n_strides=1).to_trial_spec()
 
     def test_to_trial_spec_carries_condition(self):
         cfg = RunConfig(mode="AC", K_d=20.0, ground_stiffness=63.0,
@@ -140,8 +140,8 @@ class TestRunConfig:
                                         "at_stride": 10, "magnitude": 5.0}])
         spec = cfg.to_trial_spec()
         assert spec.mode == "AC"
-        assert spec.params.K_d == 20.0
-        assert spec.cfg.ground_stiffness == 63.0
+        assert spec.K_d == 20.0
+        assert spec.ground_stiffness == 63.0
         assert spec.seed == 5
         assert len(spec.perturbations) == 1
         spec = replace(spec, perturbations=spec.perturbations
@@ -244,6 +244,7 @@ class TestCliErrorCodes:
     def test_invalid_config_is_invalid(self, tmp_path):
         bad = tmp_path / "bad.json"
         for raw in ({"mode": "WRONG"}, {"mode": "TC", "K_d": 0.0},
+                    {"body_mass": 0.0}, {"n_strides": 10.5}, {"seed": -1},
                     {"n_strides": 10, "perturbations": [
                         {"kind": "load-impulse", "at_stride": 500,
                          "magnitude": 5.0}]}):
@@ -302,14 +303,35 @@ class TestCliErrorCodes:
         rec = tmp_path / "rec"
         save_recording(small_tc_trial, str(rec))
         bad = tmp_path / "settings.json"
-        for raw in ({"no_such_setting": 1}, {"n_windows": "5"},
-                    {"max_lag": 20}):
+        # windows the recording can fill, so only the bad entry can fail
+        bad_overrides = [dict(TINY_ANALYSIS, embedding_overrides=o) for o in (
+            {"ML": [10]}, {"ML": ["10", "4"]}, {"ML": [True, 4]},
+            {"ML": [0, 4]}, ["ML"], {"XX": [10, 4]})]
+        for raw in [{"no_such_setting": 1}, {"n_windows": "5"},
+                    {"max_lag": 20}] + bad_overrides:
             bad.write_text(json.dumps(raw))
             code = main(["analyze", str(rec), "--config", str(bad),
                          "--out", str(tmp_path / "o")])
             assert code == 1
             assert capsys.readouterr().err.startswith("invalid config:")
             assert not (tmp_path / "o").exists()
+
+    def test_recording_without_body_mass_is_refused(self, tmp_path,
+                                                    small_tc_trial, capsys):
+        rec = tmp_path / "rec"
+        save_recording(small_tc_trial, str(rec))
+        manifest = rec / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        del raw["meta"]["body_mass"]
+        manifest.write_text(json.dumps(raw))
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps(TINY_ANALYSIS))
+        code = main(["analyze", str(rec), "--config", str(settings),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("analysis failed:") and "body_mass" in err
+        assert not (tmp_path / "o").exists()
 
     def test_schema_mismatch_is_invalid(self, tmp_path):
         junk = tmp_path / "junk.json"

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from helpers import gait_like_velocity
+from softgait.config import RunConfig
 from softgait.lut import SyntheticMomentMap
-from softgait.plant import (PlantConfig, PlantState, Perturbation, TrialSpec,
-                            generate_trial, ground_deflection, step_plant)
+from softgait.plant import (PlantState, Perturbation, generate_trial,
+                            ground_deflection, step_plant)
 
 
 class TestGroundDeflection:
@@ -28,43 +29,49 @@ class TestGroundDeflection:
 
 class TestStepPlant:
     def test_motor_tracks_command(self):
-        cfg = PlantConfig()
         state = PlantState()
         for _ in range(100):   # 1 s at 40 Hz tracking bandwidth
-            state = step_plant(state, 10.0, 0.0, cfg)
+            state = step_plant(state, 10.0, 0.0)
         assert state.x == pytest.approx(10.0, abs=1e-3)
 
     def test_ankle_settles_at_unloaded_angle(self):
-        cfg = PlantConfig()
         m = SyntheticMomentMap()
         state = PlantState()
         for _ in range(200):
-            state = step_plant(state, 10.0, 0.0, cfg)
+            state = step_plant(state, 10.0, 0.0)
         assert state.q == pytest.approx(m.unloaded_angle(10.0), abs=1e-3)
         assert state.moment == pytest.approx(0.0, abs=1e-2)
 
     def test_constant_load_equilibrium(self):
         """Static balance: the map moment cancels the external load."""
-        cfg = PlantConfig()
         m = SyntheticMomentMap()
         load = -20.0
         state = PlantState()
         for _ in range(300):
-            state = step_plant(state, 10.0, load, cfg)
+            state = step_plant(state, 10.0, load)
         assert state.moment == pytest.approx(-load, abs=1e-2)
         q_expected = m.unloaded_angle(10.0) + load / (m.sigma * m.rho)
         assert state.q == pytest.approx(q_expected, abs=1e-2)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PlantConfig(ankle_inertia=0.0)
-        with pytest.raises(ValueError):
-            PlantConfig(dt=-0.01)
+
+class TestTrialSpec:
+    def test_rejects_out_of_range_values(self):
+        spec = RunConfig(n_strides=10).to_trial_spec()
+        for name, value in (("mode", "XX"), ("K_d", 0.0), ("K_d", -1.0),
+                            ("ground_stiffness", 0.0),
+                            ("ground_stiffness", math.nan),
+                            ("n_strides", 1), ("n_strides", 10.5),
+                            ("seed", -1), ("seed", 1.5),
+                            ("stride_period", 0.0),
+                            ("stride_period", -1.0), ("body_mass", 0.0),
+                            ("body_mass", -59.0)):
+            with pytest.raises(ValueError, match=name):
+                replace(spec, **{name: value})
 
 
 class TestPerturbations:
     def test_inject_returns_new_spec(self):
-        spec = TrialSpec()
+        spec = RunConfig(mode="TC").to_trial_spec()
         pert = Perturbation("stiffness-step", 5, 25.0)
         out = replace(spec, perturbations=spec.perturbations + (pert,))
         assert out.perturbations == (pert,)
@@ -74,7 +81,8 @@ class TestPerturbations:
         for at_stride in (-1, 10):
             pert = Perturbation("stiffness-step", at_stride, 25.0)
             with pytest.raises(ValueError):
-                TrialSpec(n_strides=10, perturbations=(pert,))
+                replace(RunConfig(n_strides=10).to_trial_spec(),
+                        perturbations=(pert,))
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -83,12 +91,13 @@ class TestPerturbations:
     def test_rejects_non_positive_stiffness_step(self):
         for magnitude in (0.0, -25.0, math.nan):
             with pytest.raises(ValueError):
-                TrialSpec(n_strides=10, perturbations=(
-                    Perturbation("stiffness-step", 1, magnitude),))
+                replace(RunConfig(n_strides=10).to_trial_spec(),
+                        perturbations=(
+                            Perturbation("stiffness-step", 1, magnitude),))
 
     def test_stiffness_step_changes_late_deflection(self):
-        base = TrialSpec(cfg=PlantConfig(ground_stiffness=63.0),
-                         n_strides=10, seed=3, noise_mm=0.0)
+        base = RunConfig(mode="TC", ground_stiffness=63.0, n_strides=10,
+                         seed=3, noise_mm=0.0).to_trial_spec()
         stepped = replace(base, perturbations=(
             Perturbation("stiffness-step", 5, 25.0),))
         a = generate_trial(base)
@@ -126,14 +135,16 @@ class TestGenerateTrial:
         assert np.all(mids < rec.events_left[1:])
 
     def test_deterministic_for_fixed_seed(self):
-        spec = TrialSpec(n_strides=6, seed=11)
+        spec = RunConfig(mode="TC", n_strides=6, seed=11).to_trial_spec()
         a, b = generate_trial(spec), generate_trial(spec)
         assert np.array_equal(a.markers["LHEEL"], b.markers["LHEEL"])
         assert np.array_equal(a.prosthesis["M"], b.prosthesis["M"])
 
     def test_seed_changes_output(self):
-        a = generate_trial(TrialSpec(n_strides=6, seed=11))
-        b = generate_trial(TrialSpec(n_strides=6, seed=12))
+        a = generate_trial(
+            RunConfig(mode="TC", n_strides=6, seed=11).to_trial_spec())
+        b = generate_trial(
+            RunConfig(mode="TC", n_strides=6, seed=12).to_trial_spec())
         assert not np.array_equal(a.markers["LHEEL"], b.markers["LHEEL"])
 
     def test_meta_records_condition(self, small_ac_trial):
@@ -150,11 +161,12 @@ class TestGenerateTrial:
 
     def test_rejects_too_few_strides(self):
         with pytest.raises(ValueError):
-            generate_trial(TrialSpec(n_strides=1))
+            generate_trial(RunConfig(mode="TC", n_strides=1).to_trial_spec())
 
     def test_vertical_force_peak_scales_with_mass(self):
-        rec = generate_trial(TrialSpec(n_strides=6, seed=0, noise_mm=0.0,
-                                       amplitude_jitter=0.0))
+        rec = generate_trial(RunConfig(mode="TC", n_strides=6, seed=0,
+                                       noise_mm=0.0,
+                                       amplitude_jitter=0.0).to_trial_spec())
         peak = np.max(rec.cop_left[:, 2])
         assert peak == pytest.approx(1.1 * 59.0 * 9.81, rel=0.01)
 
