@@ -4,6 +4,8 @@ dictionary that serializes to the report file."""
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 
@@ -58,20 +60,26 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _positive_meta(meta: dict, key: str) -> float:
+    value = meta.get(key)
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 < value < math.inf):
+        raise ValueError(f"recording meta needs a positive {key}, "
+                         f"got {value!r}")
+    return value
+
+
 def analyze_trial(rec: TrialRecording,
                   settings: AnalysisSettings | None = None) -> dict:
     if settings is None:
         settings = AnalysisSettings()
     rate = rec.rate
-    try:
-        body_weight = rec.meta["body_mass"] * 9.81
-    except KeyError:
-        raise ValueError("recording meta has no body_mass") from None
-    nominal_stride = rec.meta.get("stride_period", None)
+    body_weight = _positive_meta(rec.meta, "body_mass") * 9.81
+    nominal_stride = _positive_meta(rec.meta, "stride_period")
 
     heel = rec.markers["LHEEL"]
     strikes = detect_foot_strikes(TimeSeries(heel[:, 2], rate),
-                                  nominal_stride_s=nominal_stride)
+                                  nominal_stride)
     if len(strikes) <= settings.exclude_strides + 1:
         raise ValueError("not enough strides after transient exclusion")
     events = strikes[settings.exclude_strides:]

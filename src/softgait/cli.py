@@ -66,7 +66,9 @@ def cmd_simulate(args) -> int:
         return EXIT_INVALID
     try:
         rec = generate_trial(spec)
-    except SimulationDivergedError as exc:
+    except (SimulationDivergedError, ValueError) as exc:
+        # the spec is valid, so a ValueError is this trial failing: an
+        # unreachable LUT target, or two foot strikes in one tick
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:

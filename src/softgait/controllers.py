@@ -165,10 +165,9 @@ class ControllerOutput:
 
 
 def step_controller(mode: str, state: ProsthesisState, phase: TibiaPhaseState,
-                    K_d: float, gait_lut: Lut2D,
-                    moment_lut: Lut2D, m_prev: float | None = None,
-                    dt: float = 0.01) -> ControllerOutput:
-    """Compose one control tick in either TC or AC mode.
+                    K_d: float, gait_lut: Lut2D, moment_lut: Lut2D, dt: float,
+                    m_prev: float | None = None) -> ControllerOutput:
+    """Compose one control tick of length `dt` in either TC or AC mode.
 
     `m_prev` is last tick's filtered moment; the AC path low-passes the
     measured moment before the admittance law because the feedforward loop

@@ -1,4 +1,4 @@
-"""Disk formats: trial recordings (CSV channel files plus a JSON
+"""Disk formats: trial recordings (one .npz of the raw arrays plus a JSON
 manifest), analysis reports, and flat CSVs for plotting."""
 
 from __future__ import annotations
@@ -6,14 +6,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import zipfile
 
 import numpy as np
 
 from .plant import PROSTHESIS_KEYS, TrialRecording
-from .stability import AXES
 from .stability.lyapunov import HORIZON_STRIDES
 
 MANIFEST_NAME = "manifest.json"
+RECORDING_NAME = "recording.npz"
 
 
 class RecordingIOError(OSError):
@@ -25,52 +26,25 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
                header=",".join(header), comments="")
 
 
-def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return header, data
-
-
 def save_recording(rec: TrialRecording, out_dir: str) -> str:
-    """Write one trial to `out_dir`; returns the manifest path."""
+    """Write one trial to `out_dir`; returns the manifest path.
+
+    The arrays go to RECORDING_NAME exactly as the recording holds them:
+    `marker_<name>` per marker, `cop_left`, `cop_right`,
+    `prosthesis_<key>` per PROSTHESIS_KEYS channel, `events_left` and
+    `events_right`.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    t = np.arange(len(rec.prosthesis["t"])) / rec.rate
+    arrays = {f"marker_{name}": rec.markers[name]
+              for name in sorted(rec.markers)}
+    arrays.update(cop_left=rec.cop_left, cop_right=rec.cop_right)
+    arrays.update({f"prosthesis_{k}": rec.prosthesis[k]
+                   for k in PROSTHESIS_KEYS})
+    arrays.update(events_left=rec.events_left, events_right=rec.events_right)
+    np.savez(os.path.join(out_dir, RECORDING_NAME), **arrays)
 
-    header = ["time"]
-    cols = [t]
-    for name in sorted(rec.markers):
-        for j, axis in enumerate(AXES):
-            header.append(f"{name}_{axis}")
-            cols.append(rec.markers[name][:, j])
-    _write_csv(os.path.join(out_dir, "markers.csv"), header, cols)
-
-    header = ["time"]
-    cols = [t]
-    for side, cop in (("left", rec.cop_left), ("right", rec.cop_right)):
-        for j, field in enumerate(("ML", "AP", "force")):
-            header.append(f"{side}_{field}")
-            cols.append(cop[:, j])
-    _write_csv(os.path.join(out_dir, "cop.csv"), header, cols)
-
-    _write_csv(os.path.join(out_dir, "prosthesis.csv"),
-               list(PROSTHESIS_KEYS),
-               [rec.prosthesis[k] for k in PROSTHESIS_KEYS])
-
-    with open(os.path.join(out_dir, "events.csv"), "w") as fh:
-        fh.write("side,index\n")
-        for idx in rec.events_left:
-            fh.write(f"left,{int(idx)}\n")
-        for idx in rec.events_right:
-            fh.write(f"right,{int(idx)}\n")
-
-    manifest = {
-        "rate": rec.rate,
-        "n_samples": int(len(t)),
-        "files": {"markers": "markers.csv", "cop": "cop.csv",
-                  "prosthesis": "prosthesis.csv", "events": "events.csv"},
-        "meta": rec.meta,
-    }
+    manifest = {"rate": rec.rate, "n_samples": rec.n_samples,
+                "meta": rec.meta}
     path = os.path.join(out_dir, MANIFEST_NAME)
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -87,43 +61,37 @@ def load_recording(path: str) -> TrialRecording:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise RecordingIOError(f"cannot read manifest {path}: {exc}") from exc
+    arrays_path = os.path.join(os.path.dirname(path), RECORDING_NAME)
     try:
-        return _read_trial(os.path.dirname(path), manifest)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise RecordingIOError(f"cannot read recording {path}: {exc}") \
-            from exc
+        with np.load(arrays_path, allow_pickle=False) as npz:
+            return _read_trial(npz, manifest)
+    except (OSError, ValueError, KeyError, TypeError,
+            zipfile.BadZipFile) as exc:
+        raise RecordingIOError(
+            f"cannot read recording {arrays_path}: {exc}") from exc
 
 
-def _read_trial(base: str, manifest: dict) -> TrialRecording:
-    files = manifest["files"]
-    header, data = _read_csv(os.path.join(base, files["markers"]))
-    names = sorted({h.rsplit("_", 1)[0] for h in header[1:]})
-    markers = {}
-    for name in names:
-        idx = [header.index(f"{name}_{axis}") for axis in AXES]
-        markers[name] = data[:, idx]
+def _array(npz, key: str, kind: str, columns: int | None = None):
+    """One stored array, refused unless it is 1-D, or 2-D with `columns`
+    columns, and of the given dtype kind ("f" float, "i" integer)."""
+    arr = npz[key]
+    shape = (len(arr),) if columns is None else (len(arr), columns)
+    if arr.dtype.kind != kind or arr.shape != shape:
+        raise ValueError(f"array {key} is {arr.dtype} {arr.shape}")
+    return arr
 
-    header, data = _read_csv(os.path.join(base, files["cop"]))
-    cop = {}
-    for side in ("left", "right"):
-        idx = [header.index(f"{side}_{f}") for f in ("ML", "AP", "force")]
-        cop[side] = data[:, idx]
 
-    header, data = _read_csv(os.path.join(base, files["prosthesis"]))
-    prosthesis = {k: data[:, header.index(k)] for k in PROSTHESIS_KEYS}
-
-    events = {"left": [], "right": []}
-    with open(os.path.join(base, files["events"])) as fh:
-        fh.readline()
-        for line in fh:
-            side, idx = line.strip().split(",")
-            events[side].append(int(idx))
-
+def _read_trial(npz, manifest: dict) -> TrialRecording:
+    markers = {key[len("marker_"):]: _array(npz, key, "f", 3)
+               for key in npz.files if key.startswith("marker_")}
     return TrialRecording(
-        markers=markers, cop_left=cop["left"], cop_right=cop["right"],
-        prosthesis=prosthesis,
-        events_left=np.array(events["left"], dtype=int),
-        events_right=np.array(events["right"], dtype=int),
+        markers=markers,
+        cop_left=_array(npz, "cop_left", "f", 3),
+        cop_right=_array(npz, "cop_right", "f", 3),
+        prosthesis={k: _array(npz, f"prosthesis_{k}", "f")
+                    for k in PROSTHESIS_KEYS},
+        events_left=_array(npz, "events_left", "i"),
+        events_right=_array(npz, "events_right", "i"),
         rate=float(manifest["rate"]),
         meta=manifest.get("meta", {}))
 

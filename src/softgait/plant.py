@@ -138,6 +138,13 @@ class TrialSpec:
         for name in ("K_d", "ground_stiffness", "stride_period", "body_mass"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("amplitude_jitter", "noise_mm"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
+        # stride durations are T * (1 + period_jitter * g), g clipped to
+        # [-3, 3], so a third or more could give a stride no time at all
+        if not 0 <= self.period_jitter < 1 / 3:
+            raise ValueError("period_jitter must be in [0, 1/3)")
         if not (isinstance(self.n_strides, numbers.Integral)
                 and self.n_strides >= 2):
             raise ValueError("n_strides must be an integer of at least 2")
@@ -318,7 +325,7 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
         phase = tibia_phase_update(phase, omega, DT)
         meas = ProsthesisState(x=plant.x, q=plant.q, M=plant.moment)
         out = step_controller(spec.mode, meas, phase, spec.K_d,
-                              gait_lut, moment_lut, m_prev=m_filt, dt=DT)
+                              gait_lut, moment_lut, DT, m_prev=m_filt)
         m_filt = out.m_filtered
         # the ankle moment rises monotonically through stance as the CoP
         # travels heel to toe, then releases quickly at toe-off

@@ -43,31 +43,16 @@ def com_velocity(com: dict[str, TimeSeries]) -> dict[str, TimeSeries]:
 
 
 def detect_foot_strikes(heel_vt: TimeSeries,
-                        nominal_stride_s: float | None = None) -> np.ndarray:
-    """Foot-strikes as prominent local minima of the filtered heel height.
-
-    Minimum spacing between events is half the nominal stride, estimated
-    from the autocorrelation of the height signal when not given.
-    """
+                        nominal_stride_s: float) -> np.ndarray:
+    """Foot-strikes as prominent local minima of the filtered heel height,
+    at least half the nominal stride apart."""
     vt = butterworth_lowpass(heel_vt, *STRIKE_FILTER).samples
-    if nominal_stride_s is None:
-        nominal_stride_s = _dominant_period(vt, heel_vt.sample_rate)
     min_dist = max(int(0.5 * nominal_stride_s * heel_vt.sample_rate), 1)
     peaks, _ = find_peaks(-vt, prominence=STRIKE_PROMINENCE_MM,
                           distance=min_dist)
     if len(peaks) == 0:
         raise ValueError("no foot-strike minima found")
     return peaks
-
-
-def _dominant_period(x: np.ndarray, rate: float) -> float:
-    x = x - np.mean(x)
-    ac = np.correlate(x, x, mode="full")[len(x) - 1:]
-    # first autocorrelation peak after the zero-lag lobe
-    peaks, _ = find_peaks(ac)
-    if len(peaks) == 0:
-        raise ValueError("cannot estimate a stride period from the signal")
-    return float(peaks[0] / rate)
 
 
 def pendulum_length(com: dict[str, TimeSeries], heel: np.ndarray,

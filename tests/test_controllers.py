@@ -10,6 +10,7 @@ from softgait.controllers import (MOMENT_FILTER_HZ, MOTOR_RANGE_MM,
                                   moment_feedback, step_controller,
                                   tibia_phase_update, tibia_reference_motor)
 from softgait.lut import SyntheticMomentMap
+from softgait.plant import DT
 
 
 def run_phase_estimator(periods=20, T=1.47, amp=10.0, dt=0.01):
@@ -131,7 +132,7 @@ class TestStepController:
 
     def test_tc_mode_has_no_admittance_fields(self, gait_lut, moment_lut):
         out = step_controller("TC", self.STATE, self.PHASE, 15.0,
-                              gait_lut, moment_lut)
+                              gait_lut, moment_lut, DT)
         assert out.q_d is None and out.m_filtered is None
         x_g = tibia_reference_motor(0.4, 0.475, gait_lut, moment_lut)
         x_m = moment_feedback(15.0)
@@ -143,9 +144,9 @@ class TestStepController:
     def test_ac_mode_reports_admittance_fields(self, gait_lut, moment_lut):
         K_d = 15.0
         tc = step_controller("TC", self.STATE, self.PHASE, K_d,
-                             gait_lut, moment_lut)
+                             gait_lut, moment_lut, DT)
         out = step_controller("AC", self.STATE, self.PHASE, K_d,
-                              gait_lut, moment_lut, m_prev=15.0)
+                              gait_lut, moment_lut, DT, m_prev=15.0)
         q_e = admittance_equilibrium(tc.x_cmd, moment_lut)
         assert out.q_d == pytest.approx(q_e + 15.0 / K_d)
 
@@ -153,17 +154,17 @@ class TestStepController:
                                                      moment_lut):
         state = ProsthesisState(M=20.0)
         first = step_controller("AC", state, TibiaPhaseState(), 15.0,
-                                gait_lut, moment_lut, m_prev=None)
+                                gait_lut, moment_lut, DT, m_prev=None)
         assert first.m_filtered == pytest.approx(20.0)
         stepped = step_controller("AC", state, TibiaPhaseState(), 15.0,
-                                  gait_lut, moment_lut, m_prev=0.0, dt=0.01)
-        alpha = 1.0 - math.exp(-2 * math.pi * MOMENT_FILTER_HZ * 0.01)
+                                  gait_lut, moment_lut, DT, m_prev=0.0)
+        alpha = 1.0 - math.exp(-2 * math.pi * MOMENT_FILTER_HZ * DT)
         assert stepped.m_filtered == pytest.approx(alpha * 20.0)
 
     def test_unknown_mode_raises(self, gait_lut, moment_lut):
         with pytest.raises(ValueError):
             step_controller("XX", ProsthesisState(), TibiaPhaseState(),
-                            15.0, gait_lut, moment_lut)
+                            15.0, gait_lut, moment_lut, DT)
 
 
 class TestTibiaReference:

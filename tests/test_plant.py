@@ -64,7 +64,11 @@ class TestTrialSpec:
                             ("seed", -1), ("seed", 1.5),
                             ("stride_period", 0.0),
                             ("stride_period", -1.0), ("body_mass", 0.0),
-                            ("body_mass", -59.0)):
+                            ("body_mass", -59.0), ("period_jitter", -0.01),
+                            ("period_jitter", 1 / 3), ("period_jitter", 0.6),
+                            ("amplitude_jitter", -5.0),
+                            ("amplitude_jitter", math.nan),
+                            ("noise_mm", -1.0)):
             with pytest.raises(ValueError, match=name):
                 replace(spec, **{name: value})
 
