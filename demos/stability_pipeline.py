@@ -9,7 +9,7 @@ velocities, and extrapolated-CoM margins of stability.
 The default settings here are scaled down (shorter trial, smaller
 windows) so the demo finishes in seconds; pass --full for the
 150-stride/15000-point windowing convention, which needs a ~200-stride
-trial and a few minutes.
+trial and takes a few seconds more.
 
 Usage: python3 demos/stability_pipeline.py [--mode AC|TC] [--seed N] [--full]
 """

@@ -40,6 +40,13 @@ class AnalysisSettings:
             value = getattr(self, f.name)
             if f.type in ("int", int) and not _is_int(value):
                 raise TypeError(f"{f.name} must be an integer, got {value!r}")
+        if self.exclude_strides < 0:
+            raise ValueError("exclude_strides must be non-negative, got "
+                             f"{self.exclude_strides}")
+        for name in ("window_strides", "n_windows", "points_per_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got "
+                                 f"{getattr(self, name)}")
         overrides = self.embedding_overrides
         if overrides is None:
             return

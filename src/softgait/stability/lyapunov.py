@@ -19,6 +19,8 @@ HORIZON_STRIDES = 10   # strides each neighbor pair is tracked for
 MAX_LAG = 30           # AMI lags searched for the embedding delay
 FALLBACK_TAU = 10      # delay used when AMI has no minimum within MAX_LAG
 MAX_DIM = 8            # largest embedding dimension FNN may return
+SHARED_K = 64          # candidates per row in the search shared by windows
+PAIR_CHUNK = 256       # neighbor pairs tracked at once
 
 
 @dataclass
@@ -36,39 +38,66 @@ def _slope(curve: np.ndarray, spst: int, s0: float, s1: float) -> float:
     return float(np.polyfit(strides, seg, 1)[0])
 
 
+def _first_valid(rows: np.ndarray, cand: np.ndarray, theiler: int,
+                 lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """First candidate per row (columns sorted by distance) that lies in
+    base rows [lo, hi) and outside the row's Theiler band; returns
+    (found, neighbor)."""
+    ok = ((np.abs(cand - rows[:, None]) > theiler)
+          & (cand >= lo) & (cand < hi))
+    first = np.argmax(ok, axis=1)
+    pick = np.arange(len(rows))
+    return ok[pick, first], cand[pick, first]
+
+
+def _own_neighbors(base: np.ndarray, rows: np.ndarray, theiler: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest neighbor of base[rows] among all of base, outside the
+    Theiler band: a cheap query first, then a re-query of the few rows
+    whose exclusion zone swallowed all nearby neighbors."""
+    n_track = len(base)
+    tree = cKDTree(base)
+    k1 = min(32, n_track)
+    _, idx = tree.query(base[rows], k=k1, workers=-1)
+    has, nbr = _first_valid(rows, idx, theiler, 0, n_track)
+    miss = np.flatnonzero(~has)
+    if len(miss) and k1 < n_track:
+        k2 = min(2 * theiler + 2, n_track)
+        _, idx2 = tree.query(base[rows[miss]], k=k2, workers=-1)
+        has[miss], nbr[miss] = _first_valid(rows[miss], idx2, theiler,
+                                            0, n_track)
+    return has, nbr
+
+
+def _log_distances(series: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
+                   tau: int, dim: int, horizon: int) -> np.ndarray:
+    """ln distance of each delay-vector pair (i, j) at steps 0..horizon,
+    from sliding windows on the scalar series the vectors were built from
+    instead of per-step gathers."""
+    offs = np.arange(horizon + 1 + (dim - 1) * tau)
+    d2 = (series[i_idx[:, None] + offs] - series[j_idx[:, None] + offs]) ** 2
+    tot = d2[:, :horizon + 1].copy()
+    for m in range(1, dim):
+        tot += d2[:, m * tau:m * tau + horizon + 1]
+    return np.log(np.maximum(np.sqrt(tot), _LOG_FLOOR))
+
+
+def _check_length(n: int, samples_per_stride: int) -> None:
+    if n <= (HORIZON_STRIDES + 1) * samples_per_stride:
+        raise ValueError("attractor too short for the requested horizon")
+
+
 def rosenstein_divergence(att: Attractor,
                           samples_per_stride: int) -> DivergenceResult:
     """Track each point's nearest neighbor (outside a one-stride Theiler
     window) for HORIZON_STRIDES strides and average the log distances."""
     pts = att.points
     n = len(pts)
+    _check_length(n, samples_per_stride)
     horizon = HORIZON_STRIDES * samples_per_stride
-    theiler = samples_per_stride
-    if n <= horizon + theiler:
-        raise ValueError("attractor too short for the requested horizon")
-
     n_track = n - horizon       # points with a full future horizon
-    base = pts[:n_track]
-    tree = cKDTree(base)
-
-    def _first_valid(rows, dist, idx):
-        ok = np.abs(idx - rows[:, None]) > theiler
-        first = np.argmax(ok, axis=1)
-        return ok[np.arange(len(rows)), first], idx[np.arange(len(rows)), first]
-
-    # cheap query first; re-query the few points whose Theiler exclusion
-    # zone swallowed all nearby neighbors
     rows = np.arange(n_track)
-    k1 = min(32, n_track)
-    dist, idx = tree.query(base, k=k1, workers=-1)
-    has, nbr = _first_valid(rows, dist, idx)
-    if not has.all() and k1 < n_track:
-        k2 = min(2 * theiler + 2, n_track)
-        miss = rows[~has]
-        dist2, idx2 = tree.query(base[miss], k=k2, workers=-1)
-        has2, nbr2 = _first_valid(miss, dist2, idx2)
-        has[miss] = has2
-        nbr[miss] = nbr2
+    has, nbr = _own_neighbors(pts[:n_track], rows, samples_per_stride)
     i_idx = rows[has]
     j_idx = nbr[has]
     if len(i_idx) < 10:
@@ -78,19 +107,12 @@ def rosenstein_divergence(att: Attractor,
     dim = pts.shape[1]
     tau = att.params.tau
     if dim > 1 and np.array_equal(pts[tau:, :-1], pts[:-tau, 1:]):
-        # delay-structured attractor: track distances on the underlying
-        # scalar series with sliding windows instead of per-step gathers
+        # delay-structured attractor: recover the underlying scalar series
         series = np.concatenate([pts[:, 0], pts[n - (dim - 1) * tau:, dim - 1]])
-        offs = np.arange(horizon + 1 + (dim - 1) * tau)
-        for lo in range(0, len(i_idx), 2048):
-            sl = slice(lo, lo + 2048)
-            d2 = (series[i_idx[sl, None] + offs]
-                  - series[j_idx[sl, None] + offs]) ** 2
-            tot = d2[:, :horizon + 1].copy()
-            for m in range(1, dim):
-                tot += d2[:, m * tau:m * tau + horizon + 1]
-            curve += np.log(np.maximum(np.sqrt(tot),
-                                       _LOG_FLOOR)).sum(axis=0)
+        for lo in range(0, len(i_idx), PAIR_CHUNK):
+            sl = slice(lo, lo + PAIR_CHUNK)
+            curve += _log_distances(series, i_idx[sl], j_idx[sl], tau, dim,
+                                    horizon).sum(axis=0)
         curve /= len(i_idx)
     else:
         for step in range(horizon + 1):
@@ -124,14 +146,19 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
     """Divergence exponents over overlapping windows of strides.
 
     Window w covers strides [w, w + window_strides); each window is
-    time-normalized to `points_per_window` samples, embedded, and analyzed;
-    means and standard deviations are taken across windows.  Embedding
-    parameters are estimated once on the first window (or passed in).
+    time-normalized to `points_per_window` samples, embedded, and analyzed
+    as rosenstein_divergence analyzes one attractor; means and standard
+    deviations are taken across windows.  Embedding parameters are
+    estimated once on the first window (or passed in).
 
     Time normalization maps each stride onto its own samples, so every
     window's normalized series, and its delay vectors, are an exact slice
-    of one normalization and embedding of all the windowed strides.
+    of one normalization and embedding of all the windowed strides.  The
+    windows therefore share one neighbor search over the union of their
+    base points, and each distinct neighbor pair is tracked once.
     """
+    if n_windows < 1:
+        raise ValueError(f"n_windows must be at least 1, got {n_windows}")
     events = np.asarray(events, dtype=int)
     n_strides = len(events) - 1
     total_strides = window_strides + n_windows - 1
@@ -158,23 +185,55 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
         raise ValueError(
             f"window of {points_per_window} points too short for "
             f"tau={params.tau}, dim={params.dim}")
+    _check_length(n_window_points, spst)
     whole = delay_embed(normalized, params)
+    horizon = HORIZON_STRIDES * spst
+    n_track = n_window_points - horizon   # base points per window
 
-    lam_s = np.empty(n_windows)
-    lam_l = np.empty(n_windows)
-    curve_sum = None
+    # Window w's base points are rows [w*spst, w*spst + n_track) of the
+    # union.  Candidates come sorted by distance, so the first one inside
+    # the window and outside the Theiler band is the window's own nearest
+    # neighbor; rows without one fall back to the window's own search.
+    union = whole.points[:(n_windows - 1) * spst + n_track]
+    k = min(SHARED_K, len(union))
+    _, cand = cKDTree(union).query(union, k=k, workers=-1)
+    cand = cand.reshape(len(union), k)
+    i_parts, j_parts = [], []
     for w in range(n_windows):
-        lo = w * spst
-        att = Attractor(whole.points[lo:lo + n_window_points], params)
-        res = rosenstein_divergence(att, spst)
-        lam_s[w] = res.lambda_short
-        lam_l[w] = res.lambda_long
-        curve_sum = res.curve if curve_sum is None else curve_sum + res.curve
+        lo, hi = w * spst, w * spst + n_track
+        rows = np.arange(lo, hi)
+        has, nbr = _first_valid(rows, cand[lo:hi], spst, lo, hi)
+        miss = np.flatnonzero(~has)
+        if len(miss):
+            has[miss], nbr_own = _own_neighbors(union[lo:hi], miss, spst)
+            nbr[miss] = nbr_own + lo
+        if np.count_nonzero(has) < 10:
+            raise ValueError("fewer than 10 valid neighbor pairs")
+        i_parts.append(rows[has])
+        j_parts.append(nbr[has])
 
+    # each window holds a row at most once, so its pair counts are 0 or 1
+    n_pairs = np.array([len(i) for i in i_parts])
+    keys, inverse = np.unique(
+        np.concatenate(i_parts) * len(union) + np.concatenate(j_parts),
+        return_inverse=True)
+    counts = np.zeros((n_windows, len(keys)))
+    counts[np.repeat(np.arange(n_windows), n_pairs), inverse] = 1.0
+    i_idx, j_idx = np.divmod(keys, len(union))
+    sums = np.zeros((n_windows, horizon + 1))
+    for lo in range(0, len(keys), PAIR_CHUNK):
+        sl = slice(lo, lo + PAIR_CHUNK)
+        sums += counts[:, sl] @ _log_distances(
+            normalized.samples, i_idx[sl], j_idx[sl], params.tau,
+            params.dim, horizon)
+    curves = sums / n_pairs[:, None]
+
+    lam_s = np.array([_slope(c, spst, 0.0, 1.0) for c in curves])
+    lam_l = np.array([_slope(c, spst, 4.0, HORIZON_STRIDES) for c in curves])
     return WindowedLyapunov(
         lambda_short_mean=float(np.mean(lam_s)),
         lambda_short_sd=float(np.std(lam_s, ddof=1)) if n_windows > 1 else 0.0,
         lambda_long_mean=float(np.mean(lam_l)),
         lambda_long_sd=float(np.std(lam_l, ddof=1)) if n_windows > 1 else 0.0,
         per_window_short=lam_s, per_window_long=lam_l,
-        mean_curve=curve_sum / n_windows, params=params)
+        mean_curve=curves.sum(axis=0) / n_windows, params=params)

@@ -13,7 +13,10 @@ from itertools import combinations
 
 import numpy as np
 
-from softgait.signals import TimeSeries
+from softgait.signals import TimeSeries, time_normalize
+from softgait.stability.embedding import (Attractor, EmbeddingParams,
+                                          delay_embed)
+from softgait.stability.lyapunov import rosenstein_divergence
 
 LOG_FLOOR = 1e-300
 
@@ -47,6 +50,31 @@ def brute_force_divergence(pts: np.ndarray, samples_per_stride: int,
                 for i, j in pairs]
         curve[step] = float(np.mean(logs))
     return curve
+
+
+def per_window_divergence(series: TimeSeries, events: np.ndarray,
+                          window_strides: int, n_windows: int,
+                          points_per_window: int, params: EmbeddingParams):
+    """Windowed exponents the direct way: one rosenstein_divergence call
+    per window, each with its own neighbor search and tracking.
+
+    Returns (per_window_short, per_window_long, mean_curve).
+    """
+    total = window_strides + n_windows - 1
+    spst = points_per_window // window_strides
+    normalized = time_normalize(series, np.asarray(events)[:total + 1],
+                                total, total * spst)
+    whole = delay_embed(normalized, params)
+    n_window_points = points_per_window - (params.dim - 1) * params.tau
+    short, long_, curves = [], [], []
+    for w in range(n_windows):
+        lo = w * spst
+        att = Attractor(whole.points[lo:lo + n_window_points], params)
+        res = rosenstein_divergence(att, spst)
+        short.append(res.lambda_short)
+        long_.append(res.lambda_long)
+        curves.append(res.curve)
+    return np.array(short), np.array(long_), np.mean(curves, axis=0)
 
 
 def exhaustive_mos(xcom: np.ndarray, cop: np.ndarray, stance: np.ndarray,

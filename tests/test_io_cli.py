@@ -375,8 +375,11 @@ class TestCliErrorCodes:
         bad_overrides = [dict(TINY_ANALYSIS, embedding_overrides=o) for o in (
             {"ML": [10]}, {"ML": ["10", "4"]}, {"ML": [True, 4]},
             {"ML": [0, 4]}, ["ML"], {"XX": [10, 4]})]
+        out_of_range = [dict(TINY_ANALYSIS, **r) for r in (
+            {"window_strides": 0}, {"n_windows": 0}, {"n_windows": -2},
+            {"points_per_window": -2500}, {"exclude_strides": -5})]
         for raw in [{"no_such_setting": 1}, {"n_windows": "5"},
-                    {"max_lag": 20}] + bad_overrides:
+                    {"max_lag": 20}] + bad_overrides + out_of_range:
             bad.write_text(json.dumps(raw))
             code = main(["analyze", str(rec), "--config", str(bad),
                          "--out", str(tmp_path / "o")])

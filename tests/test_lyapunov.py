@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import brute_force_divergence
+from helpers import (brute_force_divergence, gait_like_velocity,
+                     per_window_divergence)
 from softgait.signals import TimeSeries
+from softgait.stability import lyapunov
 from softgait.stability.embedding import (Attractor, EmbeddingParams,
                                           delay_embed)
 from softgait.stability.lyapunov import (rosenstein_divergence,
@@ -98,9 +100,78 @@ class TestWindowed:
         assert res.params.tau >= 1
         assert res.params.dim >= 2
 
+    def test_no_windows_raises(self):
+        series, events = self.make_series_and_events(18)
+        for n_windows in (0, -2):
+            with pytest.raises(ValueError, match="n_windows"):
+                windowed_lyapunov(series, events, window_strides=12,
+                                  n_windows=n_windows, points_per_window=1800,
+                                  params=EmbeddingParams(tau=10, dim=3))
+
     def test_insufficient_strides_raises(self):
         series, events = self.make_series_and_events(14)
         with pytest.raises(ValueError):
             windowed_lyapunov(series, events, window_strides=12,
                               n_windows=6, points_per_window=1800,
                               params=EmbeddingParams(tau=10, dim=3))
+
+
+class TestSharedSearchMatchesPerWindowLoop:
+    """windowed_lyapunov shares one neighbor search and one tracking pass
+    among its windows; it must agree with one rosenstein_divergence call
+    per window up to summation order."""
+
+    WINDOWS = dict(window_strides=20, n_windows=8, points_per_window=2000)
+    # base points per window at tau=10, dim=3: 2000 - 2*10 - 10 strides*100
+    N_TRACK = 980
+
+    def jittered(self):
+        # criterion-6-style data: stride lengths jitter around the period
+        rng = np.random.default_rng(3)
+        gaps = rng.integers(90, 105, size=30)
+        events = np.concatenate(([0], np.cumsum(gaps)))
+        t = np.arange(events[-1] + 1)
+        x = np.sin(2 * np.pi * t / 97.0) + 0.3 * np.sin(6 * np.pi * t / 97.0) \
+            + 0.05 * rng.standard_normal(len(t))
+        return TimeSeries(x, 100.0), events
+
+    def assert_matches_loop(self, monkeypatch, series, events, params=None):
+        """Compare with the per-window loop; return how many window rows
+        fell back to their window's own neighbor search."""
+        fallback = []
+        own = lyapunov._own_neighbors
+
+        def counting(base, rows, theiler):
+            fallback.append(len(rows))
+            return own(base, rows, theiler)
+        monkeypatch.setattr(lyapunov, "_own_neighbors", counting)
+        res = windowed_lyapunov(series, events, params=params, **self.WINDOWS)
+        monkeypatch.setattr(lyapunov, "_own_neighbors", own)
+        short, long_, curve = per_window_divergence(
+            series, events, params=res.params, **self.WINDOWS)
+        assert np.max(np.abs(res.per_window_short - short)) < 1e-12
+        assert np.max(np.abs(res.per_window_long - long_)) < 1e-12
+        assert np.max(np.abs(res.mean_curve - curve)) < 1e-12
+        return sum(fallback)
+
+    def test_jittered_strides(self, monkeypatch):
+        assert self.assert_matches_loop(
+            monkeypatch, *self.jittered(), EmbeddingParams(tau=10, dim=3)) == 0
+
+    def test_estimated_embedding(self, monkeypatch):
+        series = gait_like_velocity("AP", seed=4, n_strides=30)
+        events = np.arange(31) * 100
+        self.assert_matches_loop(monkeypatch, series, events)
+
+    def test_every_row_falls_back(self, monkeypatch):
+        # the single candidate of each row is the row itself
+        monkeypatch.setattr(lyapunov, "SHARED_K", 1)
+        fallback = self.assert_matches_loop(
+            monkeypatch, *self.jittered(), EmbeddingParams(tau=10, dim=3))
+        assert fallback == self.WINDOWS["n_windows"] * self.N_TRACK
+
+    def test_shared_and_fallback_rows_mix(self, monkeypatch):
+        monkeypatch.setattr(lyapunov, "SHARED_K", 8)
+        fallback = self.assert_matches_loop(
+            monkeypatch, *self.jittered(), EmbeddingParams(tau=10, dim=3))
+        assert 0 < fallback < self.WINDOWS["n_windows"] * self.N_TRACK
