@@ -8,8 +8,8 @@ velocities, and extrapolated-CoM margins of stability.
 
 The default settings here are scaled down (shorter trial, smaller
 windows) so the demo finishes in seconds; pass --full for the
-150-stride/15000-point windowing convention, which needs a ~200-stride
-trial and takes a few seconds more.
+150-stride/15000-point windowing convention on the default trial length,
+which takes a few seconds more.
 
 Usage: python3 demos/stability_pipeline.py [--mode AC|TC] [--seed N] [--full]
 """
@@ -28,17 +28,16 @@ def main():
                         help="use the full 150-stride windowing convention")
     args = parser.parse_args()
 
+    run = RunConfig(mode=args.mode, K_d=15.0, seed=args.seed)
     if args.full:
-        n_strides = 203
         settings = AnalysisSettings()
     else:
-        n_strides = 60
+        run.n_strides = 60
         settings = AnalysisSettings(exclude_strides=10, window_strides=25,
                                     n_windows=10, points_per_window=2500)
 
-    print(f"simulating {n_strides} strides in {args.mode} mode ...")
-    spec = RunConfig(mode=args.mode, K_d=15.0, n_strides=n_strides,
-                     seed=args.seed).to_trial_spec()
+    print(f"simulating {run.n_strides} strides in {args.mode} mode ...")
+    spec = run.to_trial_spec()
     rec = generate_trial(spec)
 
     print("analyzing ...")

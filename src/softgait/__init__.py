@@ -6,8 +6,7 @@ and quasi-stiffness profiles."""
 from .signals import (TimeSeries, butterworth_lowpass, finite_difference,
                       moving_average, time_normalize)
 from .lut import (InvalidLutError, Lut2D, LutDomainError, SyntheticMomentMap,
-                  UnreachableTargetError, build_lut_from_map,
-                  default_angle_grid, default_motor_grid)
+                  UnreachableTargetError)
 from .controllers import (ControllerOutput, ProsthesisState, TibiaPhaseState,
                           admittance_equilibrium,
                           admittance_target, ankle_controller, blend_commands,

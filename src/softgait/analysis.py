@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -97,21 +96,12 @@ def analyze_trial(rec: TrialRecording,
     com_lyap = {a: butterworth_lowpass(ts, *LYAPUNOV_FILTER)
                 for a, ts in com_raw.items()}
     vel_lyap = com_velocity(com_lyap)
-    n_windows = settings.n_windows
-    if n_strides < settings.window_strides + n_windows - 1:
-        n_windows = n_strides - settings.window_strides + 1
-        if n_windows < 1:
-            raise ValueError(
-                f"need at least {settings.window_strides} strides, "
-                f"have {n_strides}")
-        warnings.warn(
-            f"only {n_strides} strides: reducing to {n_windows} window(s)")
     lam = {}
     for axis in AXES:
         override = (settings.embedding_overrides or {}).get(axis)
         params = EmbeddingParams(*override) if override else None
         res = windowed_lyapunov(vel_lyap[axis], events,
-                                settings.window_strides, n_windows,
+                                settings.window_strides, settings.n_windows,
                                 settings.points_per_window, params)
         lam[axis] = res
 
@@ -152,7 +142,7 @@ def analyze_trial(rec: TrialRecording,
     report = {
         "meta": dict(rec.meta),
         "n_analyzed_strides": int(n_strides),
-        "n_windows": int(n_windows),
+        "n_windows": settings.n_windows,
         "pendulum_length_m": length_m,
         "pendulum_eigenfrequency": omega0,
         "embedding": {a: {"tau": int(lam[a].params.tau),

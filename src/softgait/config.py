@@ -21,7 +21,7 @@ class RunConfig:
     mode: str = "AC"                     # "AC" or "TC"
     K_d: float = 15.0                    # Nm/deg, read by AC only
     ground_stiffness: float = math.inf   # kN/m; inf = rigid belt
-    n_strides: int = 200
+    n_strides: int = 201
     stride_period: float = 1.47
     seed: int = 0
     body_mass: float = 59.0

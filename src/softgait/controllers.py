@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lut import (MOMENT_MAP, Lut2D, build_lut_from_map, default_angle_grid,
-                  default_motor_grid)
+from .lut import MOMENT_MAP, Lut2D
 
 MOTOR_RANGE_MM = (-40.0, 40.0)
 ANGLE_RANGE_DEG = (-30.0, 30.0)
@@ -228,6 +227,8 @@ def default_gait_lut() -> Lut2D:
 
 
 def default_moment_lut() -> Lut2D:
-    """The controllers' table of the ankle's moment map."""
-    return build_lut_from_map(MOMENT_MAP, default_motor_grid(),
-                              default_angle_grid())
+    """The controllers' table of the ankle's moment map, on 1 mm by 1 deg
+    nodes spanning the motor and angle ranges."""
+    a = np.arange(MOTOR_RANGE_MM[0], MOTOR_RANGE_MM[1] + 0.5, 1.0)
+    b = np.arange(ANGLE_RANGE_DEG[0], ANGLE_RANGE_DEG[1] + 0.5, 1.0)
+    return Lut2D(a, b, MOMENT_MAP(a[:, None], b[None, :]))

@@ -43,12 +43,6 @@ class SyntheticMomentMap:
     def __call__(self, x: float, q: float) -> float:
         return self.sigma * (x - self.rho * q)
 
-    def unloaded_angle(self, x: float) -> float:
-        return x / self.rho
-
-    def motor_for(self, moment: float, q: float) -> float:
-        return moment / self.sigma + self.rho * q
-
 
 class Lut2D:
     """Bilinear lookup table on a rectangular grid.
@@ -130,21 +124,5 @@ class Lut2D:
         return float(cs[k] + t * (cs[k + 1] - cs[k]))
 
 
-def build_lut_from_map(moment_map: SyntheticMomentMap, a_grid, b_grid) -> Lut2D:
-    """Tabulate the analytic moment map; monotone along both axes."""
-    a = np.asarray(a_grid, dtype=float)
-    b = np.asarray(b_grid, dtype=float)
-    values = moment_map.sigma * (a[:, None] - moment_map.rho * b[None, :])
-    return Lut2D(a, b, values)
-
-
 # the simulated ankle's moment map, read by the plant and the controllers
 MOMENT_MAP = SyntheticMomentMap()
-
-
-def default_motor_grid() -> np.ndarray:
-    return np.arange(-40.0, 40.0 + 0.5, 1.0)
-
-
-def default_angle_grid() -> np.ndarray:
-    return np.arange(-30.0, 30.0 + 0.5, 1.0)

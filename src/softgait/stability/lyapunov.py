@@ -103,21 +103,10 @@ def rosenstein_divergence(att: Attractor,
     if len(i_idx) < 10:
         raise ValueError("fewer than 10 valid neighbor pairs")
 
-    curve = np.zeros(horizon + 1)
-    dim = pts.shape[1]
-    tau = att.params.tau
-    if dim > 1 and np.array_equal(pts[tau:, :-1], pts[:-tau, 1:]):
-        # delay-structured attractor: recover the underlying scalar series
-        series = np.concatenate([pts[:, 0], pts[n - (dim - 1) * tau:, dim - 1]])
-        for lo in range(0, len(i_idx), PAIR_CHUNK):
-            sl = slice(lo, lo + PAIR_CHUNK)
-            curve += _log_distances(series, i_idx[sl], j_idx[sl], tau, dim,
-                                    horizon).sum(axis=0)
-        curve /= len(i_idx)
-    else:
-        for step in range(horizon + 1):
-            d = np.linalg.norm(pts[i_idx + step] - pts[j_idx + step], axis=1)
-            curve[step] = float(np.mean(np.log(np.maximum(d, _LOG_FLOOR))))
+    curve = np.empty(horizon + 1)
+    for step in range(horizon + 1):
+        d = np.linalg.norm(pts[i_idx + step] - pts[j_idx + step], axis=1)
+        curve[step] = float(np.mean(np.log(np.maximum(d, _LOG_FLOOR))))
 
     return DivergenceResult(
         curve=curve,
@@ -139,8 +128,8 @@ class WindowedLyapunov:
 
 
 def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
-                      window_strides: int = 150, n_windows: int = 25,
-                      points_per_window: int = 15000,
+                      window_strides: int, n_windows: int,
+                      points_per_window: int,
                       params: EmbeddingParams | None = None
                       ) -> WindowedLyapunov:
     """Divergence exponents over overlapping windows of strides.

@@ -3,6 +3,10 @@ import pytest
 
 from softgait.analysis import (AnalysisSettings, SchemaMismatchError,
                                analyze_trial, compare_reports)
+from softgait.config import RunConfig
+from softgait.plant import generate_trial
+from softgait.signals import TimeSeries
+from softgait.stability import detect_foot_strikes
 
 FAST_SETTINGS = AnalysisSettings(
     exclude_strides=5, window_strides=20, n_windows=5,
@@ -56,15 +60,28 @@ class TestAnalyzeTrial:
         assert ac_report["meta"]["mode"] == "AC"
         assert ac_report["meta"]["K_d"] == 15.0
 
-    def test_warns_and_reduces_when_few_strides(self, small_tc_trial):
+    def test_refuses_fewer_strides_than_the_windows_need(self,
+                                                         small_tc_trial):
+        # 30 windows of 20 strides need 49; no smaller window count is
+        # swapped in
         settings = AnalysisSettings(
             exclude_strides=5, window_strides=20, n_windows=30,
             points_per_window=2000,
             embedding_overrides={"ML": (10, 3), "AP": (10, 3),
                                  "VT": (10, 3)})
-        with pytest.warns(UserWarning):
-            report = analyze_trial(small_tc_trial, settings)
-        assert report["n_windows"] < 30
+        with pytest.raises(ValueError, match="need"):
+            analyze_trial(small_tc_trial, settings)
+
+    def test_default_trial_fills_the_default_windows(self):
+        # strikes detected as analyze_trial detects them; the divergence
+        # step is left out to keep the test fast
+        rec = generate_trial(RunConfig().to_trial_spec())
+        strikes = detect_foot_strikes(
+            TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate),
+            rec.meta["stride_period"])
+        s = AnalysisSettings()
+        assert len(strikes) >= s.exclude_strides + s.window_strides \
+            + s.n_windows
 
     def test_errors_when_everything_excluded(self, small_tc_trial):
         with pytest.raises(ValueError):

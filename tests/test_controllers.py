@@ -101,7 +101,7 @@ class TestAdmittanceLaw:
         m = SyntheticMomentMap()
         for x in (-20.0, 0.0, 15.0):
             assert admittance_equilibrium(x, moment_lut) == pytest.approx(
-                m.unloaded_angle(x), abs=1e-9)
+                x / m.rho, abs=1e-9)
 
 
 class TestAnkleController:
@@ -110,7 +110,7 @@ class TestAnkleController:
         consistent, the command reproduces the current motor position."""
         m = SyntheticMomentMap()
         q_d = 4.0
-        x = m.motor_for(12.0, q_d)
+        x = 12.0 / m.sigma + m.rho * q_d
         cmd = ankle_controller(q_d, q_d, 12.0, moment_lut)
         assert cmd == pytest.approx(x, abs=1e-9)
 
@@ -173,7 +173,7 @@ class TestTibiaReference:
         m = SyntheticMomentMap()
         x = tibia_reference_motor(0.4, 0.95, gait_lut, moment_lut)
         q_ref = gait_lut.eval(0.4, 0.95)
-        assert m.unloaded_angle(x) == pytest.approx(q_ref, abs=1e-9)
+        assert x / m.rho == pytest.approx(q_ref, abs=1e-9)
 
     def test_out_of_range_phase_is_clamped(self, gait_lut, moment_lut):
         a = tibia_reference_motor(1.5, 0.95, gait_lut, moment_lut)

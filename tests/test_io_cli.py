@@ -387,6 +387,25 @@ class TestCliErrorCodes:
             assert capsys.readouterr().err.startswith("invalid config:")
             assert not (tmp_path / "o").exists()
 
+    def test_too_few_strides_for_the_windows_is_refused(self, tmp_path,
+                                                        capsys):
+        (tmp_path / "run.json").write_text(
+            json.dumps({"mode": "TC", "n_strides": 60, "seed": 0}))
+        # 30 windows of 25 strides need 54 of the 48 analyzed strides
+        (tmp_path / "analysis.json").write_text(json.dumps(
+            {"exclude_strides": 10, "window_strides": 25, "n_windows": 30,
+             "points_per_window": 2500}))
+        assert main(["simulate", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "rec")]) == 0
+        capsys.readouterr()
+        code = main(["analyze", str(tmp_path / "rec"), "--config",
+                     str(tmp_path / "analysis.json"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "analysis failed: need 54 strides")
+        assert not (tmp_path / "o").exists()
+
     def test_recording_without_body_mass_is_refused(self, tmp_path,
                                                     small_tc_trial, capsys):
         settings = tmp_path / "settings.json"

@@ -12,8 +12,7 @@ from softgait.stability.lyapunov import (rosenstein_divergence,
 
 
 def toy_attractor(n=200, dim=3, seed=0):
-    """A smooth random curve in dim dimensions (not delay-structured, so
-    the generic tracking path is exercised)."""
+    """A smooth random curve in dim dimensions, not delay-structured."""
     rng = np.random.default_rng(seed)
     t = np.arange(n)
     pts = np.zeros((n, dim))
@@ -118,8 +117,9 @@ class TestWindowed:
 
 class TestSharedSearchMatchesPerWindowLoop:
     """windowed_lyapunov shares one neighbor search and one tracking pass
-    among its windows; it must agree with one rosenstein_divergence call
-    per window up to summation order."""
+    among its windows, tracking on the scalar series; it must agree with
+    one rosenstein_divergence call per window, which tracks the delay
+    vectors step by step, up to summation order."""
 
     WINDOWS = dict(window_strides=20, n_windows=8, points_per_window=2000)
     # base points per window at tau=10, dim=3: 2000 - 2*10 - 10 strides*100

@@ -39,7 +39,7 @@ class TestStepPlant:
         state = PlantState()
         for _ in range(200):
             state = step_plant(state, 10.0, 0.0)
-        assert state.q == pytest.approx(m.unloaded_angle(10.0), abs=1e-3)
+        assert state.q == pytest.approx(10.0 / m.rho, abs=1e-3)
         assert state.moment == pytest.approx(0.0, abs=1e-2)
 
     def test_constant_load_equilibrium(self):
@@ -50,7 +50,7 @@ class TestStepPlant:
         for _ in range(300):
             state = step_plant(state, 10.0, load)
         assert state.moment == pytest.approx(-load, abs=1e-2)
-        q_expected = m.unloaded_angle(10.0) + load / (m.sigma * m.rho)
+        q_expected = 10.0 / m.rho + load / (m.sigma * m.rho)
         assert state.q == pytest.approx(q_expected, abs=1e-2)
 
 
