@@ -86,10 +86,14 @@ def analyze_trial(rec: TrialRecording,
     heel = rec.markers["LHEEL"]
     strikes = detect_foot_strikes(TimeSeries(heel[:, 2], rate),
                                   nominal_stride)
-    if len(strikes) <= settings.exclude_strides + 1:
-        raise ValueError("not enough strides after transient exclusion")
+    n_strides = max(len(strikes) - 1 - settings.exclude_strides, 0)
+    need = settings.window_strides + settings.n_windows - 1
+    if n_strides < need:
+        raise ValueError(
+            f"need {need} strides, have {n_strides} ({len(strikes)} foot "
+            f"strikes detected give {len(strikes) - 1} strides; "
+            f"exclude_strides skips the first {settings.exclude_strides})")
     events = strikes[settings.exclude_strides:]
-    n_strides = len(events) - 1
 
     # windowed divergence exponents on filtered CoM velocities
     com_raw = estimate_com(rec.markers, rate)

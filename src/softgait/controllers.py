@@ -12,7 +12,7 @@ Only stiffness is emulated: the law has no damping or inertia terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,8 +87,10 @@ def tibia_phase_update(state: TibiaPhaseState, omega: float,
 
     if ms_omega < _OMEGA_FLOOR and abs(omega) < _OMEGA_FLOOR:
         # no motion: hold phase and stride length
-        return replace(state, theta_integral=theta, theta_mean=theta_mean,
-                       ms_theta=ms_theta, ms_omega=ms_omega)
+        return TibiaPhaseState(
+            theta_integral=theta, phase_angle=state.phase_angle,
+            gait_percent=state.gait_percent, L_s=state.L_s,
+            theta_mean=theta_mean, ms_theta=ms_theta, ms_omega=ms_omega)
 
     omega_scale = math.sqrt(ms_omega / ms_theta) if ms_theta > _OMEGA_FLOOR else 1.0
     phase = math.atan2(-omega / omega_scale, theta_c) % (2.0 * math.pi)
@@ -96,9 +98,10 @@ def tibia_phase_update(state: TibiaPhaseState, omega: float,
     if phase - state.phase_angle < -math.pi:  # the orbit wrapped: new stride
         radius = math.sqrt(2.0 * ms_theta)
         L_s = STRIDE_CALIBRATION * radius
-    return replace(state, theta_integral=theta, theta_mean=theta_mean,
-                   ms_theta=ms_theta, ms_omega=ms_omega, phase_angle=phase,
-                   gait_percent=phase / (2.0 * math.pi), L_s=L_s)
+    return TibiaPhaseState(
+        theta_integral=theta, phase_angle=phase,
+        gait_percent=phase / (2.0 * math.pi), L_s=L_s,
+        theta_mean=theta_mean, ms_theta=ms_theta, ms_omega=ms_omega)
 
 
 def blend_commands(x_m: float, x_g: float, L_s_norm: float) -> float:

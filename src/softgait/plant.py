@@ -4,9 +4,12 @@ plus a synthetic gait-trial generator feeding the analysis pipeline.
 The plant is a lumped one-degree-of-freedom ankle: the motor position
 tracks its command through a critically damped second-order loop and the
 ankle joint sees the spring torque implied by the moment map plus any
-external load.  The ground deflects linearly with vertical force; that
-deflection shapes the marker templates only, since ground stiffness does
-not enter the ankle dynamics.
+external load.  The moment map is affine, so with the motor command and
+the load held over a tick the motor and ankle form one linear system,
+and each tick is advanced exactly by a matrix exponential taken once at
+import (zero-order hold; Van Loan 1978, IEEE TAC 23:395).  The ground
+deflects linearly with vertical force; that deflection shapes the marker
+templates only, since ground stiffness does not enter the ankle dynamics.
 The trial generator drives the controller/plant loop with a kinematic
 template (pelvis sway, heel trajectory, stance load profile) and seeded
 stride-to-stride variability so the stability analysis downstream is
@@ -20,6 +23,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .controllers import (ProsthesisState, TibiaPhaseState, default_gait_lut,
                           default_moment_lut, step_controller,
@@ -44,6 +48,28 @@ PROSTHESIS_KEYS = ("t", "x", "q", "M", "omega", "gait_percent", "L_s", "q_d",
                    "x_cmd")
 
 
+def _tick_update() -> tuple[tuple[float, ...], ...]:
+    """Rows of exp(A DT) that advance z = (x - x_cmd, x_dot, q, q_dot, c).
+
+    The motor error obeys ydd = -2 w yd - w^2 y and the ankle
+    I qdd = sigma (x - rho q) + M_ext - b qd, i.e.
+    qdd = (sigma y - sigma rho q - b qd) / I + c with the held input
+    c = (sigma x_cmd + M_ext) / I, whose own row (dc/dt = 0) is dropped.
+    """
+    w = 2.0 * math.pi * MOTOR_LOOP_BANDWIDTH
+    sigma, rho, inertia = MOMENT_MAP.sigma, MOMENT_MAP.rho, INERTIA_DEG
+    a = np.zeros((5, 5))
+    a[0, 1] = 1.0
+    a[1, :2] = -w * w, -2.0 * w
+    a[2, 3] = 1.0
+    a[3, :] = (sigma / inertia, 0.0, -sigma * rho / inertia,
+               -ANKLE_DAMPING / inertia, 1.0)
+    return tuple(map(tuple, scipy.linalg.expm(a * DT)[:4].tolist()))
+
+
+TICK_UPDATE = _tick_update()
+
+
 class SimulationDivergedError(RuntimeError):
     pass
 
@@ -66,34 +92,26 @@ def ground_deflection(vertical_force, ground_stiffness):
 
 def step_plant(state: PlantState, motor_cmd: float,
                external_load: float) -> PlantState:
-    """Advance the plant by one dt.
+    """Advance the plant exactly by one DT with the motor command and the
+    external load held (see `TICK_UPDATE`).
 
-    Motor: exact discrete update of a critically damped tracker at
-    MOTOR_LOOP_BANDWIDTH.  Ankle: semi-implicit Euler of
+    Motor: a critically damped tracker at MOTOR_LOOP_BANDWIDTH.  Ankle:
     I qdd = M(x, q) + M_ext - b qd, where the map moment is the restoring
     spring torque (positive toward the zero-moment angle).
     """
-    w = 2.0 * math.pi * MOTOR_LOOP_BANDWIDTH
-    # the ankle is much faster than dt, so integrate on a finer sub-grid
-    # (semi-implicit Euler is only stable well below the natural period)
-    n_sub = 20
-    h = DT / n_sub
-    e = math.exp(-w * h)
+    (p00, p01, _, _, _), (p10, p11, _, _, _), \
+        (p20, p21, p22, p23, p24), (p30, p31, p32, p33, p34) = TICK_UPDATE
     y = state.x - motor_cmd
     yd = state.x_dot
     q = state.q
     q_dot = state.q_dot
-    for _ in range(n_sub):
-        # closed form of ydd = -2 w yd - w^2 y over one substep
-        y, yd = e * (y + (yd + w * y) * h), e * (yd - w * h * (yd + w * y))
-        x_here = y + motor_cmd
-        qdd = (MOMENT_MAP(x_here, q) + external_load
-               - ANKLE_DAMPING * q_dot) / INERTIA_DEG
-        q_dot = q_dot + qdd * h
-        q = q + q_dot * h
-    x_new = y + motor_cmd
-    new = PlantState(x=x_new, x_dot=yd, q=q, q_dot=q_dot,
-                     moment=MOMENT_MAP(x_new, q))
+    c = (MOMENT_MAP.sigma * motor_cmd + external_load) / INERTIA_DEG
+    x_new = p00 * y + p01 * yd + motor_cmd
+    q_new = p20 * y + p21 * yd + p22 * q + p23 * q_dot + p24 * c
+    new = PlantState(x=x_new, x_dot=p10 * y + p11 * yd, q=q_new,
+                     q_dot=p30 * y + p31 * yd + p32 * q + p33 * q_dot
+                     + p34 * c,
+                     moment=MOMENT_MAP(x_new, q_new))
     for v in (new.x, new.q, new.x_dot, new.q_dot, new.moment):
         if not math.isfinite(v):
             raise SimulationDivergedError("plant state is no longer finite")
@@ -309,40 +327,40 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     cop_left = cop_channels(s_local, f_left, -80.0)
     cop_right = cop_channels(s_right, f_right, 80.0)
 
-    # closed-loop prosthesis simulation
+    # closed-loop prosthesis simulation, fed by two template signals:
+    # tibia velocity (-sin puts the estimator's phase zero at foot strike)
+    omega_noise = _smooth_noise(rng, n, 2.0)  # deg/s
+    omega = -TIBIA_AMPLITUDE * amp_here \
+        * (2.0 * math.pi / durations[stride_idx]) * np.sin(two_pi_s) \
+        + omega_noise
+    # and the stance load: the ankle moment rises monotonically through
+    # stance as the CoP travels heel to toe, then releases quickly at
+    # toe-off
+    u_st = s_local / 0.6
+    ramp = u_st < 0.95
+    release = ~ramp & (u_st < 1.0)
+    g = np.zeros(n)
+    g[ramp] = u_st[ramp] / 0.95
+    g[release] = np.cos(0.5 * math.pi * (u_st[release] - 0.95) / 0.05) ** 2
+    load = -LOAD_MOMENT_ARM * peak * amp_here * g + impulse
+
     gait_lut = default_gait_lut()
     moment_lut = default_moment_lut()
-    omega_noise = _smooth_noise(rng, n, 2.0)  # deg/s
     plant = PlantState()
     phase = TibiaPhaseState()
     m_filt = 0.0
     log = {k: np.zeros(n) for k in PROSTHESIS_KEYS}
+    log["t"], log["omega"] = t, omega
     for i in range(n):
-        Tk = durations[stride_idx[i]]
-        # -sin puts the estimator's phase zero at foot strike
-        omega = -TIBIA_AMPLITUDE * amp_here[i] * (2.0 * math.pi / Tk) \
-            * math.sin(two_pi_s[i]) + omega_noise[i]
-        phase = tibia_phase_update(phase, omega, DT)
+        phase = tibia_phase_update(phase, omega.item(i), DT)
         meas = ProsthesisState(x=plant.x, q=plant.q, M=plant.moment)
         out = step_controller(spec.mode, meas, phase, spec.K_d,
                               gait_lut, moment_lut, DT, m_prev=m_filt)
         m_filt = out.m_filtered
-        # the ankle moment rises monotonically through stance as the CoP
-        # travels heel to toe, then releases quickly at toe-off
-        u_st = s_local[i] / 0.6
-        if u_st < 0.95:
-            g = u_st / 0.95
-        elif u_st < 1.0:
-            g = math.cos(0.5 * math.pi * (u_st - 0.95) / 0.05) ** 2
-        else:
-            g = 0.0
-        load = -LOAD_MOMENT_ARM * peak * amp_here[i] * g + impulse[i]
-        plant = step_plant(plant, out.x_cmd, load)
-        log["t"][i] = t[i]
+        plant = step_plant(plant, out.x_cmd, load.item(i))
         log["x"][i] = plant.x
         log["q"][i] = plant.q
         log["M"][i] = plant.moment
-        log["omega"][i] = omega
         log["gait_percent"][i] = phase.gait_percent
         log["L_s"][i] = phase.L_s
         log["q_d"][i] = out.q_d if out.q_d is not None else math.nan

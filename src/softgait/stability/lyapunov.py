@@ -149,10 +149,7 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
     if n_windows < 1:
         raise ValueError(f"n_windows must be at least 1, got {n_windows}")
     events = np.asarray(events, dtype=int)
-    n_strides = len(events) - 1
     total_strides = window_strides + n_windows - 1
-    if n_strides < total_strides:
-        raise ValueError(f"need {total_strides} strides, have {n_strides}")
     if points_per_window % window_strides != 0:
         raise ValueError("points_per_window must be divisible by "
                          "window_strides")

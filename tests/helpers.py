@@ -13,12 +13,53 @@ from itertools import combinations
 
 import numpy as np
 
+from softgait.lut import LutDomainError, UnreachableTargetError
 from softgait.signals import TimeSeries, time_normalize
 from softgait.stability.embedding import (Attractor, EmbeddingParams,
                                           delay_embed)
 from softgait.stability.lyapunov import rosenstein_divergence
 
 LOG_FLOOR = 1e-300
+
+
+def _reference_cell(axis: np.ndarray, c: float) -> tuple[int, float]:
+    if not (axis[0] <= c <= axis[-1]):
+        raise LutDomainError(f"coordinate {c} outside [{axis[0]}, {axis[-1]}]")
+    i = min(int(np.searchsorted(axis, c, side="right")) - 1, len(axis) - 2)
+    i = max(i, 0)
+    return i, (c - axis[i]) / (axis[i + 1] - axis[i])
+
+
+def reference_lut_eval(axis_a, axis_b, values, a: float, b: float) -> float:
+    """Bilinear table lookup on numpy arrays, node search by searchsorted."""
+    i, ta = _reference_cell(axis_a, a)
+    j, tb = _reference_cell(axis_b, b)
+    v = values
+    return float((1 - ta) * (1 - tb) * v[i, j] + ta * (1 - tb) * v[i + 1, j]
+                 + (1 - ta) * tb * v[i, j + 1] + ta * tb * v[i + 1, j + 1])
+
+
+def reference_lut_invert(axis_a, axis_b, values, target: float,
+                         fixed: tuple[str, float]) -> float:
+    """Monotone table inversion the vectorised way: interpolate the whole
+    slice along the free axis, then searchsorted in its rising order."""
+    fixed_axis, fixed_value = fixed
+    if fixed_axis == "b":
+        grid, fixed_grid, vals = axis_a, axis_b, values
+    else:
+        grid, fixed_grid, vals = axis_b, axis_a, values.T
+    j, t = _reference_cell(fixed_grid, fixed_value)
+    g = (1 - t) * vals[:, j] + t * vals[:, j + 1]
+    increasing = g[-1] > g[0]
+    gs = g if increasing else g[::-1]
+    cs = grid if increasing else grid[::-1]
+    if not (min(g[0], g[-1]) <= target <= max(g[0], g[-1])):
+        raise UnreachableTargetError(f"target {target} outside the slice")
+    k = int(np.searchsorted(gs, target, side="right")) - 1
+    k = min(max(k, 0), len(gs) - 2)
+    denom = gs[k + 1] - gs[k]
+    t = 0.0 if denom == 0 else (target - gs[k]) / denom
+    return float(cs[k] + t * (cs[k + 1] - cs[k]))
 
 
 def brute_force_divergence(pts: np.ndarray, samples_per_stride: int,

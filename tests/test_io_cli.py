@@ -402,8 +402,11 @@ class TestCliErrorCodes:
                      str(tmp_path / "analysis.json"),
                      "--out", str(tmp_path / "o")])
         assert code == 1
+        # both counts can be checked against the run's 60 strides: the
+        # strike at sample 0 is never detected
         assert capsys.readouterr().err.startswith(
-            "analysis failed: need 54 strides")
+            "analysis failed: need 54 strides, have 48 (59 foot strikes "
+            "detected give 58 strides; exclude_strides skips the first 10)")
         assert not (tmp_path / "o").exists()
 
     def test_recording_without_body_mass_is_refused(self, tmp_path,

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_lut_eval, reference_lut_invert
+from softgait.controllers import default_moment_lut
 from softgait.lut import (InvalidLutError, Lut2D, LutDomainError,
                           SyntheticMomentMap, UnreachableTargetError)
 
@@ -81,7 +83,73 @@ class TestInvert:
         assert q == pytest.approx(10.0 / SyntheticMomentMap().rho)
 
 
+def _outcome(call):
+    """The float's bits, or the class of the exception raised."""
+    try:
+        return np.float64(call()).tobytes()
+    except ValueError as exc:
+        return type(exc)
+
+
+# a non-uniform table that falls along both axes; its nodes are not all
+# dyadic, so x + (y - x) can miss y and the bracketing cell shows
+_FALLING = Lut2D([-2.0, -0.3, 0.1, 0.7, 3.5], [0.0, 0.1, 0.7, 2.0],
+                 -np.add.outer([0.0, 1.5, 1.75, 4.0, 9.0],
+                               [0.0, 0.3, 0.5, 2.5]))
+_TABLES = (default_moment_lut(), _FALLING)
+
+
+@st.composite
+def _lut_queries(draw):
+    """A table and a query on it.  Coordinates land on a node, inside the
+    grid or just outside it; targets on the value at the drawn nodes,
+    inside the table's range or far beyond it."""
+    lut = draw(st.sampled_from(_TABLES))
+
+    def coordinate(axis):
+        lo, hi = float(axis[0]), float(axis[-1])
+        node = draw(st.integers(0, len(axis) - 1))
+        return node, draw(st.one_of(st.just(float(axis[node])),
+                                    st.floats(lo, hi),
+                                    st.floats(hi, hi + 1.0),
+                                    st.floats(lo - 1.0, lo)))
+
+    i, a = coordinate(lut.axis_a)
+    j, b = coordinate(lut.axis_b)
+    lo, hi = float(lut.values.min()), float(lut.values.max())
+    target = draw(st.one_of(st.just(float(lut.values[i, j])),
+                            st.floats(lo, hi),
+                            st.sampled_from((lo - 1e6, hi + 1e6))))
+    return lut, a, b, target, draw(st.sampled_from(("a", "b")))
+
+
+class TestMatchesVectorisedReference:
+    """eval and invert give, bit for bit, the result or the exception class
+    of the slice + np.searchsorted formulation in helpers.py."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_lut_queries())
+    def test_eval(self, query):
+        lut, a, b, _, _ = query
+        assert _outcome(lambda: lut.eval(a, b)) == _outcome(
+            lambda: reference_lut_eval(lut.axis_a, lut.axis_b, lut.values,
+                                       a, b))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_lut_queries())
+    def test_invert(self, query):
+        lut, a, b, target, fixed_axis = query
+        fixed = (fixed_axis, a if fixed_axis == "a" else b)
+        assert _outcome(lambda: lut.invert(target, fixed)) == _outcome(
+            lambda: reference_lut_invert(lut.axis_a, lut.axis_b, lut.values,
+                                         target, fixed))
+
+
 class TestValidation:
+    def test_rejects_single_node_axis(self):
+        with pytest.raises(InvalidLutError):
+            Lut2D([0.0], [0.0, 1.0], [[0.0, 1.0]])
+
     def test_rejects_nonmonotone_axes(self):
         with pytest.raises(InvalidLutError):
             Lut2D([0.0, 0.0, 1.0], [0.0, 1.0], np.zeros((3, 2)))

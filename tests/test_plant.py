@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from helpers import gait_like_velocity
 from softgait.config import RunConfig
-from softgait.lut import SyntheticMomentMap
-from softgait.plant import (PlantState, Perturbation, generate_trial,
-                            ground_deflection, step_plant)
+from softgait.lut import MOMENT_MAP, SyntheticMomentMap
+from softgait.plant import (ANKLE_DAMPING, DT, INERTIA_DEG,
+                            MOTOR_LOOP_BANDWIDTH, PlantState, Perturbation,
+                            generate_trial, ground_deflection, step_plant)
 
 
 class TestGroundDeflection:
@@ -52,6 +54,33 @@ class TestStepPlant:
         assert state.moment == pytest.approx(-load, abs=1e-2)
         q_expected = 10.0 / m.rho + load / (m.sigma * m.rho)
         assert state.q == pytest.approx(q_expected, abs=1e-2)
+
+    def test_matches_ode_solution_over_held_ticks(self):
+        """Each tick solves the plant's ODE with the command and the load
+        held: 100 ticks of random steps agree with a tight DOP853 solve."""
+        w = 2.0 * math.pi * MOTOR_LOOP_BANDWIDTH
+
+        def rhs(_, z, x_cmd, load):
+            x, x_dot, q, q_dot = z
+            return [x_dot, -2.0 * w * x_dot - w * w * (x - x_cmd), q_dot,
+                    (MOMENT_MAP(x, q) + load - ANKLE_DAMPING * q_dot)
+                    / INERTIA_DEG]
+
+        rng = np.random.default_rng(5)
+        state = PlantState(x=3.0, x_dot=-40.0, q=1.5, q_dot=20.0)
+        z = np.array([state.x, state.x_dot, state.q, state.q_dot])
+        q_error = x_error = 0.0
+        for x_cmd, load in zip(rng.uniform(-30.0, 30.0, 100),
+                               rng.uniform(-60.0, 10.0, 100)):
+            state = step_plant(state, x_cmd, load)
+            sol = solve_ivp(rhs, (0.0, DT), z, method="DOP853", rtol=1e-12,
+                            atol=1e-12, args=(x_cmd, load))
+            z = sol.y[:, -1]
+            q_error = max(q_error, abs(state.q - z[2]))
+            x_error = max(x_error, abs(state.x - z[0]))
+        assert q_error < 1e-9     # deg
+        assert x_error < 1e-9     # mm
+        assert state.moment == MOMENT_MAP(state.x, state.q)
 
 
 class TestTrialSpec:
