@@ -16,8 +16,9 @@ Usage: python3 demos/stability_pipeline.py [--mode AC|TC] [--seed N] [--full]
 
 import argparse
 
-from softgait import RunConfig, generate_trial
 from softgait.analysis import AnalysisSettings, analyze_trial
+from softgait.config import RunConfig
+from softgait.plant import generate_trial
 
 
 def main():

@@ -15,7 +15,8 @@ import os
 
 import numpy as np
 
-from softgait import RunConfig, generate_trial
+from softgait.config import RunConfig
+from softgait.plant import generate_trial
 from softgait.signals import TimeSeries, butterworth_lowpass
 from softgait.stiffness import average_cycle, quasi_stiffness, segment_cycles
 

@@ -13,10 +13,12 @@ import numpy as np
 from .plant import TrialRecording
 from .signals import (TimeSeries, butterworth_lowpass, finite_difference,
                       moving_average)
-from .stability import (AXES, EmbeddingParams, com_velocity,
-                        detect_foot_strikes, estimate_com, mos_ap, mos_ml,
-                        pendulum_eigenfrequency, pendulum_length,
-                        stance_frames, windowed_lyapunov, xcom)
+from .stability.balance import (AXES, com_velocity, detect_foot_strikes,
+                                estimate_com, mos_ap, mos_ml,
+                                pendulum_eigenfrequency, pendulum_length,
+                                stance_frames, xcom)
+from .stability.embedding import EmbeddingParams
+from .stability.lyapunov import windowed_lyapunov
 from .stability.stats import delta_lambda, wilcoxon_ranksum
 from .stiffness import average_cycle, quasi_stiffness, segment_cycles
 

@@ -15,8 +15,6 @@ import json
 import os
 import sys
 
-from .analysis import (AnalysisSettings, SchemaMismatchError, analyze_trial,
-                       compare_reports)
 from .config import ConfigError, RunConfig
 from .io import (RecordingIOError, load_recording, load_report,
                  save_recording, save_report, write_plot_csvs)
@@ -81,6 +79,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # the analysis stack (scipy.signal, scipy.spatial) loads only here and
+    # in cmd_compare, so `simulate` does not pay for it
+    from .analysis import AnalysisSettings, analyze_trial
+
     settings = AnalysisSettings()
     if args.config is not None:
         try:
@@ -132,6 +134,8 @@ def _candidate_names(paths: list[str]) -> list[str] | None:
 
 
 def cmd_compare(args) -> int:
+    from .analysis import SchemaMismatchError, compare_reports
+
     names = _candidate_names(args.candidates)
     if names is None:
         print("invalid arguments: a candidate report is given twice "

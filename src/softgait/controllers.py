@@ -105,9 +105,10 @@ def tibia_phase_update(state: TibiaPhaseState, omega: float,
 
 
 def blend_commands(x_m: float, x_g: float, L_s_norm: float) -> float:
-    """Weighted TC output: moment feedback dominates at low stride length."""
-    if L_s_norm < 0:
-        raise ValueError("L_s_norm must be non-negative")
+    """Weighted TC output: moment feedback dominates at low stride length.
+
+    L_s_norm is never negative: the estimator's stride length is a scaled
+    RMS of the tibia angle."""
     if L_s_norm >= 1.0:
         return x_g
     a = 0.5 * math.cos(math.pi * L_s_norm) + 0.5

@@ -11,7 +11,6 @@ import zipfile
 import numpy as np
 
 from .plant import PROSTHESIS_KEYS, TrialRecording
-from .stability.lyapunov import HORIZON_STRIDES
 
 MANIFEST_NAME = "manifest.json"
 RECORDING_NAME = "recording.npz"
@@ -126,6 +125,8 @@ def load_report(path: str) -> dict:
 
 def write_plot_csvs(report: dict, out_dir: str) -> None:
     """Flat CSVs ready for plotting tools."""
+    from .stability.lyapunov import HORIZON_STRIDES
+
     os.makedirs(out_dir, exist_ok=True)
     qs = report["quasi_stiffness"]
     _write_csv(os.path.join(out_dir, "stiffness_profile.csv"),

@@ -43,6 +43,7 @@ ML_SWAY = 20.0            # mm
 AP_SWAY = 12.0            # mm
 VT_BOUNCE = 10.0          # mm
 TIBIA_AMPLITUDE = 10.0    # deg
+STANCE_END = 0.6          # stride fraction at toe-off; swing fills the rest
 # per-tick channels of the closed-loop log, in recording column order
 PROSTHESIS_KEYS = ("t", "x", "q", "M", "omega", "gait_percent", "L_s", "q_d",
                    "x_cmd")
@@ -215,11 +216,11 @@ def _heel_height(s: np.ndarray) -> np.ndarray:
     through stance, swing arc, and a sharp notch pinning the minimum at
     foot-strike."""
     h = np.zeros_like(s)
-    stance = s < 0.6
-    u = s[stance] / 0.6
+    stance = s < STANCE_END
+    u = s[stance] / STANCE_END
     h[stance] = 40.0 * u ** 0.9
     sw = ~stance
-    v = (s[sw] - 0.6) / 0.4
+    v = (s[sw] - STANCE_END) / (1.0 - STANCE_END)
     # from heel-off height up to peak clearance and back to zero at strike
     h[sw] = 40.0 * (1.0 - v) + 25.0 * np.sin(np.pi * v) ** 2
     notch_w = 0.06
@@ -270,17 +271,19 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
         if p.kind == "stiffness-step":
             k_g[mask] = p.magnitude
         else:  # load-impulse active during one stance
-            one = (stride_idx == p.at_stride) & (s_local < 0.6)
+            one = (stride_idx == p.at_stride) & (s_local < STANCE_END)
             impulse[one] = p.magnitude
 
     # per-leg vertical force; right leg offset by half a stride
     peak = 1.1 * spec.body_mass * 9.81
     s_right = (s_local + 0.5) % 1.0
-    f_left = np.where(s_local < 0.6,
-                      peak * _stance_bump(np.clip(s_local / 0.6, 0, 1)), 0.0) \
+    f_left = np.where(
+        s_local < STANCE_END,
+        peak * _stance_bump(np.clip(s_local / STANCE_END, 0, 1)), 0.0) \
         * amp_here
-    f_right = np.where(s_right < 0.6,
-                       peak * _stance_bump(np.clip(s_right / 0.6, 0, 1)), 0.0) \
+    f_right = np.where(
+        s_right < STANCE_END,
+        peak * _stance_bump(np.clip(s_right / STANCE_END, 0, 1)), 0.0) \
         * amp_here
     defl_left = ground_deflection(f_left, k_g)
     defl_right = ground_deflection(f_right, k_g)
@@ -317,10 +320,10 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
 
     # CoP: heel-to-toe progression during stance, held elsewhere
     def cop_channels(s_leg, force, ml_base):
-        u = np.clip(s_leg / 0.6, 0.0, 1.0)
+        u = np.clip(s_leg / STANCE_END, 0.0, 1.0)
         ap = 250.0 - 372.0 * u
         ml = np.full_like(ap, ml_base)
-        in_stance = s_leg < 0.6
+        in_stance = s_leg < STANCE_END
         ap = np.where(in_stance, ap, 250.0)
         return np.stack([ml, ap, force], axis=1)
 
@@ -336,7 +339,7 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     # and the stance load: the ankle moment rises monotonically through
     # stance as the CoP travels heel to toe, then releases quickly at
     # toe-off
-    u_st = s_local / 0.6
+    u_st = s_local / STANCE_END
     ramp = u_st < 0.95
     release = ~ramp & (u_st < 1.0)
     g = np.zeros(n)

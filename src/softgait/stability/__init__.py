@@ -1,23 +1,7 @@
 """Gait-stability analysis: delay embedding, divergence exponents,
-margins of stability, and the statistics used to compare controllers."""
+margins of stability, and the statistics used to compare controllers.
 
-from .balance import (AXES, GRAVITY, MarkerGapError, MosResult, com_velocity,
-                      detect_foot_strikes, estimate_com, mos_ap, mos_ml,
-                      pendulum_eigenfrequency, pendulum_length, stance_frames,
-                      xcom)
-from .embedding import (Attractor, EmbeddingParams, NoMinimumError, ami_curve,
-                        ami_delay, delay_embed, fnn_dimension, fnn_fractions,
-                        mutual_information)
-from .lyapunov import (DivergenceResult, WindowedLyapunov,
-                       rosenstein_divergence, windowed_lyapunov)
-from .stats import delta_lambda, wilcoxon_ranksum
+Import each name from its module (`balance`, `embedding`, `lyapunov`,
+`stats`); `AXES` alone is also importable from here."""
 
-__all__ = [
-    "AXES", "GRAVITY", "Attractor", "DivergenceResult", "EmbeddingParams",
-    "MarkerGapError", "MosResult", "NoMinimumError", "WindowedLyapunov",
-    "ami_curve", "ami_delay", "com_velocity", "delay_embed", "delta_lambda",
-    "detect_foot_strikes", "estimate_com", "fnn_dimension", "fnn_fractions",
-    "mos_ap", "mos_ml", "mutual_information", "pendulum_eigenfrequency",
-    "pendulum_length", "rosenstein_divergence", "stance_frames",
-    "wilcoxon_ranksum", "windowed_lyapunov", "xcom",
-]
+from .balance import AXES

@@ -104,27 +104,29 @@ def _embed_raw(x: np.ndarray, tau: int, dim: int) -> np.ndarray:
     return np.stack([x[k * tau:k * tau + n_points] for k in range(dim)], axis=1)
 
 
-def fnn_fractions(series: TimeSeries, tau: int, max_dim: int) -> np.ndarray:
-    """False-nearest-neighbor fraction for each dimension 1..max_dim.
+def fnn_dimension(series: TimeSeries, tau: int,
+                  max_dim: int) -> tuple[int, bool]:
+    """Smallest embedding dimension with FNN fraction below FNN_THRESHOLD.
 
     A neighbor pair in dimension d is false when the extra coordinate at
     d+1 either blows up relative to the pair distance (FNN_RATIO_TOL) or
     relative to the attractor size (Kennel's second criterion,
-    FNN_SIZE_TOL).
+    FNN_SIZE_TOL).  Dimensions are tried from 1 up and the search stops
+    at the first accepted one, which is reported as at least 2.
+
+    Returns (dim, saturated); saturated means no dimension up to max_dim,
+    or up to the last one the series is long enough to test, was
+    accepted, and max_dim was returned instead.
     """
     x = series.samples
     attractor_size = float(np.std(x))
-    fractions = np.empty(max_dim)
     for dim in range(1, max_dim + 1):
-        pts = _embed_raw(x, tau, dim)
         # neighbors must have a (d+1)-th coordinate available
         usable = len(x) - dim * tau
         if usable < 2:
-            fractions[dim - 1:] = fractions[dim - 2] if dim > 1 else 1.0
-            return fractions
-        pts = pts[:usable]
-        tree = cKDTree(pts)
-        dist, idx = tree.query(pts, k=2, workers=-1)
+            break
+        pts = _embed_raw(x, tau, dim)[:usable]
+        dist, idx = cKDTree(pts).query(pts, k=2, workers=-1)
         dist, idx = dist[:, 1], idx[:, 1]
         i = np.arange(usable)
         extra = np.abs(x[i + dim * tau] - x[idx + dim * tau])
@@ -134,19 +136,6 @@ def fnn_fractions(series: TimeSeries, tau: int, max_dim: int) -> np.ndarray:
         ratio_false[~nonzero] = extra[~nonzero] > 0
         new_dist = np.hypot(dist, extra)
         size_false = new_dist / attractor_size > FNN_SIZE_TOL
-        fractions[dim - 1] = np.mean(ratio_false | size_false)
-    return fractions
-
-
-def fnn_dimension(series: TimeSeries, tau: int,
-                  max_dim: int) -> tuple[int, bool]:
-    """Smallest embedding dimension with FNN fraction below FNN_THRESHOLD.
-
-    Returns (dim, saturated); saturated means the fraction never de-
-    creased below the threshold and max_dim was returned instead.
-    """
-    fractions = fnn_fractions(series, tau, max_dim)
-    below = np.nonzero(fractions < FNN_THRESHOLD)[0]
-    if len(below) == 0:
-        return max_dim, True
-    return max(int(below[0]) + 1, 2), False
+        if np.mean(ratio_false | size_false) < FNN_THRESHOLD:
+            return max(dim, 2), False
+    return max_dim, True

@@ -5,8 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from softgait import (RunConfig, default_gait_lut, default_moment_lut,
-                      generate_trial)
+from softgait.config import RunConfig
+from softgait.controllers import default_gait_lut, default_moment_lut
+from softgait.plant import generate_trial
 
 
 @pytest.fixture(scope="session")

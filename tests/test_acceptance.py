@@ -14,10 +14,10 @@ import pytest
 from helpers import (brute_force_divergence, exhaustive_mos,
                      exhaustive_ranksum_p, gait_like_velocity,
                      shuffle_ranksum_p)
-from softgait import RunConfig, generate_trial
 from softgait.analysis import compare_reports
 from softgait.cli import main
-from softgait.plant import ground_deflection
+from softgait.config import RunConfig
+from softgait.plant import generate_trial, ground_deflection
 from softgait.signals import TimeSeries, butterworth_lowpass, time_normalize
 from softgait.stability.balance import (mos_ap, mos_ml,
                                         pendulum_eigenfrequency, xcom)

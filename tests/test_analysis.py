@@ -6,7 +6,7 @@ from softgait.analysis import (AnalysisSettings, SchemaMismatchError,
 from softgait.config import RunConfig
 from softgait.plant import generate_trial
 from softgait.signals import TimeSeries
-from softgait.stability import detect_foot_strikes
+from softgait.stability.balance import detect_foot_strikes
 
 FAST_SETTINGS = AnalysisSettings(
     exclude_strides=5, window_strides=20, n_windows=5,

@@ -4,8 +4,7 @@ import pytest
 from softgait.signals import TimeSeries
 from softgait.stability.embedding import (EmbeddingParams, NoMinimumError,
                                           ami_curve, ami_delay, delay_embed,
-                                          fnn_dimension, fnn_fractions,
-                                          mutual_information)
+                                          fnn_dimension, mutual_information)
 
 
 def series(x, rate=100.0):
@@ -101,15 +100,17 @@ class TestFnn:
         assert not saturated
         assert dim in (2, 3)
 
-    def test_fractions_decrease_for_low_dimensional_signal(self):
+    def test_two_harmonic_signal_embeds_in_four(self):
         rng = np.random.default_rng(1)
         t = np.arange(4000)
         x = np.sin(2 * np.pi * t / 100.0) + 0.5 * np.sin(4 * np.pi * t / 100.0)
         x += 0.02 * rng.standard_normal(4000)
-        fr = fnn_fractions(series(x), tau=20, max_dim=5)
-        assert fr[0] > fr[1] > fr[2]
-        assert fr[2] < 0.05
-        assert fr[4] < 0.01
+        assert fnn_dimension(series(x), tau=20, max_dim=5) == (4, False)
+
+    def test_series_too_short_to_test_every_dimension_saturates(self):
+        # 30 samples at tau 10 leave no neighbor pair from dimension 3 on
+        x = np.random.default_rng(0).normal(size=30)
+        assert fnn_dimension(series(x), tau=10, max_dim=5) == (5, True)
 
     def test_white_noise_saturates(self):
         x = np.random.default_rng(5).normal(size=3000)

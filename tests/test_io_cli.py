@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import softgait
 from softgait.analysis import AnalysisSettings, analyze_trial
 from softgait.cli import main
 from softgait.config import ConfigError, RunConfig
@@ -454,3 +458,17 @@ class TestCliErrorCodes:
                      "--baseline", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "c.json")])
         assert code == 2
+
+
+@pytest.mark.parametrize("module", ["softgait.plant", "softgait.cli"])
+def test_simulate_path_leaves_the_analysis_stack_unloaded(module):
+    # only the analysis needs scipy.signal and scipy.spatial, so a
+    # `softgait simulate` process must not import them
+    src = os.path.dirname(os.path.dirname(softgait.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (f"import sys, {module}; print(sorted(m for m in "
+            "('scipy.signal', 'scipy.spatial') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"
