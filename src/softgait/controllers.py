@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lut import MOMENT_MAP, Lut2D
+from .lut import Lut2D, moment_map
 
+DT = 0.01                   # s, the 100 Hz control tick
 MOTOR_RANGE_MM = (-40.0, 40.0)
 ANGLE_RANGE_DEG = (-30.0, 30.0)
 SSP = 0.95                  # m, self-selected-pace stride length
@@ -28,20 +29,13 @@ FB_GAIN = 0.45              # mm/deg, angle feedback of the AC position loop
 MOMENT_FILTER_HZ = 4.0      # low-pass on measured moment in the AC path
 PEAK_DORSIFLEXION = 8.0     # deg, gait surface plateau at SSP
 PUSHOFF_PLANTARFLEXION = -12.0  # deg, gait surface push-off at SSP
+LEAK = DT / LEAK_TAU        # per-tick leak of the estimator's running means
+# per-tick gain of the first-order moment low-pass at MOMENT_FILTER_HZ
+MOMENT_FILTER_GAIN = 1.0 - math.exp(-2.0 * math.pi * MOMENT_FILTER_HZ * DT)
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
     return min(max(v, lo), hi)
-
-
-@dataclass
-class ProsthesisState:
-    """What the controllers see each tick: motor position x (mm), ankle
-    angle q (deg, dorsiflexion positive) and ankle moment M (Nm)."""
-
-    x: float = 0.0
-    q: float = 0.0
-    M: float = 0.0
 
 
 @dataclass
@@ -57,13 +51,17 @@ class TibiaPhaseState:
     """
 
     theta_integral: float = 0.0
-    phase_angle: float = 0.0
-    gait_percent: float = 0.0
+    phase_angle: float = 0.0    # rad, in [0, 2 pi)
     L_s: float = 0.0
     # estimator internals
     theta_mean: float = 0.0
     ms_theta: float = 0.0
     ms_omega: float = 0.0
+
+    @property
+    def gait_percent(self) -> float:
+        """Stride fraction in [0, 1): zero at foot strike."""
+        return self.phase_angle / (2.0 * math.pi)
 
     @property
     def L_s_norm(self) -> float:
@@ -73,34 +71,31 @@ class TibiaPhaseState:
 _OMEGA_FLOOR = 1e-9
 
 
-def tibia_phase_update(state: TibiaPhaseState, omega: float,
-                       dt: float) -> TibiaPhaseState:
+def tibia_phase_update(state: TibiaPhaseState,
+                       omega: float) -> TibiaPhaseState:
     """Advance the phase-plane estimator by one tick of tibia velocity."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    leak = dt / LEAK_TAU
-    theta = state.theta_integral * (1.0 - leak) + omega * dt
-    theta_mean = state.theta_mean + (theta - state.theta_mean) * leak
+    theta = state.theta_integral * (1.0 - LEAK) + omega * DT
+    theta_mean = state.theta_mean + (theta - state.theta_mean) * LEAK
     theta_c = theta - theta_mean
-    ms_theta = state.ms_theta + (theta_c ** 2 - state.ms_theta) * leak
-    ms_omega = state.ms_omega + (omega ** 2 - state.ms_omega) * leak
+    ms_theta = state.ms_theta + (theta_c ** 2 - state.ms_theta) * LEAK
+    ms_omega = state.ms_omega + (omega ** 2 - state.ms_omega) * LEAK
 
     if ms_omega < _OMEGA_FLOOR and abs(omega) < _OMEGA_FLOOR:
         # no motion: hold phase and stride length
         return TibiaPhaseState(
-            theta_integral=theta, phase_angle=state.phase_angle,
-            gait_percent=state.gait_percent, L_s=state.L_s,
+            theta_integral=theta, phase_angle=state.phase_angle, L_s=state.L_s,
             theta_mean=theta_mean, ms_theta=ms_theta, ms_omega=ms_omega)
 
     omega_scale = math.sqrt(ms_omega / ms_theta) if ms_theta > _OMEGA_FLOOR else 1.0
     phase = math.atan2(-omega / omega_scale, theta_c) % (2.0 * math.pi)
+    if phase == 2.0 * math.pi:  # a negative angle within rounding of zero
+        phase = 0.0
     L_s = state.L_s
     if phase - state.phase_angle < -math.pi:  # the orbit wrapped: new stride
         radius = math.sqrt(2.0 * ms_theta)
         L_s = STRIDE_CALIBRATION * radius
     return TibiaPhaseState(
-        theta_integral=theta, phase_angle=phase,
-        gait_percent=phase / (2.0 * math.pi), L_s=L_s,
+        theta_integral=theta, phase_angle=phase, L_s=L_s,
         theta_mean=theta_mean, ms_theta=ms_theta, ms_omega=ms_omega)
 
 
@@ -160,41 +155,41 @@ def ankle_controller(q_d: float, q: float, M: float,
 
 @dataclass
 class ControllerOutput:
-    """One tick of controller diagnostics alongside the motor command."""
+    """One tick of controller diagnostics alongside the motor command.
+
+    In TC mode there is no desired angle (`q_d` is NaN) and the moment
+    filter holds (`m_filtered` is the `m_prev` passed in)."""
 
     x_cmd: float
-    q_d: float | None = None
-    m_filtered: float | None = None
+    q_d: float
+    m_filtered: float
 
 
-def step_controller(mode: str, state: ProsthesisState, phase: TibiaPhaseState,
-                    K_d: float, gait_lut: Lut2D, moment_lut: Lut2D, dt: float,
-                    m_prev: float | None = None) -> ControllerOutput:
-    """Compose one control tick of length `dt` in either TC or AC mode.
+def step_controller(mode: str, q: float, M: float, phase: TibiaPhaseState,
+                    K_d: float, gait_lut: Lut2D, moment_lut: Lut2D,
+                    m_prev: float) -> ControllerOutput:
+    """Compose one DT control tick in either TC or AC mode from the
+    measured ankle angle q (deg, dorsiflexion positive) and moment M (Nm).
 
-    `m_prev` is last tick's filtered moment; the AC path low-passes the
-    measured moment before the admittance law because the feedforward loop
-    gain on the raw moment exceeds one (1 + sigma*rho / K_d) and would
-    otherwise limit-cycle against the ankle dynamics.
+    `m_prev` is last tick's filtered moment, 0.0 (the ankle at rest)
+    before the first tick; the AC path low-passes the measured moment
+    before the admittance law because the feedforward loop gain on the
+    raw moment exceeds one (1 + SIGMA*RHO / K_d) and would otherwise
+    limit-cycle against the ankle dynamics.
     """
     x_g = tibia_reference_motor(phase.gait_percent, phase.L_s, gait_lut,
                                 moment_lut)
-    x_m = moment_feedback(state.M)
+    x_m = moment_feedback(M)
     x_d_tc = _clamp(blend_commands(x_m, x_g, phase.L_s_norm), *MOTOR_RANGE_MM)
     if mode == "TC":
-        return ControllerOutput(x_cmd=x_d_tc)
+        return ControllerOutput(x_cmd=x_d_tc, q_d=math.nan, m_filtered=m_prev)
     if mode == "AC":
-        if m_prev is None:
-            m_f = state.M
-        else:
-            alpha = 1.0 - math.exp(-2.0 * math.pi
-                                   * MOMENT_FILTER_HZ * dt)
-            m_f = m_prev + alpha * (state.M - m_prev)
+        m_f = m_prev + MOMENT_FILTER_GAIN * (M - m_prev)
         q_e = admittance_equilibrium(x_d_tc, moment_lut)
         q_d = admittance_target(q_e, m_f, K_d)
         # raw moment in the map inversion keeps the position loop exact;
         # only the admittance offset sees the filtered moment
-        x_d_ac = ankle_controller(q_d, state.q, state.M, moment_lut)
+        x_d_ac = ankle_controller(q_d, q, M, moment_lut)
         return ControllerOutput(x_cmd=x_d_ac, q_d=q_d, m_filtered=m_f)
     raise ValueError(f"unknown controller mode {mode!r}")
 
@@ -235,4 +230,4 @@ def default_moment_lut() -> Lut2D:
     nodes spanning the motor and angle ranges."""
     a = np.arange(MOTOR_RANGE_MM[0], MOTOR_RANGE_MM[1] + 0.5, 1.0)
     b = np.arange(ANGLE_RANGE_DEG[0], ANGLE_RANGE_DEG[1] + 0.5, 1.0)
-    return Lut2D(a, b, MOMENT_MAP(a[:, None], b[None, :]))
+    return Lut2D(a, b, moment_map(a[:, None], b[None, :]))

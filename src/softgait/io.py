@@ -61,8 +61,11 @@ def load_recording(path: str) -> TrialRecording:
     except (OSError, json.JSONDecodeError) as exc:
         raise RecordingIOError(f"cannot read manifest {path}: {exc}") from exc
     arrays_path = os.path.join(os.path.dirname(path), RECORDING_NAME)
+    # np.load leaves a file it opened itself open when the zip is damaged,
+    # so the handle is ours to close
     try:
-        with np.load(arrays_path, allow_pickle=False) as npz:
+        with open(arrays_path, "rb") as fh, \
+                np.load(fh, allow_pickle=False) as npz:
             return _read_trial(npz, manifest)
     except (OSError, ValueError, KeyError, TypeError,
             zipfile.BadZipFile) as exc:

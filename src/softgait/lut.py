@@ -9,7 +9,6 @@ position that realizes a target moment at a desired angle.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,23 +25,17 @@ class InvalidLutError(ValueError):
     """Grid or monotonicity requirements violated."""
 
 
-@dataclass
-class SyntheticMomentMap:
-    """Affine stand-in for a hardware moment map: M = sigma * (x - rho * q).
+# The simulated ankle's moment map, read by the plant and the controllers:
+# an affine stand-in for a hardware map, M = SIGMA * (x - RHO * q), whose
+# affinity keeps every inversion closed-form.
+SIGMA = 2.5   # Nm per mm, motor-side stiffness gain
+RHO = 2.0     # mm per deg, kinematic coupling of motor and ankle
 
-    sigma is the motor-side stiffness gain (Nm per mm), rho the kinematic
-    coupling (mm per deg).  Affinity keeps every inversion closed-form.
-    """
 
-    sigma: float = 2.5
-    rho: float = 2.0
-
-    def __post_init__(self):
-        if not (self.sigma > 0 and self.rho > 0):
-            raise ValueError("sigma and rho must be positive")
-
-    def __call__(self, x: float, q: float) -> float:
-        return self.sigma * (x - self.rho * q)
+def moment_map(x, q):
+    """Ankle moment (Nm) at motor position x (mm) and ankle angle q (deg);
+    works elementwise on arrays."""
+    return SIGMA * (x - RHO * q)
 
 
 class Lut2D:
@@ -150,6 +143,3 @@ class Lut2D:
         grid = self._grid[free_axis]
         return float(grid[k0] + t * (grid[k1] - grid[k0]))
 
-
-# the simulated ankle's moment map, read by the plant and the controllers
-MOMENT_MAP = SyntheticMomentMap()

@@ -25,17 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .controllers import (ProsthesisState, TibiaPhaseState, default_gait_lut,
+from .controllers import (DT, TibiaPhaseState, default_gait_lut,
                           default_moment_lut, step_controller,
                           tibia_phase_update)
-from .lut import MOMENT_MAP
+from .lut import RHO, SIGMA, moment_map
 
 DEG = math.pi / 180.0
 ANKLE_INERTIA = 0.005             # kg m^2, foot about the ankle joint
 INERTIA_DEG = ANKLE_INERTIA * DEG  # the same, in Nm per (deg/s^2)
 ANKLE_DAMPING = 0.03              # Nm s/deg, parasitic joint damping
 MOTOR_LOOP_BANDWIDTH = 40.0       # Hz
-DT = 0.01                         # s, matches the 100 Hz analysis rate
 # kinematic template of the trial generator
 LOAD_MOMENT_ARM = 0.055   # m, peak CoP lever arm at the ankle
 PELVIS_HEIGHT = 970.0     # mm, CoM height over heel level
@@ -58,13 +57,12 @@ def _tick_update() -> tuple[tuple[float, ...], ...]:
     c = (sigma x_cmd + M_ext) / I, whose own row (dc/dt = 0) is dropped.
     """
     w = 2.0 * math.pi * MOTOR_LOOP_BANDWIDTH
-    sigma, rho, inertia = MOMENT_MAP.sigma, MOMENT_MAP.rho, INERTIA_DEG
     a = np.zeros((5, 5))
     a[0, 1] = 1.0
     a[1, :2] = -w * w, -2.0 * w
     a[2, 3] = 1.0
-    a[3, :] = (sigma / inertia, 0.0, -sigma * rho / inertia,
-               -ANKLE_DAMPING / inertia, 1.0)
+    a[3, :] = (SIGMA / INERTIA_DEG, 0.0, -SIGMA * RHO / INERTIA_DEG,
+               -ANKLE_DAMPING / INERTIA_DEG, 1.0)
     return tuple(map(tuple, scipy.linalg.expm(a * DT)[:4].tolist()))
 
 
@@ -106,13 +104,13 @@ def step_plant(state: PlantState, motor_cmd: float,
     yd = state.x_dot
     q = state.q
     q_dot = state.q_dot
-    c = (MOMENT_MAP.sigma * motor_cmd + external_load) / INERTIA_DEG
+    c = (SIGMA * motor_cmd + external_load) / INERTIA_DEG
     x_new = p00 * y + p01 * yd + motor_cmd
     q_new = p20 * y + p21 * yd + p22 * q + p23 * q_dot + p24 * c
     new = PlantState(x=x_new, x_dot=p10 * y + p11 * yd, q=q_new,
                      q_dot=p30 * y + p31 * yd + p32 * q + p33 * q_dot
                      + p34 * c,
-                     moment=MOMENT_MAP(x_new, q_new))
+                     moment=moment_map(x_new, q_new))
     for v in (new.x, new.q, new.x_dot, new.q_dot, new.moment):
         if not math.isfinite(v):
             raise SimulationDivergedError("plant state is no longer finite")
@@ -157,13 +155,14 @@ class TrialSpec:
         for name in ("K_d", "ground_stiffness", "stride_period", "body_mass"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("amplitude_jitter", "noise_mm"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
-        # stride durations are T * (1 + period_jitter * g), g clipped to
-        # [-3, 3], so a third or more could give a stride no time at all
-        if not 0 <= self.period_jitter < 1 / 3:
-            raise ValueError("period_jitter must be in [0, 1/3)")
+        if not self.noise_mm >= 0:
+            raise ValueError("noise_mm must be non-negative")
+        # stride durations and amplitudes are scaled by 1 + jitter * g, g
+        # clipped to [-3, 3], so a third or more could give a stride no
+        # time or no motion at all
+        for name in ("period_jitter", "amplitude_jitter"):
+            if not 0 <= getattr(self, name) < 1 / 3:
+                raise ValueError(f"{name} must be in [0, 1/3)")
         if not (isinstance(self.n_strides, numbers.Integral)
                 and self.n_strides >= 2):
             raise ValueError("n_strides must be an integer of at least 2")
@@ -355,10 +354,9 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     log = {k: np.zeros(n) for k in PROSTHESIS_KEYS}
     log["t"], log["omega"] = t, omega
     for i in range(n):
-        phase = tibia_phase_update(phase, omega.item(i), DT)
-        meas = ProsthesisState(x=plant.x, q=plant.q, M=plant.moment)
-        out = step_controller(spec.mode, meas, phase, spec.K_d,
-                              gait_lut, moment_lut, DT, m_prev=m_filt)
+        phase = tibia_phase_update(phase, omega.item(i))
+        out = step_controller(spec.mode, plant.q, plant.moment, phase,
+                              spec.K_d, gait_lut, moment_lut, m_filt)
         m_filt = out.m_filtered
         plant = step_plant(plant, out.x_cmd, load.item(i))
         log["x"][i] = plant.x
@@ -366,7 +364,7 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
         log["M"][i] = plant.moment
         log["gait_percent"][i] = phase.gait_percent
         log["L_s"][i] = phase.L_s
-        log["q_d"][i] = out.q_d if out.q_d is not None else math.nan
+        log["q_d"][i] = out.q_d
         log["x_cmd"][i] = out.x_cmd
 
     events_left = np.round(starts[:-1] / DT).astype(int)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.stats import mannwhitneyu
 
 EXACT_MAX_N = 20
 
@@ -14,37 +14,13 @@ def delta_lambda(lam: float, lam_baseline: float) -> float:
     return lam - lam_baseline
 
 
-def _exact_ranksum_pvalue(ranks: np.ndarray, n1: int) -> float:
-    """Exact two-sided p-value of the rank-sum statistic by dynamic
-    programming over the null distribution (all assignments of the
-    observed integer ranks to the first sample)."""
-    n = len(ranks)
-    total = int(round(ranks.sum()))
-    w_obs = int(round(ranks[:n1].sum()))
-    mu2 = n1 * (n + 1)  # 2 * mean, integer
-    # counts[k][s] = number of k-subsets of processed ranks summing to s
-    max_s = total
-    counts = np.zeros((n1 + 1, max_s + 1), dtype=float)
-    counts[0, 0] = 1.0
-    for r in np.sort(ranks.astype(int)):
-        # k descending so each rank is used at most once per subset
-        for k in range(n1, 0, -1):
-            counts[k, r:] += counts[k - 1, :max_s + 1 - r]
-    dist = counts[n1]
-    support = np.nonzero(dist)[0]
-    probs = dist[support] / dist[support].sum()
-    # two-sided: mass at least as far from the mean as observed
-    dev = np.abs(2 * support - mu2)
-    obs_dev = abs(2 * w_obs - mu2)
-    return float(min(probs[dev >= obs_dev].sum(), 1.0))
-
-
 def wilcoxon_ranksum(sample_a, sample_b, alpha: float = 0.01):
-    """Two-sided Wilcoxon rank-sum test.
+    """Two-sided Wilcoxon rank-sum (Mann-Whitney U) test.
 
-    Exact null enumeration when both samples have at most 20 observations
-    and there are no ties; otherwise the normal approximation with tie
-    correction.  Returns (p_value, significant at alpha).
+    Exact null distribution when both samples have at most EXACT_MAX_N
+    observations and there are no ties; otherwise the normal
+    approximation with tie correction and no continuity correction.
+    Returns (p_value, significant at alpha).
     """
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
@@ -53,22 +29,9 @@ def wilcoxon_ranksum(sample_a, sample_b, alpha: float = 0.01):
     pooled = np.concatenate([a, b])
     if np.all(pooled == pooled[0]):
         return 1.0, False
-    ranks = rankdata(pooled)
-    n1, n2 = len(a), len(b)
-    n = n1 + n2
-    has_ties = len(np.unique(pooled)) < n
-
-    if n1 <= EXACT_MAX_N and n2 <= EXACT_MAX_N and not has_ties:
-        p = _exact_ranksum_pvalue(ranks, n1)
-    else:
-        w = ranks[:n1].sum()
-        mu = n1 * (n + 1) / 2.0
-        _, tie_counts = np.unique(pooled, return_counts=True)
-        tie_term = np.sum(tie_counts ** 3 - tie_counts) / (n * (n - 1))
-        var = n1 * n2 / 12.0 * ((n + 1) - tie_term)
-        if var <= 0:
-            return 1.0, False
-        z = (w - mu) / np.sqrt(var)
-        p = float(2.0 * norm.sf(abs(z)))
-    p = min(p, 1.0)
+    has_ties = len(np.unique(pooled)) < len(pooled)
+    exact = len(a) <= EXACT_MAX_N and len(b) <= EXACT_MAX_N and not has_ties
+    p = float(mannwhitneyu(a, b, use_continuity=False,
+                           alternative="two-sided",
+                           method="exact" if exact else "asymptotic").pvalue)
     return p, p < alpha

@@ -5,27 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softgait.controllers import (MOMENT_FILTER_HZ, MOTOR_RANGE_MM,
-                                  ProsthesisState, TibiaPhaseState,
-                                  admittance_equilibrium, admittance_target,
-                                  ankle_controller, blend_commands,
-                                  moment_feedback, step_controller,
-                                  tibia_phase_update, tibia_reference_motor)
-from softgait.lut import SyntheticMomentMap
-from softgait.plant import DT
+from softgait.controllers import (DT, MOMENT_FILTER_HZ, MOTOR_RANGE_MM,
+                                  TibiaPhaseState, admittance_equilibrium,
+                                  admittance_target, ankle_controller,
+                                  blend_commands, moment_feedback,
+                                  step_controller, tibia_phase_update,
+                                  tibia_reference_motor)
+from softgait.lut import RHO, SIGMA
 
 
-def run_phase_estimator(periods=20, T=1.47, amp=10.0, dt=0.01):
+def run_phase_estimator(periods=20, T=1.47, amp=10.0):
     """Drive the estimator with a clean sinusoidal tibia velocity and
     return (final state, trace of (time, gait_percent))."""
     state = TibiaPhaseState()
     trace = []
-    n = int(periods * T / dt)
+    n = int(periods * T / DT)
     for i in range(n):
-        t = i * dt
+        t = i * DT
         s = (t / T) % 1.0
         omega = -amp * (2 * math.pi / T) * math.sin(2 * math.pi * s)
-        state = tibia_phase_update(state, omega, dt)
+        state = tibia_phase_update(state, omega)
         trace.append((s, state.gait_percent))
     return state, np.array(trace)
 
@@ -52,24 +51,23 @@ class TestPhaseEstimator:
 
     def test_holds_state_at_rest(self):
         state = TibiaPhaseState()
-        out = tibia_phase_update(state, 0.0, 0.01)
+        out = tibia_phase_update(state, 0.0)
         assert out.gait_percent == state.gait_percent
         assert out.L_s == state.L_s
-
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            tibia_phase_update(TibiaPhaseState(), 1.0, 0.0)
 
     # beyond about 1e154 deg/s the squares overflow Python floats
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=300))
     def test_stride_length_never_negative(self, omegas):
         # L_s = STRIDE_CALIBRATION * sqrt(2 * ms_theta), with ms_theta a
-        # running mean of squares, so blend_commands never sees L_s < 0
+        # running mean of squares, so blend_commands never sees L_s < 0;
+        # the phase is an angle taken mod 2 pi, so the gait surface is
+        # read inside its stride fraction axis
         state = TibiaPhaseState()
         for omega in omegas:
-            state = tibia_phase_update(state, omega, DT)
+            state = tibia_phase_update(state, omega)
             assert state.L_s >= 0.0
+            assert 0.0 <= state.gait_percent < 1.0
 
 
 class TestBlending:
@@ -107,19 +105,17 @@ class TestAdmittanceLaw:
             admittance_target(0.0, 0.0, 0.0)
 
     def test_equilibrium_is_unloaded_angle(self, moment_lut):
-        m = SyntheticMomentMap()
         for x in (-20.0, 0.0, 15.0):
             assert admittance_equilibrium(x, moment_lut) == pytest.approx(
-                x / m.rho, abs=1e-9)
+                x / RHO, abs=1e-9)
 
 
 class TestAnkleController:
     def test_quasi_static_fixed_point(self, moment_lut):
         """When the ankle sits at the desired angle and the map moment is
         consistent, the command reproduces the current motor position."""
-        m = SyntheticMomentMap()
         q_d = 4.0
-        x = 12.0 / m.sigma + m.rho * q_d
+        x = 12.0 / SIGMA + RHO * q_d
         cmd = ankle_controller(q_d, q_d, 12.0, moment_lut)
         assert cmd == pytest.approx(x, abs=1e-9)
 
@@ -136,14 +132,16 @@ class TestAnkleController:
 class TestStepController:
     # mid-stance phase at half the self-selected stride length, so the TC
     # command blends moment feedback with the gait reference
-    STATE = ProsthesisState(M=15.0)
-    PHASE = TibiaPhaseState(gait_percent=0.4, L_s=0.475)
+    M = 15.0
+    PHASE = TibiaPhaseState(phase_angle=0.8 * math.pi, L_s=0.475)
 
     def test_tc_mode_has_no_admittance_fields(self, gait_lut, moment_lut):
-        out = step_controller("TC", self.STATE, self.PHASE, 15.0,
-                              gait_lut, moment_lut, DT)
-        assert out.q_d is None and out.m_filtered is None
-        x_g = tibia_reference_motor(0.4, 0.475, gait_lut, moment_lut)
+        out = step_controller("TC", 0.0, self.M, self.PHASE, 15.0,
+                              gait_lut, moment_lut, 3.0)
+        # no desired angle, and the moment filter holds its last value
+        assert math.isnan(out.q_d) and out.m_filtered == 3.0
+        x_g = tibia_reference_motor(self.PHASE.gait_percent, 0.475,
+                                    gait_lut, moment_lut)
         x_m = moment_feedback(15.0)
         expected = blend_commands(x_m, x_g, self.PHASE.L_s_norm)
         assert MOTOR_RANGE_MM[0] < expected < MOTOR_RANGE_MM[1]
@@ -152,37 +150,37 @@ class TestStepController:
 
     def test_ac_mode_reports_admittance_fields(self, gait_lut, moment_lut):
         K_d = 15.0
-        tc = step_controller("TC", self.STATE, self.PHASE, K_d,
-                             gait_lut, moment_lut, DT)
-        out = step_controller("AC", self.STATE, self.PHASE, K_d,
-                              gait_lut, moment_lut, DT, m_prev=15.0)
+        tc = step_controller("TC", 0.0, self.M, self.PHASE, K_d,
+                             gait_lut, moment_lut, 15.0)
+        out = step_controller("AC", 0.0, self.M, self.PHASE, K_d,
+                              gait_lut, moment_lut, 15.0)
         q_e = admittance_equilibrium(tc.x_cmd, moment_lut)
         assert out.q_d == pytest.approx(q_e + 15.0 / K_d)
 
     def test_moment_filter_initialization_and_update(self, gait_lut,
                                                      moment_lut):
-        state = ProsthesisState(M=20.0)
-        first = step_controller("AC", state, TibiaPhaseState(), 15.0,
-                                gait_lut, moment_lut, DT, m_prev=None)
-        assert first.m_filtered == pytest.approx(20.0)
-        stepped = step_controller("AC", state, TibiaPhaseState(), 15.0,
-                                  gait_lut, moment_lut, DT, m_prev=0.0)
+        # the filter starts from the resting moment, 0.0
         alpha = 1.0 - math.exp(-2 * math.pi * MOMENT_FILTER_HZ * DT)
-        assert stepped.m_filtered == pytest.approx(alpha * 20.0)
+        first = step_controller("AC", 0.0, 20.0, TibiaPhaseState(), 15.0,
+                                gait_lut, moment_lut, 0.0)
+        assert first.m_filtered == pytest.approx(alpha * 20.0)
+        second = step_controller("AC", 0.0, 20.0, TibiaPhaseState(), 15.0,
+                                 gait_lut, moment_lut, first.m_filtered)
+        assert second.m_filtered == pytest.approx(
+            first.m_filtered + alpha * (20.0 - first.m_filtered))
 
     def test_unknown_mode_raises(self, gait_lut, moment_lut):
         with pytest.raises(ValueError):
-            step_controller("XX", ProsthesisState(), TibiaPhaseState(),
-                            15.0, gait_lut, moment_lut, DT)
+            step_controller("XX", 0.0, 0.0, TibiaPhaseState(),
+                            15.0, gait_lut, moment_lut, 0.0)
 
 
 class TestTibiaReference:
     def test_reference_realizes_gait_angle_unloaded(self, gait_lut,
                                                     moment_lut):
-        m = SyntheticMomentMap()
         x = tibia_reference_motor(0.4, 0.95, gait_lut, moment_lut)
         q_ref = gait_lut.eval(0.4, 0.95)
-        assert x / m.rho == pytest.approx(q_ref, abs=1e-9)
+        assert x / RHO == pytest.approx(q_ref, abs=1e-9)
 
     def test_out_of_range_phase_is_clamped(self, gait_lut, moment_lut):
         a = tibia_reference_motor(1.5, 0.95, gait_lut, moment_lut)

@@ -5,39 +5,31 @@ from hypothesis import strategies as st
 
 from helpers import reference_lut_eval, reference_lut_invert
 from softgait.controllers import default_moment_lut
-from softgait.lut import (InvalidLutError, Lut2D, LutDomainError,
-                          SyntheticMomentMap, UnreachableTargetError)
+from softgait.lut import (RHO, SIGMA, InvalidLutError, Lut2D, LutDomainError,
+                          UnreachableTargetError, moment_map)
 
 
-class TestSyntheticMomentMap:
+class TestMomentMap:
     def test_closed_forms_are_consistent(self):
-        m = SyntheticMomentMap(sigma=2.5, rho=2.0)
-        assert m(10.0, 3.0) == pytest.approx(2.5 * (10.0 - 6.0))
+        assert moment_map(10.0, 3.0) == pytest.approx(2.5 * (10.0 - 6.0))
         # motor position for a moment at an angle, and the unloaded angle
-        assert m(7.0 / m.sigma + m.rho * 3.0, 3.0) == pytest.approx(7.0)
-        assert m(10.0, 10.0 / m.rho) == pytest.approx(0.0)
-
-    def test_rejects_nonpositive_gains(self):
-        with pytest.raises(ValueError):
-            SyntheticMomentMap(sigma=0.0)
-        with pytest.raises(ValueError):
-            SyntheticMomentMap(rho=-1.0)
+        assert moment_map(7.0 / SIGMA + RHO * 3.0, 3.0) == pytest.approx(7.0)
+        assert moment_map(10.0, 10.0 / RHO) == pytest.approx(0.0)
 
 
 class TestEval:
     def test_exact_at_nodes(self, moment_lut):
-        m = SyntheticMomentMap()
         for a in (-40.0, -3.0, 0.0, 17.0, 40.0):
             for b in (-30.0, -1.0, 0.0, 12.0, 30.0):
-                assert moment_lut.eval(a, b) == pytest.approx(m(a, b))
+                assert moment_lut.eval(a, b) == pytest.approx(moment_map(a, b))
 
     def test_bilinear_reproduces_affine_map_off_nodes(self, moment_lut):
-        m = SyntheticMomentMap()
         rng = np.random.default_rng(3)
         for _ in range(100):
             a = rng.uniform(-40, 40)
             b = rng.uniform(-30, 30)
-            assert moment_lut.eval(a, b) == pytest.approx(m(a, b), abs=1e-9)
+            assert moment_lut.eval(a, b) == pytest.approx(moment_map(a, b),
+                                                          abs=1e-9)
 
     def test_rejects_out_of_domain(self, moment_lut):
         with pytest.raises(LutDomainError):
@@ -80,7 +72,7 @@ class TestInvert:
     def test_decreasing_slices_invert(self, moment_lut):
         # values decrease along axis b (as a moment map does with angle)
         q = moment_lut.invert(0.0, ("a", 10.0))
-        assert q == pytest.approx(10.0 / SyntheticMomentMap().rho)
+        assert q == pytest.approx(10.0 / RHO)
 
 
 def _outcome(call):

@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 
 from helpers import gait_like_velocity
 from softgait.config import RunConfig
-from softgait.lut import MOMENT_MAP, SyntheticMomentMap
+from softgait.lut import RHO, SIGMA, moment_map
 from softgait.plant import (ANKLE_DAMPING, DT, INERTIA_DEG,
                             MOTOR_LOOP_BANDWIDTH, PlantState, Perturbation,
                             generate_trial, ground_deflection, step_plant)
@@ -37,22 +37,20 @@ class TestStepPlant:
         assert state.x == pytest.approx(10.0, abs=1e-3)
 
     def test_ankle_settles_at_unloaded_angle(self):
-        m = SyntheticMomentMap()
         state = PlantState()
         for _ in range(200):
             state = step_plant(state, 10.0, 0.0)
-        assert state.q == pytest.approx(10.0 / m.rho, abs=1e-3)
+        assert state.q == pytest.approx(10.0 / RHO, abs=1e-3)
         assert state.moment == pytest.approx(0.0, abs=1e-2)
 
     def test_constant_load_equilibrium(self):
         """Static balance: the map moment cancels the external load."""
-        m = SyntheticMomentMap()
         load = -20.0
         state = PlantState()
         for _ in range(300):
             state = step_plant(state, 10.0, load)
         assert state.moment == pytest.approx(-load, abs=1e-2)
-        q_expected = 10.0 / m.rho + load / (m.sigma * m.rho)
+        q_expected = 10.0 / RHO + load / (SIGMA * RHO)
         assert state.q == pytest.approx(q_expected, abs=1e-2)
 
     def test_matches_ode_solution_over_held_ticks(self):
@@ -63,7 +61,7 @@ class TestStepPlant:
         def rhs(_, z, x_cmd, load):
             x, x_dot, q, q_dot = z
             return [x_dot, -2.0 * w * x_dot - w * w * (x - x_cmd), q_dot,
-                    (MOMENT_MAP(x, q) + load - ANKLE_DAMPING * q_dot)
+                    (moment_map(x, q) + load - ANKLE_DAMPING * q_dot)
                     / INERTIA_DEG]
 
         rng = np.random.default_rng(5)
@@ -80,7 +78,7 @@ class TestStepPlant:
             x_error = max(x_error, abs(state.x - z[0]))
         assert q_error < 1e-9     # deg
         assert x_error < 1e-9     # mm
-        assert state.moment == MOMENT_MAP(state.x, state.q)
+        assert state.moment == moment_map(state.x, state.q)
 
 
 class TestTrialSpec:
@@ -97,6 +95,8 @@ class TestTrialSpec:
                             ("period_jitter", 1 / 3), ("period_jitter", 0.6),
                             ("amplitude_jitter", -5.0),
                             ("amplitude_jitter", math.nan),
+                            ("amplitude_jitter", 1 / 3),
+                            ("amplitude_jitter", 1e200),
                             ("noise_mm", -1.0)):
             with pytest.raises(ValueError, match=name):
                 replace(spec, **{name: value})
