@@ -38,40 +38,41 @@ class Attractor:
     params: EmbeddingParams
 
 
-def _quantile_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
-    """Assign each sample to one of n_bins equally populated bins.
+def _rank_bins(order: np.ndarray, n_bins: int) -> np.ndarray:
+    """Assign each sample to one of n_bins equally populated bins, given
+    the samples' stable sort order.
 
     Rank-based, so the assignment (and everything built on it) is
     invariant under any strictly monotone rescaling of the data.
     """
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.int64)
-    ranks[order] = np.arange(len(x))
-    return (ranks * n_bins) // len(x)
-
-
-def mutual_information(x: np.ndarray, y: np.ndarray, n_bins: int = 32) -> float:
-    """Mutual information in bits via equiprobable (quantile) binning."""
-    bx = _quantile_bins(x, n_bins)
-    by = _quantile_bins(y, n_bins)
-    joint = np.bincount(bx * n_bins + by, minlength=n_bins * n_bins)
-    joint = joint.reshape(n_bins, n_bins) / len(x)
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    nz = joint > 0
-    denom = np.outer(px, py)[nz]
-    return float(np.sum(joint[nz] * np.log2(joint[nz] / denom)))
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.arange(len(order))
+    return (ranks * n_bins) // len(order)
 
 
 def ami_curve(series: TimeSeries, max_lag: int, n_bins: int = 32) -> np.ndarray:
+    """Mutual information in bits between x[:n - lag] and x[lag:] for lags
+    0..max_lag, via equiprobable (quantile) binning of each slice.
+
+    The series is sorted once: keeping the indices of a slice from a
+    stable order of the whole series gives the stable order of the slice.
+    """
     x = series.samples
+    n = len(x)
+    order = np.argsort(x, kind="stable")
     out = np.empty(max_lag + 1)
     for lag in range(max_lag + 1):
-        if lag == 0:
-            out[0] = mutual_information(x, x, n_bins)
-        else:
-            out[lag] = mutual_information(x[:-lag], x[lag:], n_bins)
+        bx = _rank_bins(order[order < n - lag], n_bins)
+        by = _rank_bins(order[order >= lag] - lag, n_bins)
+        joint = np.bincount(bx * n_bins + by, minlength=n_bins * n_bins)
+        joint = joint.reshape(n_bins, n_bins) / (n - lag)
+        px = joint.sum(axis=1)
+        py = joint.sum(axis=0)
+        nz = joint > 0
+        denom = np.outer(px, py)[nz]
+        out[lag] = np.sum(joint[nz] * np.log2(joint[nz] / denom))
     return out
+
 
 def ami_delay(series: TimeSeries, max_lag: int, n_bins: int = 32) -> int:
     """Embedding delay: first local minimum of average mutual information.

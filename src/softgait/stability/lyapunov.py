@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from ..signals import TimeSeries, time_normalize
@@ -19,7 +20,7 @@ HORIZON_STRIDES = 10   # strides each neighbor pair is tracked for
 MAX_LAG = 30           # AMI lags searched for the embedding delay
 FALLBACK_TAU = 10      # delay used when AMI has no minimum within MAX_LAG
 MAX_DIM = 8            # largest embedding dimension FNN may return
-SHARED_K = 64          # candidates per row in the search shared by windows
+SHARED_K = 16          # nearest candidates per row before a re-query
 PAIR_CHUNK = 256       # neighbor pairs tracked at once
 
 
@@ -57,9 +58,10 @@ def _own_neighbors(base: np.ndarray, rows: np.ndarray, theiler: int
     whose exclusion zone swallowed all nearby neighbors."""
     n_track = len(base)
     tree = cKDTree(base)
-    k1 = min(32, n_track)
+    k1 = min(SHARED_K, n_track)
     _, idx = tree.query(base[rows], k=k1, workers=-1)
-    has, nbr = _first_valid(rows, idx, theiler, 0, n_track)
+    has, nbr = _first_valid(rows, idx.reshape(len(rows), k1), theiler,
+                            0, n_track)
     miss = np.flatnonzero(~has)
     if len(miss) and k1 < n_track:
         k2 = min(2 * theiler + 2, n_track)
@@ -74,12 +76,15 @@ def _log_distances(series: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
     """ln distance of each delay-vector pair (i, j) at steps 0..horizon,
     from sliding windows on the scalar series the vectors were built from
     instead of per-step gathers."""
-    offs = np.arange(horizon + 1 + (dim - 1) * tau)
-    d2 = (series[i_idx[:, None] + offs] - series[j_idx[:, None] + offs]) ** 2
+    win = sliding_window_view(series, horizon + 1 + (dim - 1) * tau)
+    d2 = win[i_idx] - win[j_idx]
+    np.square(d2, out=d2)
     tot = d2[:, :horizon + 1].copy()
     for m in range(1, dim):
         tot += d2[:, m * tau:m * tau + horizon + 1]
-    return np.log(np.maximum(np.sqrt(tot), _LOG_FLOOR))
+    np.sqrt(tot, out=tot)
+    np.maximum(tot, _LOG_FLOOR, out=tot)
+    return np.log(tot, out=tot)
 
 
 def _check_length(n: int, samples_per_stride: int) -> None:

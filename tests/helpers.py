@@ -93,6 +93,49 @@ def brute_force_divergence(pts: np.ndarray, samples_per_stride: int,
     return curve
 
 
+def reference_log_distances(series: np.ndarray, i_idx: np.ndarray,
+                            j_idx: np.ndarray, tau: int, dim: int,
+                            horizon: int) -> np.ndarray:
+    """ln distance of each delay-vector pair at steps 0..horizon, with one
+    fancy-indexed gather of every pair's samples, squared coordinate by
+    coordinate in the library's summation order."""
+    offs = np.arange(horizon + 1 + (dim - 1) * tau)
+    d2 = (series[i_idx[:, None] + offs] - series[j_idx[:, None] + offs]) ** 2
+    tot = d2[:, :horizon + 1].copy()
+    for m in range(1, dim):
+        tot += d2[:, m * tau:m * tau + horizon + 1]
+    return np.log(np.maximum(np.sqrt(tot), LOG_FLOOR))
+
+
+def reference_mutual_information(x: np.ndarray, y: np.ndarray,
+                                 n_bins: int = 32) -> float:
+    """Mutual information in bits of two equal-length samples, each binned
+    into n_bins equally populated bins by its own stable sort."""
+    def bins(v):
+        order = np.argsort(v, kind="stable")
+        ranks = np.empty(len(v), dtype=np.int64)
+        ranks[order] = np.arange(len(v))
+        return (ranks * n_bins) // len(v)
+
+    joint = np.bincount(bins(x) * n_bins + bins(y),
+                        minlength=n_bins * n_bins)
+    joint = joint.reshape(n_bins, n_bins) / len(x)
+    px = joint.sum(axis=1)
+    py = joint.sum(axis=0)
+    nz = joint > 0
+    denom = np.outer(px, py)[nz]
+    return float(np.sum(joint[nz] * np.log2(joint[nz] / denom)))
+
+
+def reference_ami_curve(x: np.ndarray, max_lag: int,
+                        n_bins: int = 32) -> np.ndarray:
+    """AMI curve with two sorts per lag: x[:n - lag] against x[lag:]."""
+    n = len(x)
+    return np.array([reference_mutual_information(x[:n - lag], x[lag:],
+                                                  n_bins)
+                     for lag in range(max_lag + 1)])
+
+
 def per_window_divergence(series: TimeSeries, events: np.ndarray,
                           window_strides: int, n_windows: int,
                           points_per_window: int, params: EmbeddingParams):

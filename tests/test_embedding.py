@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import reference_ami_curve
 from softgait.signals import TimeSeries
 from softgait.stability.embedding import (EmbeddingParams, NoMinimumError,
                                           ami_curve, ami_delay, delay_embed,
-                                          fnn_dimension, mutual_information)
+                                          fnn_dimension)
 
 
 def series(x, rate=100.0):
@@ -12,31 +13,65 @@ def series(x, rate=100.0):
 
 
 class TestMutualInformation:
+    """Properties of the binned mutual information behind ami_curve."""
+
     def test_self_information_is_log_bins(self):
         x = np.random.default_rng(0).normal(size=20000)
-        mi = mutual_information(x, x, n_bins=32)
+        mi = ami_curve(series(x), max_lag=0, n_bins=32)[0]
         assert mi == pytest.approx(np.log2(32), abs=0.01)
 
     def test_independent_signals_share_nothing(self):
-        rng = np.random.default_rng(1)
-        mi = mutual_information(rng.normal(size=20000),
-                                rng.normal(size=20000), n_bins=16)
-        assert mi < 0.05
+        # white noise: x[:n - lag] and x[lag:] are independent samples
+        x = np.random.default_rng(1).normal(size=20000)
+        curve = ami_curve(series(x), max_lag=3, n_bins=16)
+        assert np.all(curve[1:] < 0.05)
 
     def test_invariant_under_monotone_rescaling(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=5000)
-        y = np.roll(x, 3)
-        a = mutual_information(x, y)
-        b = mutual_information(np.exp(x), 5.0 * y - 2.0)
-        assert a == pytest.approx(b, abs=1e-12)
+        x = np.random.default_rng(2).normal(size=5000)
+        a = ami_curve(series(x), max_lag=5)
+        for y in (np.exp(x), 5.0 * x - 2.0):
+            assert np.max(np.abs(ami_curve(series(y), max_lag=5) - a)) \
+                < 1e-12
 
     def test_symmetric(self):
+        # reversing time swaps the two slices at every lag
         rng = np.random.default_rng(3)
         x = rng.normal(size=4000)
-        y = x + rng.normal(size=4000)
-        assert mutual_information(x, y) == pytest.approx(
-            mutual_information(y, x), abs=1e-9)
+        x = x + np.roll(x, 3) + rng.normal(size=4000)
+        np.testing.assert_allclose(ami_curve(series(x[::-1]), max_lag=6),
+                                   ami_curve(series(x), max_lag=6),
+                                   rtol=0, atol=1e-9)
+
+
+class TestAmiCurveMatchesPerLagLoop:
+    """ami_curve sorts the series once; it must give exactly the curve of
+    two stable sorts per lag."""
+
+    @pytest.mark.parametrize("n_bins", [8, 16, 32])
+    def test_smooth_series(self, n_bins):
+        rng = np.random.default_rng(n_bins)
+        t = np.arange(3000)
+        x = np.sin(2 * np.pi * t / 97.0) + 0.1 * rng.standard_normal(3000)
+        assert np.array_equal(ami_curve(series(x), 30, n_bins),
+                              reference_ami_curve(x, 30, n_bins))
+
+    @pytest.mark.parametrize("n_bins", [8, 16, 32])
+    def test_many_tied_values(self, n_bins):
+        # eleven distinct values: every bin edge falls inside a run of ties
+        x = np.round(np.random.default_rng(5).normal(size=2000), 0)
+        assert len(np.unique(x)) < 12
+        assert np.array_equal(ami_curve(series(x), 30, n_bins),
+                              reference_ami_curve(x, 30, n_bins))
+
+    def test_random_lengths_and_ties(self):
+        rng = np.random.default_rng(6)
+        for case in range(12):
+            x = rng.normal(size=int(rng.integers(300, 4000)))
+            if case % 3 == 0:
+                x = np.round(x, 1)
+            n_bins = (8, 16, 32)[case % 3]
+            assert np.array_equal(ami_curve(series(x), 30, n_bins),
+                                  reference_ami_curve(x, 30, n_bins))
 
 
 class TestAmiDelay:

@@ -1,12 +1,15 @@
 import gc
+import hashlib
 import json
 import math
 import os
+import runpy
 import shutil
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,23 +255,45 @@ class TestCliSuccess:
         assert b.meta["seed"] == 9
 
 
-def test_cli_report_matches_library(tmp_path):
+# the trial CI simulates twice and analyses with the demo's windows
+DETERMINISM_RUN = {"mode": "AC", "K_d": 10.0, "n_strides": 60, "seed": 1}
+DETERMINISM_REPORT_SHA256 = (
+    "183ed3be79301a0032e8843912f38a7238850dace6b8d048f5df1e1f407a0148")
+
+
+@pytest.fixture(scope="module")
+def determinism_report(tmp_path_factory):
+    """(analysis settings, save_report bytes) of the library's analysis of
+    the determinism trial."""
+    demo = Path(__file__).parent.parent / "demos" / "cli_workflow.py"
+    analysis = runpy.run_path(str(demo))["ANALYSIS"]
+    rec = generate_trial(RunConfig(**DETERMINISM_RUN).to_trial_spec())
+    path = tmp_path_factory.mktemp("determinism") / "report.json"
+    save_report(analyze_trial(rec, AnalysisSettings(**analysis)), str(path))
+    return analysis, path.read_bytes()
+
+
+def test_cli_report_matches_library(tmp_path, determinism_report):
     """simulate + analyze through files gives the library's report bytes."""
-    raw = {"mode": "AC", "K_d": 10.0, "n_strides": 60, "seed": 1}
-    analysis = {"exclude_strides": 10, "window_strides": 25,
-                "n_windows": 10, "points_per_window": 2500}
-    (tmp_path / "run.json").write_text(json.dumps(raw))
+    analysis, library_bytes = determinism_report
+    (tmp_path / "run.json").write_text(json.dumps(DETERMINISM_RUN))
     (tmp_path / "analysis.json").write_text(json.dumps(analysis))
     assert main(["simulate", "--config", str(tmp_path / "run.json"),
                  "--out", str(tmp_path / "rec")]) == 0
     assert main(["analyze", str(tmp_path / "rec"), "--config",
                  str(tmp_path / "analysis.json"),
                  "--out", str(tmp_path / "out")]) == 0
-    rec = generate_trial(RunConfig(**raw).to_trial_spec())
-    save_report(analyze_trial(rec, AnalysisSettings(**analysis)),
-                str(tmp_path / "library.json"))
-    assert (tmp_path / "out" / "report.json").read_bytes() == \
-        (tmp_path / "library.json").read_bytes()
+    assert (tmp_path / "out" / "report.json").read_bytes() == library_bytes
+
+
+def test_report_bytes_are_pinned(determinism_report):
+    """Reports round floats to nine significant digits, so last-ulp
+    differences between platforms do not reach these bytes."""
+    digest = hashlib.sha256(determinism_report[1]).hexdigest()
+    assert digest == DETERMINISM_REPORT_SHA256, (
+        "the determinism trial's report.json changed; if the change is "
+        "intended, update DETERMINISM_REPORT_SHA256 and state the report's "
+        f"before and after values in CHANGES.md (sha256 now {digest})")
 
 
 class TestCliErrorCodes:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (brute_force_divergence, gait_like_velocity,
-                     per_window_divergence)
+                     per_window_divergence, reference_log_distances)
 from softgait.signals import TimeSeries
 from softgait.stability import lyapunov
 from softgait.stability.embedding import (Attractor, EmbeddingParams,
@@ -70,6 +70,30 @@ class TestDivergenceProperties:
         att = toy_attractor()
         res = rosenstein_divergence(att, samples_per_stride=10)
         assert 10 <= res.n_pairs <= len(att.points) - 100
+
+
+class TestLogDistancesMatchesGather:
+    """The strided pair gather must give the fancy-indexed gather's
+    log distances bit for bit."""
+
+    def test_every_delay_and_dimension(self):
+        rng = np.random.default_rng(8)
+        x = np.sin(np.arange(1200) / 9.0) + 0.1 * rng.standard_normal(1200)
+        horizon = 40
+        for tau in range(1, 31):
+            for dim in range(2, 7):
+                last = len(x) - (horizon + 1 + (dim - 1) * tau)
+                # windows starting at `last` end at the last sample; the
+                # pair (7, 7) has distance 0, which the log floor catches
+                i_idx = np.concatenate((rng.integers(0, last + 1, 300),
+                                        [last, 7, last]))
+                j_idx = np.concatenate((rng.integers(0, last + 1, 300),
+                                        [0, 7, last - 1]))
+                got = lyapunov._log_distances(x, i_idx, j_idx, tau, dim,
+                                              horizon)
+                want = reference_log_distances(x, i_idx, j_idx, tau, dim,
+                                               horizon)
+                assert np.array_equal(got, want), (tau, dim)
 
 
 class TestWindowed:
