@@ -17,8 +17,9 @@ import numpy as np
 
 from softgait.config import RunConfig
 from softgait.plant import generate_trial
-from softgait.signals import TimeSeries, butterworth_lowpass
-from softgait.stiffness import average_cycle, quasi_stiffness, segment_cycles
+from softgait.signals import TimeSeries
+from softgait.stiffness import (average_cycle, prosthesis_cycles,
+                                quasi_stiffness)
 
 
 def stiffness_profile(mode, K_d, n_strides=60, seed=0):
@@ -26,12 +27,10 @@ def stiffness_profile(mode, K_d, n_strides=60, seed=0):
                      seed=seed).to_trial_spec()
     rec = generate_trial(spec)
     events = rec.events_left[10:]   # let the phase estimator settle
-    q = butterworth_lowpass(
-        TimeSeries(rec.prosthesis["q"], rec.rate), 2, 5.0).samples
-    m = butterworth_lowpass(
-        TimeSeries(rec.prosthesis["M"], rec.rate), 2, 5.0).samples
-    avg = average_cycle(segment_cycles({"q": q, "M": m}, events))
-    return quasi_stiffness(avg)
+    cycles = prosthesis_cycles(TimeSeries(rec.prosthesis["q"], rec.rate),
+                               TimeSeries(rec.prosthesis["M"], rec.rate),
+                               events)
+    return quasi_stiffness(average_cycle(cycles))
 
 
 def main():

@@ -11,20 +11,18 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .plant import TrialRecording
-from .signals import (TimeSeries, butterworth_lowpass, finite_difference,
-                      moving_average)
+from .signals import TimeSeries, butterworth_lowpass, moving_average
 from .stability.balance import (AXES, com_velocity, detect_foot_strikes,
                                 estimate_com, mos_ap, mos_ml,
                                 pendulum_eigenfrequency, pendulum_length,
                                 stance_frames, xcom)
 from .stability.embedding import EmbeddingParams
 from .stability.lyapunov import windowed_lyapunov
-from .stability.stats import delta_lambda, wilcoxon_ranksum
-from .stiffness import average_cycle, quasi_stiffness, segment_cycles
+from .stability.stats import ALPHA, delta_lambda, wilcoxon_ranksum
+from .stiffness import average_cycle, prosthesis_cycles, quasi_stiffness
 
 LYAPUNOV_FILTER = (2, 10.0)   # order, cutoff Hz for divergence CoM
 MOS_FILTER = (4, 5.0)         # order, cutoff Hz for MOS kinematics
-PROSTHESIS_FILTER = (2, 5.0)  # order, cutoff Hz for moment/angle profiles
 COP_WINDOW = 10               # moving-average samples for CoP
 
 
@@ -134,16 +132,11 @@ def analyze_trial(rec: TrialRecording,
 
     # quasi-stiffness and phase portrait (angular velocity vs angle) of the
     # average cycle, on filtered prosthesis angle and moment
-    q_f = butterworth_lowpass(
-        TimeSeries(rec.prosthesis["q"], rate), *PROSTHESIS_FILTER)
-    m_f = butterworth_lowpass(
-        TimeSeries(rec.prosthesis["M"], rate), *PROSTHESIS_FILTER)
-    qdot_f = butterworth_lowpass(finite_difference(q_f), *PROSTHESIS_FILTER)
-    cycles = segment_cycles({"q": q_f.samples, "M": m_f.samples,
-                             "qdot": qdot_f.samples}, events)
+    cycles = prosthesis_cycles(TimeSeries(rec.prosthesis["q"], rate),
+                               TimeSeries(rec.prosthesis["M"], rate), events)
     avg = average_cycle(cycles)
     profile = quasi_stiffness(avg)
-    mean_qdot = np.mean([c["qdot"] for c in cycles], axis=0)
+    mean_qdot = cycles["qdot"].mean(axis=0)
 
     report = {
         "meta": dict(rec.meta),
@@ -186,15 +179,14 @@ def _mos_entry(res) -> dict:
             "skipped_cycles": list(res.skipped)}
 
 
-def compare_reports(baseline: dict, candidates: dict[str, dict],
-                    alpha: float = 0.01) -> dict:
+def compare_reports(baseline: dict, candidates: dict[str, dict]) -> dict:
     """Exponent changes against the baseline and MOS rank-sum tests.
 
     Negative delta means improved local dynamic stability; for margins of
     stability, larger is better, so improvement is a greater mean.
     """
     _check_schema(baseline)
-    out = {"baseline": baseline["meta"], "alpha": alpha, "candidates": {}}
+    out = {"baseline": baseline["meta"], "alpha": ALPHA, "candidates": {}}
     for name, cand in candidates.items():
         _check_schema(cand)
         entry = {"meta": cand["meta"], "delta_lambda": {}, "mos": {}}
@@ -210,7 +202,7 @@ def compare_reports(baseline: dict, candidates: dict[str, dict],
             for direction in ("ML", "AP"):
                 base = baseline["mos"][side][direction]["per_cycle"]
                 new = cand["mos"][side][direction]["per_cycle"]
-                p, significant = wilcoxon_ranksum(new, base, alpha)
+                p, significant = wilcoxon_ranksum(new, base)
                 entry["mos"][side][direction] = {
                     "mean": cand["mos"][side][direction]["mean"],
                     "baseline_mean": baseline["mos"][side][direction]["mean"],

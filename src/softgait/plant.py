@@ -184,7 +184,7 @@ class TrialRecording:
     prosthesis: dict[str, np.ndarray]     # per-tick controller/plant log
     events_left: np.ndarray               # ground-truth foot-strike indices
     events_right: np.ndarray
-    rate: float = 100.0
+    rate: float                           # Hz
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):

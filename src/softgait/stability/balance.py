@@ -24,7 +24,7 @@ class MarkerGapError(ValueError):
 
 
 def estimate_com(markers: dict[str, np.ndarray],
-                 rate: float = 100.0) -> dict[str, TimeSeries]:
+                 rate: float) -> dict[str, TimeSeries]:
     """CoM as the per-axis mean of the four pelvis markers (mm)."""
     for name in PELVIS_MARKERS:
         if name not in markers:

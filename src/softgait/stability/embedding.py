@@ -32,12 +32,6 @@ class EmbeddingParams:
             raise ValueError("dim must be at least 2")
 
 
-@dataclass
-class Attractor:
-    points: np.ndarray     # (n_points, dim)
-    params: EmbeddingParams
-
-
 def _rank_bins(order: np.ndarray, n_bins: int) -> np.ndarray:
     """Assign each sample to one of n_bins equally populated bins, given
     the samples' stable sort order.
@@ -89,14 +83,15 @@ def ami_delay(series: TimeSeries, max_lag: int, n_bins: int = 32) -> int:
     raise NoMinimumError(f"no AMI minimum within {max_lag} lags")
 
 
-def delay_embed(series: TimeSeries, params: EmbeddingParams) -> Attractor:
-    """Stack lagged copies: point i = [s(i), s(i+tau), ..., s(i+(d-1)tau)]."""
+def delay_embed(series: TimeSeries, params: EmbeddingParams) -> np.ndarray:
+    """Stack lagged copies: point i = [s(i), s(i+tau), ..., s(i+(d-1)tau)],
+    as an (n_points, dim) array."""
     x = series.samples
     tau, dim = params.tau, params.dim
     if len(x) - (dim - 1) * tau < 1:
         raise ValueError(
             f"series of length {len(x)} too short for tau={tau}, dim={dim}")
-    return Attractor(_embed_raw(x, tau, dim), params)
+    return _embed_raw(x, tau, dim)
 
 
 def _embed_raw(x: np.ndarray, tau: int, dim: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from ..signals import TimeSeries, time_normalize
-from .embedding import (Attractor, EmbeddingParams, NoMinimumError, ami_delay,
+from .embedding import (EmbeddingParams, NoMinimumError, ami_delay,
                         delay_embed, fnn_dimension)
 
 _LOG_FLOOR = 1e-300
@@ -20,7 +20,7 @@ HORIZON_STRIDES = 10   # strides each neighbor pair is tracked for
 MAX_LAG = 30           # AMI lags searched for the embedding delay
 FALLBACK_TAU = 10      # delay used when AMI has no minimum within MAX_LAG
 MAX_DIM = 8            # largest embedding dimension FNN may return
-SHARED_K = 16          # nearest candidates per row before a re-query
+SHARED_K = 16          # nearest candidates per row in the windows' search
 PAIR_CHUNK = 256       # neighbor pairs tracked at once
 
 
@@ -54,21 +54,12 @@ def _first_valid(rows: np.ndarray, cand: np.ndarray, theiler: int,
 def _own_neighbors(base: np.ndarray, rows: np.ndarray, theiler: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest neighbor of base[rows] among all of base, outside the
-    Theiler band: a cheap query first, then a re-query of the few rows
-    whose exclusion zone swallowed all nearby neighbors."""
-    n_track = len(base)
-    tree = cKDTree(base)
-    k1 = min(SHARED_K, n_track)
-    _, idx = tree.query(base[rows], k=k1, workers=-1)
-    has, nbr = _first_valid(rows, idx.reshape(len(rows), k1), theiler,
-                            0, n_track)
-    miss = np.flatnonzero(~has)
-    if len(miss) and k1 < n_track:
-        k2 = min(2 * theiler + 2, n_track)
-        _, idx2 = tree.query(base[rows[miss]], k=k2, workers=-1)
-        has[miss], nbr[miss] = _first_valid(rows[miss], idx2, theiler,
-                                            0, n_track)
-    return has, nbr
+    Theiler band.  The band holds at most 2 * theiler + 1 rows, so the
+    2 * theiler + 2 nearest candidates always reach past it."""
+    k = min(2 * theiler + 2, len(base))
+    _, idx = cKDTree(base).query(base[rows], k=k, workers=-1)
+    return _first_valid(rows, idx.reshape(len(rows), k), theiler,
+                        0, len(base))
 
 
 def _log_distances(series: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
@@ -79,8 +70,8 @@ def _log_distances(series: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
     win = sliding_window_view(series, horizon + 1 + (dim - 1) * tau)
     d2 = win[i_idx] - win[j_idx]
     np.square(d2, out=d2)
-    tot = d2[:, :horizon + 1].copy()
-    for m in range(1, dim):
+    tot = d2[:, :horizon + 1] + d2[:, tau:tau + horizon + 1]
+    for m in range(2, dim):
         tot += d2[:, m * tau:m * tau + horizon + 1]
     np.sqrt(tot, out=tot)
     np.maximum(tot, _LOG_FLOOR, out=tot)
@@ -92,11 +83,11 @@ def _check_length(n: int, samples_per_stride: int) -> None:
         raise ValueError("attractor too short for the requested horizon")
 
 
-def rosenstein_divergence(att: Attractor,
+def rosenstein_divergence(pts: np.ndarray,
                           samples_per_stride: int) -> DivergenceResult:
-    """Track each point's nearest neighbor (outside a one-stride Theiler
-    window) for HORIZON_STRIDES strides and average the log distances."""
-    pts = att.points
+    """Track each point of an (n, dim) attractor's nearest neighbor
+    (outside a one-stride Theiler window) for HORIZON_STRIDES strides and
+    average the log distances."""
     n = len(pts)
     _check_length(n, samples_per_stride)
     horizon = HORIZON_STRIDES * samples_per_stride
@@ -185,7 +176,7 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
     # union.  Candidates come sorted by distance, so the first one inside
     # the window and outside the Theiler band is the window's own nearest
     # neighbor; rows without one fall back to the window's own search.
-    union = whole.points[:(n_windows - 1) * spst + n_track]
+    union = whole[:(n_windows - 1) * spst + n_track]
     k = min(SHARED_K, len(union))
     _, cand = cKDTree(union).query(union, k=k, workers=-1)
     cand = cand.reshape(len(union), k)

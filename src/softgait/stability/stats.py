@@ -6,6 +6,7 @@ import numpy as np
 from scipy.stats import mannwhitneyu
 
 EXACT_MAX_N = 20
+ALPHA = 0.01      # significance level of every rank-sum comparison
 
 
 def delta_lambda(lam: float, lam_baseline: float) -> float:
@@ -14,13 +15,13 @@ def delta_lambda(lam: float, lam_baseline: float) -> float:
     return lam - lam_baseline
 
 
-def wilcoxon_ranksum(sample_a, sample_b, alpha: float = 0.01):
+def wilcoxon_ranksum(sample_a, sample_b):
     """Two-sided Wilcoxon rank-sum (Mann-Whitney U) test.
 
     Exact null distribution when both samples have at most EXACT_MAX_N
     observations and there are no ties; otherwise the normal
     approximation with tie correction and no continuity correction.
-    Returns (p_value, significant at alpha).
+    Returns (p_value, significant at ALPHA).
     """
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
@@ -34,4 +35,4 @@ def wilcoxon_ranksum(sample_a, sample_b, alpha: float = 0.01):
     p = float(mannwhitneyu(a, b, use_continuity=False,
                            alternative="two-sided",
                            method="exact" if exact else "asymptotic").pvalue)
-    return p, p < alpha
+    return p, p < ALPHA

@@ -7,6 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import (TimeSeries, butterworth_lowpass, finite_difference,
+                      time_normalize)
+
+PROSTHESIS_FILTER = (2, 5.0)  # order, cutoff Hz for moment/angle profiles
 POINTS_PER_CYCLE = 100
 STANCE_FRACTION = 0.60     # of the gait cycle, from foot-strike
 WINDOW_START = 0.20        # of stance (end of loading response)
@@ -25,32 +29,34 @@ class CycleAverage:
             raise ValueError("profiles must have equal length")
 
 
-def segment_cycles(signals: dict[str, np.ndarray],
-                   foot_strikes: np.ndarray) -> list[dict[str, np.ndarray]]:
-    """Slice each signal into [strike_k, strike_{k+1}) cycles, resampled to
-    POINTS_PER_CYCLE samples."""
-    foot_strikes = np.asarray(foot_strikes, dtype=int)
-    if len(foot_strikes) < 2:
+def segment_cycles(signals: dict[str, TimeSeries],
+                   foot_strikes: np.ndarray) -> dict[str, np.ndarray]:
+    """Each signal's [strike_k, strike_{k+1}) cycles, time-normalized to
+    POINTS_PER_CYCLE samples: name -> (n_cycles, POINTS_PER_CYCLE)."""
+    k = len(foot_strikes) - 1
+    if k < 1:
         raise ValueError("need at least two foot-strikes")
-    cycles = []
-    u = np.arange(POINTS_PER_CYCLE) / POINTS_PER_CYCLE
-    for k in range(len(foot_strikes) - 1):
-        a, b = foot_strikes[k], foot_strikes[k + 1]
-        pos = a + (b - a) * u
-        idx = np.arange(a, b + 1)
-        cycles.append({name: np.interp(pos, idx, sig[a:b + 1])
-                       for name, sig in signals.items()})
-    return cycles
+    return {name: time_normalize(ts, foot_strikes, k, k * POINTS_PER_CYCLE)
+            .samples.reshape(k, POINTS_PER_CYCLE)
+            for name, ts in signals.items()}
 
 
-def average_cycle(cycles: list[dict[str, np.ndarray]]) -> CycleAverage:
-    """Pointwise mean of the moment ("M") and angle ("q") profiles across
-    cycles."""
-    if len(cycles) == 0:
+def prosthesis_cycles(q: TimeSeries, moment: TimeSeries,
+                      foot_strikes: np.ndarray) -> dict[str, np.ndarray]:
+    """Filtered angle ("q"), moment ("M") and angular velocity ("qdot"),
+    the derivative of the filtered angle filtered again, cut into cycles."""
+    q_f = butterworth_lowpass(q, *PROSTHESIS_FILTER)
+    qdot_f = butterworth_lowpass(finite_difference(q_f), *PROSTHESIS_FILTER)
+    return segment_cycles(
+        {"q": q_f, "M": butterworth_lowpass(moment, *PROSTHESIS_FILTER),
+         "qdot": qdot_f}, foot_strikes)
+
+
+def average_cycle(cycles: dict[str, np.ndarray]) -> CycleAverage:
+    """Pointwise mean of the moment ("M") and angle ("q") cycles."""
+    if len(cycles["q"]) == 0:
         raise ValueError("no cycles to average")
-    moment = np.mean([c["M"] for c in cycles], axis=0)
-    angle = np.mean([c["q"] for c in cycles], axis=0)
-    return CycleAverage(moment, angle)
+    return CycleAverage(cycles["M"].mean(axis=0), cycles["q"].mean(axis=0))
 
 
 @dataclass

@@ -15,8 +15,7 @@ import numpy as np
 
 from softgait.lut import LutDomainError, UnreachableTargetError
 from softgait.signals import TimeSeries, time_normalize
-from softgait.stability.embedding import (Attractor, EmbeddingParams,
-                                          delay_embed)
+from softgait.stability.embedding import EmbeddingParams, delay_embed
 from softgait.stability.lyapunov import rosenstein_divergence
 
 LOG_FLOOR = 1e-300
@@ -153,8 +152,7 @@ def per_window_divergence(series: TimeSeries, events: np.ndarray,
     short, long_, curves = [], [], []
     for w in range(n_windows):
         lo = w * spst
-        att = Attractor(whole.points[lo:lo + n_window_points], params)
-        res = rosenstein_divergence(att, spst)
+        res = rosenstein_divergence(whole[lo:lo + n_window_points], spst)
         short.append(res.lambda_short)
         long_.append(res.lambda_long)
         curves.append(res.curve)

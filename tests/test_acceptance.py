@@ -18,7 +18,7 @@ from softgait.analysis import compare_reports
 from softgait.cli import main
 from softgait.config import RunConfig
 from softgait.plant import generate_trial, ground_deflection
-from softgait.signals import TimeSeries, butterworth_lowpass, time_normalize
+from softgait.signals import TimeSeries, time_normalize
 from softgait.stability.balance import (mos_ap, mos_ml,
                                         pendulum_eigenfrequency, xcom)
 from softgait.stability.embedding import (EmbeddingParams, ami_delay,
@@ -26,7 +26,8 @@ from softgait.stability.embedding import (EmbeddingParams, ami_delay,
 from softgait.stability.lyapunov import (rosenstein_divergence,
                                          windowed_lyapunov)
 from softgait.stability.stats import delta_lambda, wilcoxon_ranksum
-from softgait.stiffness import average_cycle, quasi_stiffness, segment_cycles
+from softgait.stiffness import (average_cycle, prosthesis_cycles,
+                                quasi_stiffness)
 
 
 def _verdict(n: int, description: str, ok: bool):
@@ -40,12 +41,10 @@ def _stiffness_profile(mode: str, K_d: float, seed: int = 0):
                      seed=seed).to_trial_spec()
     rec = generate_trial(spec)
     events = rec.events_left[10:]   # drop the estimator's transient
-    q = butterworth_lowpass(
-        TimeSeries(rec.prosthesis["q"], rec.rate), 2, 5.0).samples
-    m = butterworth_lowpass(
-        TimeSeries(rec.prosthesis["M"], rec.rate), 2, 5.0).samples
-    avg = average_cycle(segment_cycles({"q": q, "M": m}, events))
-    return quasi_stiffness(avg)
+    cycles = prosthesis_cycles(TimeSeries(rec.prosthesis["q"], rec.rate),
+                               TimeSeries(rec.prosthesis["M"], rec.rate),
+                               events)
+    return quasi_stiffness(average_cycle(cycles))
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +105,7 @@ def test_criterion_3_rosenstein_correctness():
             pts[:, d] += rng.normal() * np.sin(
                 2 * np.pi * h * s / 200 + rng.uniform(0, 2 * np.pi))
     pts += 0.01 * rng.normal(size=pts.shape)
-    from softgait.stability.embedding import Attractor
-    att = Attractor(pts, EmbeddingParams(tau=1, dim=3))
-    res = rosenstein_divergence(att, samples_per_stride=10)
+    res = rosenstein_divergence(pts, samples_per_stride=10)
     oracle = brute_force_divergence(pts, 10)
     ok = bool(np.max(np.abs(res.curve - oracle)) < 1e-12)
 
@@ -124,8 +121,9 @@ def test_criterion_3_rosenstein_correctness():
     one_stride = time_normalize(TimeSeries(vel, rec.rate),
                                 rec.events_left[20:22], 1, 100)
     periodic = TimeSeries(np.tile(one_stride.samples, 30), 100.0)
-    att = delay_embed(periodic, EmbeddingParams(tau=10, dim=5))
-    res = rosenstein_divergence(att, samples_per_stride=100)
+    res = rosenstein_divergence(
+        delay_embed(periodic, EmbeddingParams(tau=10, dim=5)),
+        samples_per_stride=100)
     ok &= abs(res.lambda_short) < 0.05
     ok &= abs(res.lambda_long) < 0.01
     ok &= (time.perf_counter() - t0) < 5.0

@@ -7,6 +7,9 @@ from softgait.config import RunConfig
 from softgait.plant import generate_trial
 from softgait.signals import TimeSeries
 from softgait.stability.balance import detect_foot_strikes
+from softgait.stability.stats import ALPHA
+from softgait.stiffness import (average_cycle, prosthesis_cycles,
+                                quasi_stiffness)
 
 FAST_SETTINGS = AnalysisSettings(
     exclude_strides=5, window_strides=20, n_windows=5,
@@ -55,6 +58,30 @@ class TestAnalyzeTrial:
     def test_tc_quasi_stiffness_terminal(self, tc_report):
         assert tc_report["quasi_stiffness"]["terminal"] == pytest.approx(
             -5.0, abs=2.0)
+
+    def test_stiffness_sections_follow_the_library_pipeline(
+            self, ac_report, small_ac_trial):
+        # prosthesis_cycles -> average_cycle -> quasi_stiffness on the
+        # analysed strikes, as the stiffness demo and criterion 1 call it
+        rec = small_ac_trial
+        strikes = detect_foot_strikes(
+            TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate),
+            rec.meta["stride_period"])
+        cycles = prosthesis_cycles(TimeSeries(rec.prosthesis["q"], rec.rate),
+                                   TimeSeries(rec.prosthesis["M"], rec.rate),
+                                   strikes[FAST_SETTINGS.exclude_strides:])
+        avg = average_cycle(cycles)
+        profile = quasi_stiffness(avg)
+        assert ac_report["quasi_stiffness"] == {
+            "stance_percent": profile.stance_percent.tolist(),
+            "stiffness": [None if np.isnan(v) else v
+                          for v in profile.stiffness.tolist()],
+            "terminal": profile.terminal_value(60.0)}
+        assert ac_report["profiles"] == {
+            "moment_angle": {"q": avg.mean_angle.tolist(),
+                             "M": avg.mean_moment.tolist()},
+            "phase_portrait": {"q": avg.mean_angle.tolist(),
+                               "qdot": cycles["qdot"].mean(axis=0).tolist()}}
 
     def test_ac_meta_propagates(self, ac_report):
         assert ac_report["meta"]["mode"] == "AC"
@@ -138,8 +165,8 @@ class TestCompareReports:
 
     def test_alpha_recorded(self):
         base = fake_report(1.0, [1.0, 2.0])
-        out = compare_reports(base, {}, alpha=0.05)
-        assert out["alpha"] == 0.05
+        out = compare_reports(base, {})
+        assert out["alpha"] == ALPHA == 0.01
         assert out["candidates"] == {}
 
     def test_schema_mismatch_raises(self):

@@ -110,10 +110,10 @@ class TestAmiDelay:
 class TestDelayEmbed:
     def test_points_are_lagged_copies(self):
         x = np.arange(20.0)
-        att = delay_embed(series(x), EmbeddingParams(tau=3, dim=3))
-        assert att.points.shape == (14, 3)
-        assert np.array_equal(att.points[0], [0.0, 3.0, 6.0])
-        assert np.array_equal(att.points[-1], [13.0, 16.0, 19.0])
+        pts = delay_embed(series(x), EmbeddingParams(tau=3, dim=3))
+        assert pts.shape == (14, 3)
+        assert np.array_equal(pts[0], [0.0, 3.0, 6.0])
+        assert np.array_equal(pts[-1], [13.0, 16.0, 19.0])
 
     def test_too_short_raises(self):
         with pytest.raises(ValueError):

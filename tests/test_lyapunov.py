@@ -5,8 +5,7 @@ from helpers import (brute_force_divergence, gait_like_velocity,
                      per_window_divergence, reference_log_distances)
 from softgait.signals import TimeSeries
 from softgait.stability import lyapunov
-from softgait.stability.embedding import (Attractor, EmbeddingParams,
-                                          delay_embed)
+from softgait.stability.embedding import EmbeddingParams, delay_embed
 from softgait.stability.lyapunov import (rosenstein_divergence,
                                          windowed_lyapunov)
 
@@ -21,14 +20,14 @@ def toy_attractor(n=200, dim=3, seed=0):
             pts[:, d] += rng.normal() * np.sin(2 * np.pi * h * t / n
                                                + rng.uniform(0, 2 * np.pi))
     pts += 0.01 * rng.normal(size=pts.shape)
-    return Attractor(pts, EmbeddingParams(tau=1, dim=dim))
+    return pts
 
 
 class TestAgainstBruteForce:
     def test_generic_path_matches_oracle(self):
-        att = toy_attractor()
-        res = rosenstein_divergence(att, samples_per_stride=10)
-        oracle = brute_force_divergence(att.points, 10, 10)
+        pts = toy_attractor()
+        res = rosenstein_divergence(pts, samples_per_stride=10)
+        oracle = brute_force_divergence(pts, 10, 10)
         assert np.max(np.abs(res.curve - oracle)) < 1e-12
 
     def test_delay_structured_path_matches_oracle(self):
@@ -36,9 +35,9 @@ class TestAgainstBruteForce:
         t = np.arange(400)
         x = np.sin(2 * np.pi * t / 40.0) + 0.3 * np.sin(2 * np.pi * t / 13.0)
         x += 0.02 * rng.normal(size=len(x))
-        att = delay_embed(TimeSeries(x, 40.0), EmbeddingParams(tau=5, dim=3))
-        res = rosenstein_divergence(att, samples_per_stride=15)
-        oracle = brute_force_divergence(att.points, 15, 10)
+        pts = delay_embed(TimeSeries(x, 40.0), EmbeddingParams(tau=5, dim=3))
+        res = rosenstein_divergence(pts, samples_per_stride=15)
+        oracle = brute_force_divergence(pts, 15, 10)
         assert np.max(np.abs(res.curve - oracle)) < 1e-12
 
 
@@ -48,8 +47,8 @@ class TestDivergenceProperties:
         one = np.sin(2 * np.pi * t / 100.0) \
             + 0.4 * np.sin(4 * np.pi * t / 100.0)
         x = np.tile(one, 40)   # exactly periodic
-        att = delay_embed(TimeSeries(x, 100.0), EmbeddingParams(tau=25, dim=3))
-        res = rosenstein_divergence(att, samples_per_stride=100)
+        pts = delay_embed(TimeSeries(x, 100.0), EmbeddingParams(tau=25, dim=3))
+        res = rosenstein_divergence(pts, samples_per_stride=100)
         assert abs(res.lambda_short) < 0.05
         assert abs(res.lambda_long) < 0.01
 
@@ -62,14 +61,29 @@ class TestDivergenceProperties:
         assert _slope(curve, spst, 4.0, 10.0) == pytest.approx(1.0)
 
     def test_too_short_attractor_raises(self):
-        att = toy_attractor(n=50)
         with pytest.raises(ValueError):
-            rosenstein_divergence(att, samples_per_stride=10)
+            rosenstein_divergence(toy_attractor(n=50), samples_per_stride=10)
 
     def test_reports_pair_count(self):
-        att = toy_attractor()
-        res = rosenstein_divergence(att, samples_per_stride=10)
-        assert 10 <= res.n_pairs <= len(att.points) - 100
+        pts = toy_attractor()
+        res = rosenstein_divergence(pts, samples_per_stride=10)
+        assert 10 <= res.n_pairs <= len(pts) - 100
+
+
+class TestOwnNeighbors:
+    def test_band_wider_than_the_base(self):
+        # 2 * theiler + 2 = 14 candidates exceed the 10 rows; rows 3-6 have
+        # no row outside their band
+        base = np.random.default_rng(5).standard_normal((10, 3))
+        rows = np.arange(10)
+        has, nbr = lyapunov._own_neighbors(base, rows, theiler=6)
+        for i in rows:
+            outside = [j for j in rows if abs(i - j) > 6]
+            assert has[i] == bool(outside)
+            if outside:
+                d = [np.linalg.norm(base[i] - base[j]) for j in outside]
+                assert nbr[i] == outside[int(np.argmin(d))]
+        assert not has[3:7].any() and has[[0, 1, 2, 7, 8, 9]].all()
 
 
 class TestLogDistancesMatchesGather:

@@ -24,7 +24,7 @@ def make_markers(n=200, rate=100.0, seed=0):
 class TestEstimateCom:
     def test_mean_of_four_pelvis_markers(self):
         markers = make_markers()
-        com = estimate_com(markers)
+        com = estimate_com(markers, 100.0)
         stack = np.stack([markers[m] for m in
                           ("LASI", "RASI", "LPSI", "RPSI")])
         expected = stack.mean(axis=0)
@@ -35,13 +35,13 @@ class TestEstimateCom:
         markers = make_markers()
         del markers["LPSI"]
         with pytest.raises(MarkerGapError):
-            estimate_com(markers)
+            estimate_com(markers, 100.0)
 
     def test_nan_frames_raise_instead_of_imputing(self):
         markers = make_markers()
         markers["RASI"][10, 1] = np.nan
         with pytest.raises(MarkerGapError):
-            estimate_com(markers)
+            estimate_com(markers, 100.0)
 
 
 class TestXcom:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import exhaustive_ranksum_p, shuffle_ranksum_p
-from softgait.stability.stats import delta_lambda, wilcoxon_ranksum
+from softgait.stability.stats import ALPHA, delta_lambda, wilcoxon_ranksum
 
 
 class TestDeltaLambda:
@@ -68,12 +68,13 @@ class TestEdgeCases:
             wilcoxon_ranksum([], [1.0])
 
     def test_significance_respects_alpha(self):
+        # shifts of 4 and 5 put p at 0.015 and 0.0045, either side of 0.01
         a = list(range(10))
-        b = [v + 100 for v in range(10)]
-        p, sig_strict = wilcoxon_ranksum(a, b, alpha=1e-9)
-        _, sig_loose = wilcoxon_ranksum(a, b, alpha=0.05)
-        assert not sig_strict
-        assert sig_loose
+        p4, sig4 = wilcoxon_ranksum(a, [v + 4 for v in a])
+        p5, sig5 = wilcoxon_ranksum(a, [v + 5 for v in a])
+        assert ALPHA == 0.01
+        assert p5 < ALPHA < p4 < 0.05
+        assert sig5 and not sig4
 
     def test_symmetry_in_sample_order(self):
         rng = np.random.default_rng(9)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from softgait.signals import TimeSeries
 from softgait.stiffness import (CycleAverage, StiffnessProfile,
                                 average_cycle, quasi_stiffness,
                                 segment_cycles)
@@ -10,42 +11,55 @@ def linear_cycles(K, n_cycles=5, pts=100):
     """Cycles whose stance moment is exactly K times the angle."""
     u = np.arange(pts) / pts
     q = 10.0 * np.sin(np.pi * np.minimum(u / 0.6, 1.0))
-    m = K * q
-    return [{"q": q.copy(), "M": m.copy()} for _ in range(n_cycles)]
+    return {"q": np.tile(q, (n_cycles, 1)), "M": np.tile(K * q, (n_cycles, 1))}
+
+
+def series(x):
+    return TimeSeries(x, 100.0)
 
 
 class TestSegmentation:
     def test_counts_and_lengths(self):
         n = 500
-        sig = {"q": np.sin(np.arange(n) * 0.1), "M": np.cos(np.arange(n) * 0.1)}
+        sig = {"q": series(np.sin(np.arange(n) * 0.1)),
+               "M": series(np.cos(np.arange(n) * 0.1))}
         events = np.array([0, 120, 260, 410])
         cycles = segment_cycles(sig, events)
-        assert len(cycles) == 3
-        for c in cycles:
-            assert len(c["q"]) == 100 and len(c["M"]) == 100
+        assert cycles["q"].shape == (3, 100)
+        assert cycles["M"].shape == (3, 100)
 
     def test_cycle_start_is_event_sample(self):
-        sig = {"v": np.arange(300.0)}
-        cycles = segment_cycles(sig, np.array([10, 150, 290]))
-        assert cycles[0]["v"][0] == 10.0
-        assert cycles[1]["v"][0] == 150.0
+        cycles = segment_cycles({"v": series(np.arange(300.0))},
+                                np.array([10, 150, 290]))
+        assert cycles["v"][0, 0] == 10.0
+        assert cycles["v"][1, 0] == 150.0
+
+    def test_rows_interpolate_their_own_cycle(self):
+        x = np.sin(np.arange(500) * 0.1)
+        events = np.array([0, 120, 260, 410])
+        cycles = segment_cycles({"x": series(x)}, events)
+        u = np.arange(100) / 100
+        for k, (a, b) in enumerate(zip(events[:-1], events[1:])):
+            want = np.interp(a + (b - a) * u, np.arange(a, b + 1),
+                             x[a:b + 1])
+            assert np.max(np.abs(cycles["x"][k] - want)) < 1e-12
 
     def test_requires_two_events(self):
         with pytest.raises(ValueError):
-            segment_cycles({"q": np.zeros(10)}, np.array([3]))
+            segment_cycles({"q": series(np.zeros(10))}, np.array([3]))
 
 
 class TestAveraging:
     def test_pointwise_mean(self):
-        cycles = [{"q": np.full(10, 1.0), "M": np.full(10, 2.0)},
-                  {"q": np.full(10, 3.0), "M": np.full(10, 6.0)}]
+        cycles = {"q": np.array([np.full(10, 1.0), np.full(10, 3.0)]),
+                  "M": np.array([np.full(10, 2.0), np.full(10, 6.0)])}
         avg = average_cycle(cycles)
         assert np.allclose(avg.mean_angle, 2.0)
         assert np.allclose(avg.mean_moment, 4.0)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            average_cycle([])
+            average_cycle({"q": np.empty((0, 100)), "M": np.empty((0, 100))})
 
     def test_cycle_average_validation(self):
         with pytest.raises(ValueError):
