@@ -5,7 +5,8 @@ Runs the closed-loop prosthesis simulation under the admittance controller
 at three commanded stiffness levels plus the tibia-controller baseline,
 then extracts the moment-angle slope over stance for each condition.  The
 admittance profiles should land on their commanded K_d by terminal stance
-and stay strictly ordered; the baseline stays flat and low.
+and stay strictly ordered; the TC baseline, whose motor holds its
+gait-surface position, is a spring of SIGMA*RHO (about 5 Nm/deg).
 
 Usage: python3 demos/stiffness_emulation.py [--out DIR]
 """

@@ -7,6 +7,10 @@ inversion turns that into a motor command.  The admittance controller (AC)
 wraps the TC: it derives the unloaded equilibrium angle from the TC
 command and offsets it by M / K_d to emulate the chosen quasi-stiffness.
 Only stiffness is emulated: the law has no damping or inertia terms.
+
+Signs follow `lut.moment_map`, so both are springs: AC of K_d, and TC,
+whose motor holds its gait-surface position, of SIGMA*RHO.  TC's moment
+feedback K_M * M has a loop gain of -K_M*SIGMA = -0.25: it yields to load.
 """
 
 from __future__ import annotations
@@ -26,12 +30,9 @@ LEAK_TAU = 2.0              # s, leak of the tibia-angle integrator
 STRIDE_CALIBRATION = 0.095  # m of stride length per deg of orbit radius
 K_M = 0.1                   # mm/Nm, moment feedback gain of the TC path
 FB_GAIN = 0.45              # mm/deg, angle feedback of the AC position loop
-MOMENT_FILTER_HZ = 4.0      # low-pass on measured moment in the AC path
 PEAK_DORSIFLEXION = 8.0     # deg, gait surface plateau at SSP
 PUSHOFF_PLANTARFLEXION = -12.0  # deg, gait surface push-off at SSP
 LEAK = DT / LEAK_TAU        # per-tick leak of the estimator's running means
-# per-tick gain of the first-order moment low-pass at MOMENT_FILTER_HZ
-MOMENT_FILTER_GAIN = 1.0 - math.exp(-2.0 * math.pi * MOMENT_FILTER_HZ * DT)
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
@@ -148,7 +149,7 @@ def ankle_controller(q_d: float, q: float, M: float,
     except ValueError:
         # moment not reachable at this angle: saturate at the range edge
         lo, hi = moment_lut.axis_a[0], moment_lut.axis_a[-1]
-        x_ff = hi if M > moment_lut.eval(hi, qd) else lo
+        x_ff = lo if M > moment_lut.eval(lo, qd) else hi
     x_fb = FB_GAIN * (qd - q)
     return _clamp(x_ff + x_fb, MOTOR_RANGE_MM[0], MOTOR_RANGE_MM[1])
 
@@ -157,40 +158,32 @@ def ankle_controller(q_d: float, q: float, M: float,
 class ControllerOutput:
     """One tick of controller diagnostics alongside the motor command.
 
-    In TC mode there is no desired angle (`q_d` is NaN) and the moment
-    filter holds (`m_filtered` is the `m_prev` passed in)."""
+    In TC mode there is no desired angle (`q_d` is NaN)."""
 
     x_cmd: float
     q_d: float
-    m_filtered: float
 
 
 def step_controller(mode: str, q: float, M: float, phase: TibiaPhaseState,
-                    K_d: float, gait_lut: Lut2D, moment_lut: Lut2D,
-                    m_prev: float) -> ControllerOutput:
+                    K_d: float, gait_lut: Lut2D,
+                    moment_lut: Lut2D) -> ControllerOutput:
     """Compose one DT control tick in either TC or AC mode from the
-    measured ankle angle q (deg, dorsiflexion positive) and moment M (Nm).
+    measured ankle angle q (deg) and moment M (Nm).
 
-    `m_prev` is last tick's filtered moment, 0.0 (the ankle at rest)
-    before the first tick; the AC path low-passes the measured moment
-    before the admittance law because the feedforward loop gain on the
-    raw moment exceeds one (1 + SIGMA*RHO / K_d) and would otherwise
-    limit-cycle against the ankle dynamics.
+    The AC law reads the raw moment: its loop gain on it, 1 - SIGMA*RHO / K_d,
+    stays inside (-1, 1) above `plant.TrialSpec`'s bound K_d > SIGMA*RHO / 2.
     """
     x_g = tibia_reference_motor(phase.gait_percent, phase.L_s, gait_lut,
                                 moment_lut)
     x_m = moment_feedback(M)
     x_d_tc = _clamp(blend_commands(x_m, x_g, phase.L_s_norm), *MOTOR_RANGE_MM)
     if mode == "TC":
-        return ControllerOutput(x_cmd=x_d_tc, q_d=math.nan, m_filtered=m_prev)
+        return ControllerOutput(x_cmd=x_d_tc, q_d=math.nan)
     if mode == "AC":
-        m_f = m_prev + MOMENT_FILTER_GAIN * (M - m_prev)
         q_e = admittance_equilibrium(x_d_tc, moment_lut)
-        q_d = admittance_target(q_e, m_f, K_d)
-        # raw moment in the map inversion keeps the position loop exact;
-        # only the admittance offset sees the filtered moment
-        x_d_ac = ankle_controller(q_d, q, M, moment_lut)
-        return ControllerOutput(x_cmd=x_d_ac, q_d=q_d, m_filtered=m_f)
+        q_d = admittance_target(q_e, M, K_d)
+        return ControllerOutput(x_cmd=ankle_controller(q_d, q, M, moment_lut),
+                                q_d=q_d)
     raise ValueError(f"unknown controller mode {mode!r}")
 
 

@@ -25,17 +25,21 @@ class InvalidLutError(ValueError):
     """Grid or monotonicity requirements violated."""
 
 
-# The simulated ankle's moment map, read by the plant and the controllers:
-# an affine stand-in for a hardware map, M = SIGMA * (x - RHO * q), whose
-# affinity keeps every inversion closed-form.
+# The simulated ankle's moment map (`moment_map`), read by the plant and the
+# controllers: an affine stand-in for a hardware map, so inversions are exact.
 SIGMA = 2.5   # Nm per mm, motor-side stiffness gain
 RHO = 2.0     # mm per deg, kinematic coupling of motor and ankle
 
 
 def moment_map(x, q):
     """Ankle moment (Nm) at motor position x (mm) and ankle angle q (deg);
-    works elementwise on arrays."""
-    return SIGMA * (x - RHO * q)
+    works elementwise on arrays.
+
+    The package's one sign convention: q is positive in dorsiflexion and M
+    is the internal plantarflexor moment, positive while the ankle carries
+    a dorsiflexing load, so a spring's quasi-stiffness dM/dq is positive.
+    """
+    return SIGMA * (RHO * q - x)
 
 
 class Lut2D:

@@ -3,8 +3,9 @@ plus a synthetic gait-trial generator feeding the analysis pipeline.
 
 The plant is a lumped one-degree-of-freedom ankle: the motor position
 tracks its command through a critically damped second-order loop and the
-ankle joint sees the spring torque implied by the moment map plus any
-external load.  The moment map is affine, so with the motor command and
+ankle joint sees the external load, dorsiflexing when positive, less the
+plantarflexor moment of the moment map (`lut.moment_map` states the sign
+convention).  The moment map is affine, so with the motor command and
 the load held over a tick the motor and ankle form one linear system,
 and each tick is advanced exactly by a matrix exponential taken once at
 import (zero-order hold; Van Loan 1978, IEEE TAC 23:395).  The ground
@@ -44,7 +45,7 @@ VT_BOUNCE = 10.0          # mm
 TIBIA_AMPLITUDE = 10.0    # deg
 STANCE_END = 0.6          # stride fraction at toe-off; swing fills the rest
 # per-tick channels of the closed-loop log, in recording column order
-PROSTHESIS_KEYS = ("t", "x", "q", "M", "omega", "gait_percent", "L_s", "q_d",
+PROSTHESIS_KEYS = ("x", "q", "M", "omega", "gait_percent", "L_s", "q_d",
                    "x_cmd")
 
 
@@ -52,7 +53,7 @@ def _tick_update() -> tuple[tuple[float, ...], ...]:
     """Rows of exp(A DT) that advance z = (x - x_cmd, x_dot, q, q_dot, c).
 
     The motor error obeys ydd = -2 w yd - w^2 y and the ankle
-    I qdd = sigma (x - rho q) + M_ext - b qd, i.e.
+    I qdd = -M + M_ext - b qd = sigma (x - rho q) + M_ext - b qd, i.e.
     qdd = (sigma y - sigma rho q - b qd) / I + c with the held input
     c = (sigma x_cmd + M_ext) / I, whose own row (dc/dt = 0) is dropped.
     """
@@ -95,8 +96,8 @@ def step_plant(state: PlantState, motor_cmd: float,
     external load held (see `TICK_UPDATE`).
 
     Motor: a critically damped tracker at MOTOR_LOOP_BANDWIDTH.  Ankle:
-    I qdd = M(x, q) + M_ext - b qd, where the map moment is the restoring
-    spring torque (positive toward the zero-moment angle).
+    I qdd = -M(x, q) + M_ext - b qd, with M the spring's plantarflexor
+    moment and M_ext the dorsiflexing external load.
     """
     (p00, p01, _, _, _), (p10, p11, _, _, _), \
         (p20, p21, p22, p23, p24), (p30, p31, p32, p33, p34) = TICK_UPDATE
@@ -155,6 +156,9 @@ class TrialSpec:
         for name in ("K_d", "ground_stiffness", "stride_period", "body_mass"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # AC's loop gain on the moment, 1 - SIGMA*RHO / K_d, must exceed -1
+        if self.mode == "AC" and not self.K_d > SIGMA * RHO / 2:
+            raise ValueError("K_d must exceed SIGMA*RHO/2 in AC mode")
         if not self.noise_mm >= 0:
             raise ValueError("noise_mm must be non-negative")
         # stride durations and amplitudes are scaled by 1 + jitter * g, g
@@ -335,29 +339,27 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     omega = -TIBIA_AMPLITUDE * amp_here \
         * (2.0 * math.pi / durations[stride_idx]) * np.sin(two_pi_s) \
         + omega_noise
-    # and the stance load: the ankle moment rises monotonically through
-    # stance as the CoP travels heel to toe, then releases quickly at
-    # toe-off
+    # and the stance load, dorsiflexing: the ankle moment rises
+    # monotonically through stance as the CoP travels heel to toe, then
+    # releases quickly at toe-off
     u_st = s_local / STANCE_END
     ramp = u_st < 0.95
     release = ~ramp & (u_st < 1.0)
     g = np.zeros(n)
     g[ramp] = u_st[ramp] / 0.95
     g[release] = np.cos(0.5 * math.pi * (u_st[release] - 0.95) / 0.05) ** 2
-    load = -LOAD_MOMENT_ARM * peak * amp_here * g + impulse
+    load = LOAD_MOMENT_ARM * peak * amp_here * g + impulse
 
     gait_lut = default_gait_lut()
     moment_lut = default_moment_lut()
     plant = PlantState()
     phase = TibiaPhaseState()
-    m_filt = 0.0
     log = {k: np.zeros(n) for k in PROSTHESIS_KEYS}
-    log["t"], log["omega"] = t, omega
+    log["omega"] = omega
     for i in range(n):
         phase = tibia_phase_update(phase, omega.item(i))
         out = step_controller(spec.mode, plant.q, plant.moment, phase,
-                              spec.K_d, gait_lut, moment_lut, m_filt)
-        m_filt = out.m_filtered
+                              spec.K_d, gait_lut, moment_lut)
         plant = step_plant(plant, out.x_cmd, load.item(i))
         log["x"][i] = plant.x
         log["q"][i] = plant.q

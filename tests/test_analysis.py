@@ -56,8 +56,9 @@ class TestAnalyzeTrial:
                 assert len(entry["per_cycle"]) > 10
 
     def test_tc_quasi_stiffness_terminal(self, tc_report):
+        # the TC motor holds its gait-surface position: a spring of SIGMA*RHO
         assert tc_report["quasi_stiffness"]["terminal"] == pytest.approx(
-            -5.0, abs=2.0)
+            5.0, abs=2.0)
 
     def test_stiffness_sections_follow_the_library_pipeline(
             self, ac_report, small_ac_trial):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softgait.controllers import (DT, MOMENT_FILTER_HZ, MOTOR_RANGE_MM,
+from softgait.controllers import (DT, MOTOR_RANGE_MM,
                                   TibiaPhaseState, admittance_equilibrium,
                                   admittance_target, ankle_controller,
                                   blend_commands, moment_feedback,
@@ -115,7 +115,7 @@ class TestAnkleController:
         """When the ankle sits at the desired angle and the map moment is
         consistent, the command reproduces the current motor position."""
         q_d = 4.0
-        x = 12.0 / SIGMA + RHO * q_d
+        x = RHO * q_d - 12.0 / SIGMA
         cmd = ankle_controller(q_d, q_d, 12.0, moment_lut)
         assert cmd == pytest.approx(x, abs=1e-9)
 
@@ -125,8 +125,10 @@ class TestAnkleController:
         assert ahead - base == pytest.approx(0.45 * 2.0, abs=1e-9)
 
     def test_unreachable_moment_saturates(self, moment_lut):
+        # the plantarflexor moment falls as the motor advances, so a moment
+        # above the slice's range is sought at the lower motor edge
         cmd = ankle_controller(0.0, 0.0, 1e5, moment_lut)
-        assert cmd == MOTOR_RANGE_MM[1]
+        assert cmd == MOTOR_RANGE_MM[0]
 
 
 class TestStepController:
@@ -137,9 +139,8 @@ class TestStepController:
 
     def test_tc_mode_has_no_admittance_fields(self, gait_lut, moment_lut):
         out = step_controller("TC", 0.0, self.M, self.PHASE, 15.0,
-                              gait_lut, moment_lut, 3.0)
-        # no desired angle, and the moment filter holds its last value
-        assert math.isnan(out.q_d) and out.m_filtered == 3.0
+                              gait_lut, moment_lut)
+        assert math.isnan(out.q_d)
         x_g = tibia_reference_motor(self.PHASE.gait_percent, 0.475,
                                     gait_lut, moment_lut)
         x_m = moment_feedback(15.0)
@@ -151,28 +152,16 @@ class TestStepController:
     def test_ac_mode_reports_admittance_fields(self, gait_lut, moment_lut):
         K_d = 15.0
         tc = step_controller("TC", 0.0, self.M, self.PHASE, K_d,
-                             gait_lut, moment_lut, 15.0)
+                             gait_lut, moment_lut)
         out = step_controller("AC", 0.0, self.M, self.PHASE, K_d,
-                              gait_lut, moment_lut, 15.0)
+                              gait_lut, moment_lut)
         q_e = admittance_equilibrium(tc.x_cmd, moment_lut)
-        assert out.q_d == pytest.approx(q_e + 15.0 / K_d)
-
-    def test_moment_filter_initialization_and_update(self, gait_lut,
-                                                     moment_lut):
-        # the filter starts from the resting moment, 0.0
-        alpha = 1.0 - math.exp(-2 * math.pi * MOMENT_FILTER_HZ * DT)
-        first = step_controller("AC", 0.0, 20.0, TibiaPhaseState(), 15.0,
-                                gait_lut, moment_lut, 0.0)
-        assert first.m_filtered == pytest.approx(alpha * 20.0)
-        second = step_controller("AC", 0.0, 20.0, TibiaPhaseState(), 15.0,
-                                 gait_lut, moment_lut, first.m_filtered)
-        assert second.m_filtered == pytest.approx(
-            first.m_filtered + alpha * (20.0 - first.m_filtered))
+        assert out.q_d == pytest.approx(q_e + self.M / K_d)
 
     def test_unknown_mode_raises(self, gait_lut, moment_lut):
         with pytest.raises(ValueError):
             step_controller("XX", 0.0, 0.0, TibiaPhaseState(),
-                            15.0, gait_lut, moment_lut, 0.0)
+                            15.0, gait_lut, moment_lut)
 
 
 class TestTibiaReference:

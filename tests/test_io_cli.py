@@ -150,6 +150,8 @@ class TestRunConfig:
             RunConfig(mode="XX").to_trial_spec()
         with pytest.raises(ConfigError):
             RunConfig(mode="AC", K_d=0.0).to_trial_spec()
+        with pytest.raises(ConfigError, match="K_d"):
+            RunConfig(mode="AC", K_d=2.5).to_trial_spec()
         with pytest.raises(ConfigError):
             RunConfig(n_strides=1).to_trial_spec()
 
@@ -258,7 +260,7 @@ class TestCliSuccess:
 # the trial CI simulates twice and analyses with the demo's windows
 DETERMINISM_RUN = {"mode": "AC", "K_d": 10.0, "n_strides": 60, "seed": 1}
 DETERMINISM_REPORT_SHA256 = (
-    "183ed3be79301a0032e8843912f38a7238850dace6b8d048f5df1e1f407a0148")
+    "9aa0599c670c86f8f28139a24aeb8857f0b6e2240da6f9a3a942facfa9b2796c")
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +307,7 @@ class TestCliErrorCodes:
     def test_invalid_config_is_invalid(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         for raw in ({"mode": "WRONG"}, {"mode": "TC", "K_d": 0.0},
+                    {"mode": "AC", "K_d": 2.5},
                     {"body_mass": 0.0}, {"n_strides": 10.5}, {"seed": -1},
                     {"n_strides": 10, "perturbations": [
                         {"kind": "load-impulse", "at_stride": 500,

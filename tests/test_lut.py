@@ -11,9 +11,9 @@ from softgait.lut import (RHO, SIGMA, InvalidLutError, Lut2D, LutDomainError,
 
 class TestMomentMap:
     def test_closed_forms_are_consistent(self):
-        assert moment_map(10.0, 3.0) == pytest.approx(2.5 * (10.0 - 6.0))
+        assert moment_map(10.0, 3.0) == pytest.approx(2.5 * (6.0 - 10.0))
         # motor position for a moment at an angle, and the unloaded angle
-        assert moment_map(7.0 / SIGMA + RHO * 3.0, 3.0) == pytest.approx(7.0)
+        assert moment_map(RHO * 3.0 - 7.0 / SIGMA, 3.0) == pytest.approx(7.0)
         assert moment_map(10.0, 10.0 / RHO) == pytest.approx(0.0)
 
 

@@ -213,3 +213,22 @@ class TestSharedSearchMatchesPerWindowLoop:
         fallback = self.assert_matches_loop(
             monkeypatch, *self.jittered(), EmbeddingParams(tau=10, dim=3))
         assert 0 < fallback < self.WINDOWS["n_windows"] * self.N_TRACK
+
+
+class TestHenonCalibration:
+    def test_largest_exponent_of_the_henon_map(self):
+        """The Henon map (a 1.4, b 0.3) has a largest exponent of 0.418
+        per iteration (Rosenstein et al. 1993, Physica D 65:117, Table I).
+        With one sample per stride, the long-term exponent of one
+        4000-point window of its x-series is that exponent."""
+        n = 4000
+        x = np.empty(n + 1001)
+        x[0], x[1] = 0.1, 0.0
+        for i in range(2, len(x)):
+            x[i] = 1.0 - 1.4 * x[i - 1] ** 2 + 0.3 * x[i - 2]
+        x = x[1000:]   # off the transient, onto the attractor
+        res = windowed_lyapunov(TimeSeries(x, 1.0), np.arange(n + 1),
+                                window_strides=n, n_windows=1,
+                                points_per_window=n,
+                                params=EmbeddingParams(tau=1, dim=2))
+        assert res.lambda_long_mean == pytest.approx(0.418, rel=0.05)

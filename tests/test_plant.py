@@ -44,12 +44,12 @@ class TestStepPlant:
         assert state.moment == pytest.approx(0.0, abs=1e-2)
 
     def test_constant_load_equilibrium(self):
-        """Static balance: the map moment cancels the external load."""
-        load = -20.0
+        """Static balance: the map moment carries the external load."""
+        load = 20.0
         state = PlantState()
         for _ in range(300):
             state = step_plant(state, 10.0, load)
-        assert state.moment == pytest.approx(-load, abs=1e-2)
+        assert state.moment == pytest.approx(load, abs=1e-2)
         q_expected = 10.0 / RHO + load / (SIGMA * RHO)
         assert state.q == pytest.approx(q_expected, abs=1e-2)
 
@@ -61,7 +61,7 @@ class TestStepPlant:
         def rhs(_, z, x_cmd, load):
             x, x_dot, q, q_dot = z
             return [x_dot, -2.0 * w * x_dot - w * w * (x - x_cmd), q_dot,
-                    (moment_map(x, q) + load - ANKLE_DAMPING * q_dot)
+                    (load - moment_map(x, q) - ANKLE_DAMPING * q_dot)
                     / INERTIA_DEG]
 
         rng = np.random.default_rng(5)
@@ -69,7 +69,7 @@ class TestStepPlant:
         z = np.array([state.x, state.x_dot, state.q, state.q_dot])
         q_error = x_error = 0.0
         for x_cmd, load in zip(rng.uniform(-30.0, 30.0, 100),
-                               rng.uniform(-60.0, 10.0, 100)):
+                               rng.uniform(-10.0, 60.0, 100)):
             state = step_plant(state, x_cmd, load)
             sol = solve_ivp(rhs, (0.0, DT), z, method="DOP853", rtol=1e-12,
                             atol=1e-12, args=(x_cmd, load))
@@ -84,7 +84,9 @@ class TestStepPlant:
 class TestTrialSpec:
     def test_rejects_out_of_range_values(self):
         spec = RunConfig(n_strides=10).to_trial_spec()
+        # an AC spec: its K_d must also exceed SIGMA*RHO / 2
         for name, value in (("mode", "XX"), ("K_d", 0.0), ("K_d", -1.0),
+                            ("K_d", SIGMA * RHO / 2),
                             ("ground_stiffness", 0.0),
                             ("ground_stiffness", math.nan),
                             ("n_strides", 1), ("n_strides", 10.5),
@@ -152,7 +154,7 @@ class TestGenerateTrial:
         for arr in rec.markers.values():
             assert arr.shape == (n, 3)
         assert rec.cop_left.shape == (n, 3)
-        assert set(rec.prosthesis) == {"t", "x", "q", "M", "omega",
+        assert set(rec.prosthesis) == {"x", "q", "M", "omega",
                                        "gait_percent", "L_s", "q_d", "x_cmd"}
         assert rec.rate == 100.0
 
@@ -202,6 +204,33 @@ class TestGenerateTrial:
                                        amplitude_jitter=0.0).to_trial_spec())
         peak = np.max(rec.cop_left[:, 2])
         assert peak == pytest.approx(1.1 * 59.0 * 9.81, rel=0.01)
+
+
+class TestLoadResponse:
+    """A heavier body loads the ankle more, and both controllers yield to
+    it as springs: the mid-stance angle rises by |dM| / K_d under AC and by
+    |dM| / (SIGMA*RHO) under TC, whose motor holds its gait-surface
+    position."""
+
+    @staticmethod
+    def mid_stance(mode, K_d, body_mass):
+        """Mean angle and moment at 40 % of strides 10-28 of a noiseless
+        trial on rigid ground."""
+        rec = generate_trial(RunConfig(
+            mode=mode, K_d=K_d, n_strides=30, seed=1, body_mass=body_mass,
+            noise_mm=0.0, period_jitter=0.0,
+            amplitude_jitter=0.0).to_trial_spec())
+        strikes = rec.events_left[10:]
+        at = strikes[:-1] + np.round(0.4 * np.diff(strikes)).astype(int)
+        return rec.prosthesis["q"][at].mean(), rec.prosthesis["M"][at].mean()
+
+    @pytest.mark.parametrize("mode, K_d, stiffness", [
+        ("AC", 10.0, 10.0), ("AC", 20.0, 20.0), ("TC", 15.0, SIGMA * RHO)])
+    def test_angle_rises_with_the_load(self, mode, K_d, stiffness):
+        (q0, m0), (q1, m1), (q2, m2) = (self.mid_stance(mode, K_d, mass)
+                                        for mass in (50.0, 59.0, 70.0))
+        for dq, dm in ((q1 - q0, m1 - m0), (q2 - q1, m2 - m1)):
+            assert dq / abs(dm) == pytest.approx(1.0 / stiffness, rel=0.1)
 
 
 class TestGaitLikeVelocity:
