@@ -5,6 +5,8 @@ units)."""
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,9 @@ MAX_LAG = 30           # AMI lags searched for the embedding delay
 FALLBACK_TAU = 10      # delay used when AMI has no minimum within MAX_LAG
 MAX_DIM = 8            # largest embedding dimension FNN may return
 SHARED_K = 16          # nearest candidates per row in the windows' search
-PAIR_CHUNK = 256       # neighbor pairs tracked at once
+# neighbor pairs tracked at once; kept small because each worker thread's
+# malloc arena holds on to the largest chunk temporaries it has seen
+PAIR_CHUNK = 64
 
 
 @dataclass
@@ -76,6 +80,23 @@ def _log_distances(series: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
     np.sqrt(tot, out=tot)
     np.maximum(tot, _LOG_FLOOR, out=tot)
     return np.log(tot, out=tot)
+
+
+def _pair_runs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                           np.ndarray, np.ndarray]:
+    """Runs of consecutive windows that chose the same neighbor pair.
+
+    Row w + 1 of `table` holds window w's neighbor of each base row, -1
+    where the window has none; its first and last rows are all -1.
+    Returns (first, stop, i, j): windows [first, stop) chose pair (i, j).
+    """
+    change = table[1:] != table[:-1]
+    # per row i, in window order, a run starts where the choice changes to
+    # a neighbor and stops where it changes away from one; transposed, the
+    # k-th start and the k-th stop belong to the same run
+    i_idx, first = np.nonzero((change & (table[1:] >= 0)).T)
+    _, stop = np.nonzero((change & (table[:-1] >= 0)).T)
+    return first, stop, i_idx, table[first + 1, i_idx]
 
 
 def _check_length(n: int, samples_per_stride: int) -> None:
@@ -140,7 +161,9 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
     window's normalized series, and its delay vectors, are an exact slice
     of one normalization and embedding of all the windowed strides.  The
     windows therefore share one neighbor search over the union of their
-    base points, and each distinct neighbor pair is tracked once.
+    base points.  A neighbor pair is tracked once for each run of
+    consecutive windows that chose it, in worker threads, and its log
+    distances are summed into those windows in a fixed order.
     """
     if n_windows < 1:
         raise ValueError(f"n_windows must be at least 1, got {n_windows}")
@@ -180,7 +203,8 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
     k = min(SHARED_K, len(union))
     _, cand = cKDTree(union).query(union, k=k, workers=-1)
     cand = cand.reshape(len(union), k)
-    i_parts, j_parts = [], []
+    table = np.full((n_windows + 2, len(union)), -1)
+    n_pairs = np.empty(n_windows)
     for w in range(n_windows):
         lo, hi = w * spst, w * spst + n_track
         rows = np.arange(lo, hi)
@@ -189,25 +213,37 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
         if len(miss):
             has[miss], nbr_own = _own_neighbors(union[lo:hi], miss, spst)
             nbr[miss] = nbr_own + lo
-        if np.count_nonzero(has) < 10:
+        n_pairs[w] = np.count_nonzero(has)
+        if n_pairs[w] < 10:
             raise ValueError("fewer than 10 valid neighbor pairs")
-        i_parts.append(rows[has])
-        j_parts.append(nbr[has])
+        table[w + 1, rows[has]] = nbr[has]
 
-    # each window holds a row at most once, so its pair counts are 0 or 1
-    n_pairs = np.array([len(i) for i in i_parts])
-    keys, inverse = np.unique(
-        np.concatenate(i_parts) * len(union) + np.concatenate(j_parts),
-        return_inverse=True)
-    counts = np.zeros((n_windows, len(keys)))
-    counts[np.repeat(np.arange(n_windows), n_pairs), inverse] = 1.0
-    i_idx, j_idx = np.divmod(keys, len(union))
+    # Runs with the same windows form a group; each group's pairs are
+    # summed chunk by chunk on worker threads (numpy releases the GIL) and
+    # added to its windows once.  Chunks are fixed and their sums consumed
+    # in submission order, so the bits do not depend on the worker count.
+    first, stop, i_idx, j_idx = _pair_runs(table)
+    order = np.lexsort((stop, first))
+    first, stop, i_idx, j_idx = (first[order], stop[order], i_idx[order],
+                                 j_idx[order])
+    new_group = np.flatnonzero((np.diff(first) != 0) | (np.diff(stop) != 0))
+    bounds = np.concatenate(([0], new_group + 1, [len(first)]))
+    chunks = [slice(lo, min(lo + PAIR_CHUNK, hi))
+              for lo0, hi in zip(bounds[:-1], bounds[1:])
+              for lo in range(lo0, hi, PAIR_CHUNK)]
+
+    def chunk_sum(sl: slice) -> np.ndarray:
+        return _log_distances(normalized.samples, i_idx[sl], j_idx[sl],
+                              params.tau, params.dim, horizon).sum(axis=0)
+
     sums = np.zeros((n_windows, horizon + 1))
-    for lo in range(0, len(keys), PAIR_CHUNK):
-        sl = slice(lo, lo + PAIR_CHUNK)
-        sums += counts[:, sl] @ _log_distances(
-            normalized.samples, i_idx[sl], j_idx[sl], params.tau,
-            params.dim, horizon)
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        done = pool.map(chunk_sum, chunks)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            total = next(done)
+            for _ in range(lo + PAIR_CHUNK, hi, PAIR_CHUNK):
+                total += next(done)
+            sums[first[lo]:stop[lo]] += total
     curves = sums / n_pairs[:, None]
 
     lam_s = np.array([_slope(c, spst, 0.0, 1.0) for c in curves])

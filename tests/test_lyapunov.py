@@ -110,6 +110,50 @@ class TestLogDistancesMatchesGather:
                 assert np.array_equal(got, want), (tau, dim)
 
 
+class TestPairRuns:
+    """Run extraction must let each pair's values, summed once per run
+    into the run's windows, give every window's own sum over its pairs."""
+
+    @staticmethod
+    def dense_and_run_sums(table, value):
+        n_windows = len(table) - 2
+        dense = np.zeros((n_windows,) + value.shape[2:])
+        for w in range(n_windows):
+            for i, j in enumerate(table[w + 1]):
+                if j >= 0:
+                    dense[w] += value[i, j]
+        runs = np.zeros_like(dense)
+        for first, stop, i, j in zip(*lyapunov._pair_runs(table)):
+            runs[first:stop] += value[i, j]
+        return dense, runs
+
+    def test_pair_left_and_chosen_again(self):
+        table = np.full((4 + 2, 6), -1)
+        table[[1, 2, 4], 0] = 5   # windows 0-1 and 3 choose (0, 5) ...
+        table[3, 0] = 4           # ... and window 2 chooses (0, 4)
+        table[[1, 2, 4], 1] = 3   # windows 0-1 and 3 choose (1, 3), 2 none
+        table[1:5, 2] = 0         # every window chooses (2, 0)
+        table[3, 3] = 1           # window 2 alone chooses (3, 1)
+        first, stop, i, j = lyapunov._pair_runs(table)
+        assert sorted(zip(i.tolist(), j.tolist(), first.tolist(),
+                          stop.tolist())) == [
+            (0, 4, 2, 3), (0, 5, 0, 2), (0, 5, 3, 4), (1, 3, 0, 2),
+            (1, 3, 3, 4), (2, 0, 0, 4), (3, 1, 2, 3)]
+        value = np.random.default_rng(2).standard_normal((6, 6, 7))
+        dense, runs = self.dense_and_run_sums(table, value)
+        assert np.max(np.abs(runs - dense)) < 1e-12
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n_windows, n_rows = rng.integers(1, 8), rng.integers(1, 12)
+            table = np.full((n_windows + 2, n_rows), -1)
+            table[1:-1] = rng.integers(-1, 3, size=(n_windows, n_rows))
+            value = rng.integers(-100, 100, size=(n_rows, 3))
+            dense, runs = self.dense_and_run_sums(table, value)
+            assert np.array_equal(runs, dense)
+
+
 class TestWindowed:
     def make_series_and_events(self, n_strides, pts=120):
         t = np.arange(n_strides * pts)
@@ -207,6 +251,27 @@ class TestSharedSearchMatchesPerWindowLoop:
         fallback = self.assert_matches_loop(
             monkeypatch, *self.jittered(), EmbeddingParams(tau=10, dim=3))
         assert fallback == self.WINDOWS["n_windows"] * self.N_TRACK
+
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch):
+        series, events = self.jittered()
+        pools = []
+        pool = lyapunov.ThreadPoolExecutor
+
+        def counting(workers):
+            pools.append(workers)
+            return pool(workers)
+        monkeypatch.setattr(lyapunov, "ThreadPoolExecutor", counting)
+        results = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(lyapunov.os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)))
+            results.append(windowed_lyapunov(
+                series, events, params=EmbeddingParams(tau=10, dim=3),
+                **self.WINDOWS))
+        assert pools == [1, 4]
+        one, four = results
+        for field in ("per_window_short", "per_window_long", "mean_curve"):
+            assert np.array_equal(getattr(one, field), getattr(four, field))
 
     def test_shared_and_fallback_rows_mix(self, monkeypatch):
         monkeypatch.setattr(lyapunov, "SHARED_K", 8)
