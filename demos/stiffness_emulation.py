@@ -48,7 +48,7 @@ def main():
         prof = stiffness_profile(mode, K if K is not None else 15.0)
         profiles[label] = prof
         target = f"{K:g}" if K is not None else "-"
-        print(f"{label:>12} {prof.terminal_value(60.0):>20.2f} {target:>8}")
+        print(f"{label:>12} {prof.terminal_value():>20.2f} {target:>8}")
 
     ac = [profiles[f"AC-{K:g}"].stiffness for K in (10.0, 15.0, 20.0)]
     valid = np.all([np.isfinite(s) for s in ac], axis=0)

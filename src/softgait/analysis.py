@@ -66,10 +66,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _positive_meta(meta: dict, key: str) -> float:
     value = meta.get(key)
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0 < value < math.inf):
+    if not (_is_number(value) and 0 < value < math.inf):
         raise ValueError(f"recording meta needs a positive {key}, "
                          f"got {value!r}")
     return value
@@ -161,7 +164,7 @@ def analyze_trial(rec: TrialRecording,
             "stance_percent": profile.stance_percent.tolist(),
             "stiffness": [None if not np.isfinite(v) else float(v)
                           for v in profile.stiffness],
-            "terminal": profile.terminal_value(60.0),
+            "terminal": profile.terminal_value(),
         },
         "profiles": {
             "moment_angle": {"q": avg.mean_angle.tolist(),
@@ -219,13 +222,35 @@ class SchemaMismatchError(ValueError):
     pass
 
 
-def _check_schema(report: dict) -> None:
-    try:
-        for axis in AXES:
-            report["lyapunov"][axis]["short"]["mean"]
-            report["lyapunov"][axis]["long"]["mean"]
-        for side in ("left", "right"):
-            for direction in ("ML", "AP"):
-                report["mos"][side][direction]["per_cycle"]
-    except KeyError as exc:
-        raise SchemaMismatchError(f"report missing {exc}") from exc
+def _field(report, *path: str):
+    """report[path[0]][path[1]]...; refused when a key is missing or a
+    level is not an object."""
+    value = report
+    for depth, key in enumerate(path):
+        if not isinstance(value, dict) or key not in value:
+            raise SchemaMismatchError(
+                f"report missing {'.'.join(path[:depth + 1])}")
+        value = value[key]
+    return value
+
+
+def _check_schema(report) -> None:
+    """Refuse a report that lacks a field compare_reports reads, or holds
+    something other than numbers where it reads numbers."""
+    _field(report, "meta")
+    means = [("lyapunov", axis, horizon, "mean")
+             for axis in AXES for horizon in ("short", "long")]
+    means += [("mos", side, direction, "mean")
+              for side in ("left", "right") for direction in ("ML", "AP")]
+    for path in means:
+        if not _is_number(_field(report, *path)):
+            raise SchemaMismatchError(
+                f"report {'.'.join(path)} is not a number")
+    for side in ("left", "right"):
+        for direction in ("ML", "AP"):
+            samples = _field(report, "mos", side, direction, "per_cycle")
+            if not (isinstance(samples, list) and samples
+                    and all(map(_is_number, samples))):
+                raise SchemaMismatchError(
+                    f"report mos.{side}.{direction}.per_cycle is not a "
+                    "non-empty list of numbers")

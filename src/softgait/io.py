@@ -60,6 +60,10 @@ def load_recording(path: str) -> TrialRecording:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise RecordingIOError(f"cannot read manifest {path}: {exc}") from exc
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("meta", {}), dict)):
+        raise RecordingIOError(
+            f"manifest {path} and its meta must be JSON objects")
     arrays_path = os.path.join(os.path.dirname(path), RECORDING_NAME)
     # np.load leaves a file it opened itself open when the zip is damaged,
     # so the handle is ours to close

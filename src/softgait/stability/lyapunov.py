@@ -5,8 +5,6 @@ units)."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +21,8 @@ MAX_LAG = 30           # AMI lags searched for the embedding delay
 FALLBACK_TAU = 10      # delay used when AMI has no minimum within MAX_LAG
 MAX_DIM = 8            # largest embedding dimension FNN may return
 SHARED_K = 16          # nearest candidates per row in the windows' search
-# neighbor pairs tracked at once; kept small because each worker thread's
-# malloc arena holds on to the largest chunk temporaries it has seen
+# neighbor pairs tracked at once; 256 was slower, and it sums in another
+# order, so its bits differ
 PAIR_CHUNK = 64
 
 
@@ -162,8 +160,8 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
     of one normalization and embedding of all the windowed strides.  The
     windows therefore share one neighbor search over the union of their
     base points.  A neighbor pair is tracked once for each run of
-    consecutive windows that chose it, in worker threads, and its log
-    distances are summed into those windows in a fixed order.
+    consecutive windows that chose it, and its log distances are summed
+    into those windows in a fixed order.
     """
     if n_windows < 1:
         raise ValueError(f"n_windows must be at least 1, got {n_windows}")
@@ -219,31 +217,21 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
         table[w + 1, rows[has]] = nbr[has]
 
     # Runs with the same windows form a group; each group's pairs are
-    # summed chunk by chunk on worker threads (numpy releases the GIL) and
-    # added to its windows once.  Chunks are fixed and their sums consumed
-    # in submission order, so the bits do not depend on the worker count.
+    # summed chunk by chunk and added to its windows once.
     first, stop, i_idx, j_idx = _pair_runs(table)
     order = np.lexsort((stop, first))
     first, stop, i_idx, j_idx = (first[order], stop[order], i_idx[order],
                                  j_idx[order])
     new_group = np.flatnonzero((np.diff(first) != 0) | (np.diff(stop) != 0))
     bounds = np.concatenate(([0], new_group + 1, [len(first)]))
-    chunks = [slice(lo, min(lo + PAIR_CHUNK, hi))
-              for lo0, hi in zip(bounds[:-1], bounds[1:])
-              for lo in range(lo0, hi, PAIR_CHUNK)]
-
-    def chunk_sum(sl: slice) -> np.ndarray:
-        return _log_distances(normalized.samples, i_idx[sl], j_idx[sl],
-                              params.tau, params.dim, horizon).sum(axis=0)
-
     sums = np.zeros((n_windows, horizon + 1))
-    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-        done = pool.map(chunk_sum, chunks)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            total = next(done)
-            for _ in range(lo + PAIR_CHUNK, hi, PAIR_CHUNK):
-                total += next(done)
-            sums[first[lo]:stop[lo]] += total
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        group_i, group_j = i_idx[lo:hi], j_idx[lo:hi]
+        sums[first[lo]:stop[lo]] += sum(
+            _log_distances(normalized.samples, group_i[c:c + PAIR_CHUNK],
+                           group_j[c:c + PAIR_CHUNK], params.tau, params.dim,
+                           horizon).sum(axis=0)
+            for c in range(0, hi - lo, PAIR_CHUNK))
     curves = sums / n_pairs[:, None]
 
     lam_s = np.array([_slope(c, spst, 0.0, 1.0) for c in curves])

@@ -17,6 +17,7 @@ WINDOW_START = 0.20        # of stance (end of loading response)
 WINDOW_END = 0.85          # of stance (start of pre-swing)
 REGRESSION_WIDTH = 0.05    # of stance, sliding-fit window
 PLATEAU_TOL_DEG = 1e-3
+TERMINAL_PERCENT = 60.0    # of stance, where the terminal value is read
 
 
 @dataclass
@@ -64,9 +65,9 @@ class StiffnessProfile:
     stance_percent: np.ndarray     # [20, 85] window, percent of stance
     stiffness: np.ndarray          # Nm/deg; NaN where the angle plateaus
 
-    def terminal_value(self, at_percent: float = 60.0) -> float:
-        """Profile value nearest to the requested stance percent."""
-        i = int(np.argmin(np.abs(self.stance_percent - at_percent)))
+    def terminal_value(self) -> float:
+        """Profile value nearest to TERMINAL_PERCENT of stance."""
+        i = int(np.argmin(np.abs(self.stance_percent - TERMINAL_PERCENT)))
         return float(self.stiffness[i])
 
 

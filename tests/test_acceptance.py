@@ -65,7 +65,7 @@ def test_criterion_1_admittance_stiffness_emulation(stiffness_profiles):
     profiles, runtimes = stiffness_profiles
     ok = True
     for K in (10.0, 15.0, 20.0):
-        terminal = profiles[K].terminal_value(60.0)
+        terminal = profiles[K].terminal_value()
         ok &= abs(terminal - K) <= 0.10 * K
         ok &= runtimes[K] < 10.0
     s10 = profiles[10.0].stiffness
@@ -82,8 +82,8 @@ def test_criterion_1_admittance_stiffness_emulation(stiffness_profiles):
 def test_criterion_2_tc_baseline_contrast(stiffness_profiles):
     profiles, _ = stiffness_profiles
     tc = profiles["TC"]
-    ac20_terminal = profiles[20.0].terminal_value(60.0)
-    tc_terminal = abs(tc.terminal_value(60.0))
+    ac20_terminal = profiles[20.0].terminal_value()
+    tc_terminal = abs(tc.terminal_value())
     ok = ac20_terminal >= 3.0 * tc_terminal
     # near-constant through mid/terminal stance, well below every AC level
     mid = (tc.stance_percent >= 40.0) & (tc.stance_percent <= 80.0)

@@ -77,7 +77,7 @@ class TestAnalyzeTrial:
             "stance_percent": profile.stance_percent.tolist(),
             "stiffness": [None if np.isnan(v) else v
                           for v in profile.stiffness.tolist()],
-            "terminal": profile.terminal_value(60.0)}
+            "terminal": profile.terminal_value()}
         assert ac_report["profiles"] == {
             "moment_angle": {"q": avg.mean_angle.tolist(),
                              "M": avg.mean_moment.tolist()},

@@ -378,6 +378,11 @@ class TestCliErrorCodes:
             path = rec / MANIFEST_NAME
             path.write_text(json.dumps([json.loads(path.read_text())]))
 
+        def meta_not_object(rec):
+            path = rec / MANIFEST_NAME
+            raw = json.loads(path.read_text())
+            path.write_text(json.dumps(dict(raw, meta=["x"])))
+
         def object_array(rec):
             rewrite(rec, cop_left=np.array([{"ML": 0.0}], dtype=object))
 
@@ -388,8 +393,8 @@ class TestCliErrorCodes:
             rewrite(rec, marker_LHEEL=small_tc_trial.markers["LHEEL"][:, 2])
 
         for damage in (drop_arrays, truncate_arrays, drop_events_right,
-                       manifest_not_object, object_array, float_events,
-                       flat_marker):
+                       manifest_not_object, meta_not_object, object_array,
+                       float_events, flat_marker):
             rec = tmp_path / damage.__name__
             shutil.copytree(good, rec)
             damage(rec)
@@ -476,12 +481,27 @@ class TestCliErrorCodes:
             assert err.startswith("analysis failed:") and key in err
             assert not (tmp_path / "o").exists()
 
-    def test_schema_mismatch_is_invalid(self, tmp_path):
-        junk = tmp_path / "junk.json"
-        junk.write_text(json.dumps({"meta": {}}))
-        code = main(["compare", str(junk), "--baseline", str(junk),
-                     "--out", str(tmp_path / "c.json")])
-        assert code == 1
+    def test_schema_mismatch_is_invalid(self, tmp_path, cli_outputs,
+                                        capsys):
+        raw = (cli_outputs[3] / "report.json").read_text()
+        good = json.loads(raw)
+        no_meta = {k: v for k, v in good.items() if k != "meta"}
+        text_cycles = json.loads(raw)
+        text_cycles["mos"]["left"]["AP"]["per_cycle"] = ["x"]
+        text_mean = json.loads(raw)
+        text_mean["mos"]["right"]["ML"]["mean"] = "1.0"
+        for name, report in (("meta_only", {"meta": {}}),
+                             ("list_root", [good]), ("no_meta", no_meta),
+                             ("text_cycles", text_cycles),
+                             ("text_mean", text_mean)):
+            junk = tmp_path / f"{name}.json"
+            junk.write_text(json.dumps(report))
+            out = tmp_path / f"c_{name}.json"
+            code = main(["compare", str(junk), "--baseline", str(junk),
+                         "--out", str(out)])
+            assert code == 1, name
+            assert capsys.readouterr().err.startswith("invalid report:"), name
+            assert not out.exists(), name
 
     def test_candidate_given_twice_is_invalid(self, tmp_path, cli_outputs):
         report = str(cli_outputs[3] / "report.json")

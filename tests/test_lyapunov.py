@@ -252,27 +252,6 @@ class TestSharedSearchMatchesPerWindowLoop:
             monkeypatch, *self.jittered(), EmbeddingParams(tau=10, dim=3))
         assert fallback == self.WINDOWS["n_windows"] * self.N_TRACK
 
-    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch):
-        series, events = self.jittered()
-        pools = []
-        pool = lyapunov.ThreadPoolExecutor
-
-        def counting(workers):
-            pools.append(workers)
-            return pool(workers)
-        monkeypatch.setattr(lyapunov, "ThreadPoolExecutor", counting)
-        results = []
-        for cpus in (1, 4):
-            monkeypatch.setattr(lyapunov.os, "sched_getaffinity",
-                                lambda pid, cpus=cpus: set(range(cpus)))
-            results.append(windowed_lyapunov(
-                series, events, params=EmbeddingParams(tau=10, dim=3),
-                **self.WINDOWS))
-        assert pools == [1, 4]
-        one, four = results
-        for field in ("per_window_short", "per_window_long", "mean_curve"):
-            assert np.array_equal(getattr(one, field), getattr(four, field))
-
     def test_shared_and_fallback_rows_mix(self, monkeypatch):
         monkeypatch.setattr(lyapunov, "SHARED_K", 8)
         fallback = self.assert_matches_loop(

@@ -88,10 +88,12 @@ class TestQuasiStiffness:
         assert np.all(np.isnan(profile.stiffness))
 
     def test_terminal_value_picks_nearest_sample(self):
-        profile = StiffnessProfile(np.array([50.0, 60.0, 70.0]),
-                                   np.array([1.0, 2.0, 3.0]))
-        assert profile.terminal_value(60.0) == 2.0
-        assert profile.terminal_value(64.0) == 2.0
+        # neither grid has a node at TERMINAL_PERCENT (60)
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        below = StiffnessProfile(np.array([50.0, 58.0, 63.0, 70.0]), values)
+        above = StiffnessProfile(np.array([50.0, 57.0, 61.0, 70.0]), values)
+        assert below.terminal_value() == 2.0
+        assert above.terminal_value() == 3.0
 
     def test_too_short_profile_raises(self):
         with pytest.raises(ValueError):
