@@ -79,8 +79,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    # the analysis stack (scipy.signal, scipy.spatial) loads only here and
-    # in cmd_compare, so `simulate` does not pay for it
+    # the analysis stack (scipy.spatial) loads only here and in
+    # cmd_compare, which also loads scipy.stats for its rank-sum tests, so
+    # `simulate` pays for neither
     from .analysis import AnalysisSettings, analyze_trial
 
     settings = AnalysisSettings()

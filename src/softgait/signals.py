@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, filtfilt
+from scipy.linalg.lapack import dtbtrs
 
 
 @dataclass
@@ -44,16 +44,55 @@ def butterworth_lowpass(series: TimeSeries, order: int,
                         cutoff: float) -> TimeSeries:
     """Zero-phase low-pass Butterworth filter with unit DC gain: applied
     forward and backward, so no net phase shift and doubled effective
-    order."""
+    order.  Same edge handling as scipy.signal.filtfilt: each end is
+    extended by an odd reflection of 3 * (order + 1) samples."""
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
     nyquist = series.sample_rate / 2.0
     if not 0 < cutoff < nyquist:
         raise ValueError(f"cutoff {cutoff} Hz must lie in (0, {nyquist}) Hz")
-    if len(series) < 3 * order:
+    edge = 3 * (order + 1)
+    if len(series) <= edge:
         raise ValueError("series too short for requested filter order")
-    b, a = butter(order, cutoff / nyquist, btype="low")
-    return series.with_samples(filtfilt(b, a, series.samples))
+    b, a = _butter_lowpass(order, cutoff / nyquist)
+    # each pass starts in the steady state of its first sample
+    # (scipy.signal.lfilter_zi): state k holds sum_{j>k} (b_j - gain a_j)
+    zi = np.cumsum((b - b.sum() / a.sum() * a)[:0:-1])[::-1]
+    x = series.samples
+    x = np.concatenate((2 * x[0] - x[edge:0:-1], x,
+                        2 * x[-1] - x[-2:-edge - 2:-1]))
+    # lower band storage of the Toeplitz matrix with a on its diagonals
+    band = np.repeat(a[None, :], len(x), axis=0).T
+    y = _causal_pass(b, band, zi, x)
+    y = _causal_pass(b, band, zi, y[::-1])[::-1]
+    return series.with_samples(y[edge:-edge])
+
+
+def _butter_lowpass(order: int, wn: float) -> tuple[np.ndarray, np.ndarray]:
+    """Digital Butterworth low-pass coefficients (b, a) for a cutoff `wn`
+    in units of the Nyquist rate, by scipy.signal.butter's steps: analog
+    prototype poles, prewarped cutoff, bilinear transform at fs = 2."""
+    poles = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2)
+                    / (2 * order))
+    warped = float(4.0 * np.tan(np.pi * wn / 2.0))
+    poles = warped * poles
+    gain = warped ** order * np.real(1.0 / np.prod(4.0 - poles))
+    b = gain * np.poly(-np.ones(order))
+    return b, np.poly((4.0 + poles) / (4.0 - poles))
+
+
+def _causal_pass(b: np.ndarray, band: np.ndarray, zi: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """scipy.signal.lfilter(b, a, x, zi=zi * x[0]) as one lower-triangular
+    banded solve A y = r, with r the FIR part plus the initial state:
+    forward substitution, no pivoting.  a[0] is 1, so the diagonal is
+    unit and LAPACK skips the division."""
+    r = np.convolve(x, b)[:len(x)]
+    r[:len(zi)] += zi * x[0]
+    y, info = dtbtrs(band, r[:, None], uplo="L", diag="U")
+    if info != 0:
+        raise RuntimeError(f"banded solve failed: LAPACK info {info}")
+    return y[:, 0]
 
 
 def moving_average(series: TimeSeries, window: int) -> TimeSeries:

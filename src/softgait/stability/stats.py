@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import mannwhitneyu
 
 EXACT_MAX_N = 20
 ALPHA = 0.01      # significance level of every rank-sum comparison
@@ -23,6 +22,10 @@ def wilcoxon_ranksum(sample_a, sample_b):
     approximation with tie correction and no continuity correction.
     Returns (p_value, significant at ALPHA).
     """
+    # importing scipy.stats takes longer than the rest of the analysis
+    # stack together, and only `compare` needs it
+    from scipy.stats import mannwhitneyu
+
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
     if len(a) == 0 or len(b) == 0:

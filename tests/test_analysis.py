@@ -3,8 +3,6 @@ import pytest
 
 from softgait.analysis import (AnalysisSettings, SchemaMismatchError,
                                analyze_trial, compare_reports)
-from softgait.config import RunConfig
-from softgait.plant import generate_trial
 from softgait.signals import TimeSeries
 from softgait.stability.balance import detect_foot_strikes
 from softgait.stability.stats import ALPHA
@@ -100,10 +98,10 @@ class TestAnalyzeTrial:
         with pytest.raises(ValueError, match="need"):
             analyze_trial(small_tc_trial, settings)
 
-    def test_default_trial_fills_the_default_windows(self):
+    def test_default_trial_fills_the_default_windows(self, default_trial):
         # strikes detected as analyze_trial detects them; the divergence
         # step is left out to keep the test fast
-        rec = generate_trial(RunConfig().to_trial_spec())
+        rec = default_trial
         strikes = detect_foot_strikes(
             TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate),
             rec.meta["stride_period"])

@@ -519,15 +519,31 @@ class TestCliErrorCodes:
         assert code == 2
 
 
-@pytest.mark.parametrize("module", ["softgait.plant", "softgait.cli"])
-def test_simulate_path_leaves_the_analysis_stack_unloaded(module):
-    # only the analysis needs scipy.signal and scipy.spatial, so a
-    # `softgait simulate` process must not import them
+def _loaded(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of `modules` a fresh interpreter has loaded after `code`."""
     src = os.path.dirname(os.path.dirname(softgait.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (f"import sys, {module}; print(sorted(m for m in "
-            "('scipy.signal', 'scipy.spatial') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
+    code += (f"; print(json.dumps(sorted(m for m in {modules!r} "
+             "if m in sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", "import json, sys; " + code],
+                         capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("module", ["softgait.plant", "softgait.cli"])
+def test_simulate_path_leaves_the_analysis_stack_unloaded(module):
+    # only the analysis needs scipy.spatial, so a `softgait simulate`
+    # process must not import it (nor scipy.signal, which nothing needs)
+    assert _loaded(f"import {module}",
+                   ("scipy.signal", "scipy.spatial")) == []
+
+
+def test_analysis_leaves_scipy_signal_and_stats_unloaded():
+    # the filter and the strike peaks are numpy and LAPACK; scipy.stats
+    # loads with the first rank-sum test, which only `compare` runs
+    stack = ("scipy.signal", "scipy.stats")
+    assert _loaded("import softgait.analysis", stack) == []
+    assert _loaded("from softgait.stability.stats import wilcoxon_ranksum; "
+                   "wilcoxon_ranksum([1.0, 2.0], [3.0, 4.0])",
+                   stack) == ["scipy.stats"]

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from helpers import exhaustive_mos
+from softgait.config import RunConfig
+from softgait.plant import generate_trial
 from softgait.signals import TimeSeries
-from softgait.stability.balance import (GRAVITY, MarkerGapError,
+from softgait.stability.balance import (GRAVITY, MarkerGapError, _find_peaks,
                                         com_velocity, detect_foot_strikes,
                                         estimate_com, mos_ap, mos_ml,
                                         pendulum_eigenfrequency,
@@ -144,6 +147,47 @@ class TestFootStrikeDetection:
         flat = TimeSeries(np.zeros(500), 100.0)
         with pytest.raises(ValueError):
             detect_foot_strikes(flat, nominal_stride_s=1.0)
+
+    def test_peak_helper_equals_find_peaks(self):
+        rng = np.random.default_rng(0)
+        signals = [np.zeros(0), np.zeros(1), np.zeros(50), np.arange(50.0),
+                   np.arange(50.0)[::-1], np.array([0.0, 1.0, 0.0]),
+                   np.array([0.0, 2.0, 2.0, 0.0]),
+                   np.array([1.0, 0.0, 0.0, 3.0, 3.0])]
+        for k in range(1500):
+            n = int(rng.integers(2, 300))
+            kind = k % 5
+            if kind == 0:
+                x = rng.normal(size=n)
+            elif kind == 1:     # ties and short plateaus
+                x = np.round(2.0 * rng.normal(size=n))
+            elif kind == 2:
+                x = np.cumsum(rng.normal(size=n))
+            elif kind == 3:     # long plateaus, some at the edges
+                x = np.repeat(np.round(rng.normal(size=n)),
+                              rng.integers(1, 6, size=n))[:n]
+            else:               # periodic with peaks near the edges
+                x = np.round(np.sin(np.arange(n) / rng.uniform(1.0, 20.0)
+                                    + rng.uniform(0.0, 6.3))
+                             + 0.3 * rng.normal(size=n), 1)
+            signals.append(x)
+        for x in signals:
+            prominence = float(rng.choice([0.0, 0.3, 1.0, 3.0]))
+            distance = float(rng.choice([1, 2, 3, 7, 30])) \
+                * rng.choice([1.0, rng.uniform(1.0, 1.5)])
+            want = find_peaks(x, prominence=prominence, distance=distance)[0]
+            assert np.array_equal(_find_peaks(x, prominence, distance), want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_strike_per_default_stride(self, seed, default_trial):
+        # the strike at sample 0 of a 201-stride trial is never a minimum
+        rec = default_trial if seed == 0 \
+            else generate_trial(RunConfig(seed=seed).to_trial_spec())
+        strikes = detect_foot_strikes(
+            TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate),
+            rec.meta["stride_period"])
+        assert len(rec.events_left) == 201
+        assert len(strikes) == 200
 
 
 class TestComVelocity:

@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import butter, lfilter
+from scipy.signal import butter, filtfilt, lfilter
 
-from softgait.signals import (TimeSeries, butterworth_lowpass,
-                              finite_difference, moving_average,
-                              time_normalize)
+from softgait.analysis import LYAPUNOV_FILTER, MOS_FILTER
+from softgait.signals import (TimeSeries, _butter_lowpass,
+                              butterworth_lowpass, finite_difference,
+                              moving_average, time_normalize)
+from softgait.stability.balance import STRIKE_FILTER, estimate_com
+from softgait.stiffness import PROSTHESIS_FILTER
+
+# every (order, cutoff Hz) the package filters with, at 100 Hz
+PACKAGE_FILTERS = (LYAPUNOV_FILTER, MOS_FILTER, STRIKE_FILTER,
+                   PROSTHESIS_FILTER)
 
 
 def make_series(samples, rate=100.0):
@@ -67,6 +74,53 @@ class TestButterworth:
             butterworth_lowpass(ts, 2, 60.0)   # above Nyquist at 100 Hz
         with pytest.raises(ValueError):
             butterworth_lowpass(make_series(np.zeros(4)), 2, 5.0)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_length_guard_matches_the_edge_padding(self, order):
+        # each end is padded with 3 * (order + 1) samples, which needs at
+        # least one sample more
+        edge = 3 * (order + 1)
+        x = np.sin(np.arange(edge + 1) / 3.0)
+        with pytest.raises(ValueError, match="too short"):
+            butterworth_lowpass(make_series(x[:edge]), order, 5.0)
+        out = butterworth_lowpass(make_series(x), order, 5.0).samples
+        assert np.allclose(out, filtfilt(*butter(order, 0.1), x),
+                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("rate", [50.0, 100.0])
+    @pytest.mark.parametrize(
+        "cutoff", sorted({1.0, 20.0} | {f[1] for f in PACKAGE_FILTERS}))
+    def test_coefficients_equal_scipy_butter(self, order, rate, cutoff):
+        wn = cutoff / (rate / 2)
+        for got, want in zip(_butter_lowpass(order, wn), butter(order, wn)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order, cutoff", PACKAGE_FILTERS)
+    def test_matches_filtfilt_on_random_walks(self, order, cutoff):
+        rng = np.random.default_rng(order * 100 + int(cutoff))
+        for n in (3 * (order + 1) + 1, 50, 1000, 20000):
+            x = np.cumsum(rng.normal(size=n))
+            _assert_filtfilt(x, order, cutoff)
+
+    def test_matches_filtfilt_on_the_default_trial(self, default_trial):
+        rec = default_trial
+        com = estimate_com(rec.markers, rec.rate)
+        for order, cutoff in (LYAPUNOV_FILTER, MOS_FILTER):
+            for ts in com.values():
+                _assert_filtfilt(ts.samples, order, cutoff)
+        _assert_filtfilt(rec.markers["LHEEL"][:, 2], *STRIKE_FILTER)
+        for name in ("q", "M"):
+            _assert_filtfilt(rec.prosthesis[name], *PROSTHESIS_FILTER)
+
+
+def _assert_filtfilt(x, order, cutoff, rate=100.0):
+    """butterworth_lowpass is filtfilt to within 1e-12 of the output's
+    largest magnitude."""
+    got = butterworth_lowpass(make_series(x, rate), order, cutoff).samples
+    want = filtfilt(*butter(order, cutoff / (rate / 2)), x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestMovingAverage:
