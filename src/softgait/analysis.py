@@ -12,10 +12,10 @@ import numpy as np
 
 from .plant import TrialRecording
 from .signals import TimeSeries, butterworth_lowpass, moving_average
-from .stability.balance import (AXES, com_velocity, detect_foot_strikes,
-                                estimate_com, mos_ap, mos_ml,
-                                pendulum_eigenfrequency, pendulum_length,
-                                stance_frames, xcom)
+from .stability.balance import (AXES, GRAVITY, com_velocity,
+                                detect_foot_strikes, estimate_com, mos_ap,
+                                mos_ml, pendulum_eigenfrequency,
+                                pendulum_length, stance_frames, xcom)
 from .stability.embedding import EmbeddingParams
 from .stability.lyapunov import windowed_lyapunov
 from .stability.stats import ALPHA, delta_lambda, wilcoxon_ranksum
@@ -83,7 +83,7 @@ def analyze_trial(rec: TrialRecording,
     if settings is None:
         settings = AnalysisSettings()
     rate = rec.rate
-    body_weight = _positive_meta(rec.meta, "body_mass") * 9.81
+    body_weight = _positive_meta(rec.meta, "body_mass") * GRAVITY
     nominal_stride = _positive_meta(rec.meta, "stride_period")
 
     heel = rec.markers["LHEEL"]

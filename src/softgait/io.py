@@ -64,17 +64,26 @@ def load_recording(path: str) -> TrialRecording:
             and isinstance(manifest.get("meta", {}), dict)):
         raise RecordingIOError(
             f"manifest {path} and its meta must be JSON objects")
+    rate = manifest.get("rate")
+    if type(rate) not in (int, float) or not 0 < rate < math.inf:
+        raise RecordingIOError(
+            f"manifest {path} needs a positive finite rate, got {rate!r}")
     arrays_path = os.path.join(os.path.dirname(path), RECORDING_NAME)
     # np.load leaves a file it opened itself open when the zip is damaged,
     # so the handle is ours to close
     try:
         with open(arrays_path, "rb") as fh, \
                 np.load(fh, allow_pickle=False) as npz:
-            return _read_trial(npz, manifest)
+            rec = _read_trial(npz, manifest)
     except (OSError, ValueError, KeyError, TypeError,
             zipfile.BadZipFile) as exc:
         raise RecordingIOError(
             f"cannot read recording {arrays_path}: {exc}") from exc
+    if manifest.get("n_samples") != rec.n_samples:
+        raise RecordingIOError(
+            f"manifest {path} gives n_samples {manifest.get('n_samples')!r}"
+            f" for {rec.n_samples} samples in {arrays_path}")
+    return rec
 
 
 def _array(npz, key: str, kind: str, columns: int | None = None):

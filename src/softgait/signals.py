@@ -131,11 +131,8 @@ def time_normalize(series: TimeSeries, events: np.ndarray, n_strides: int,
     if n_points % n_strides != 0:
         raise ValueError("n_points must be divisible by n_strides")
     pps = n_points // n_strides
-    boundaries = events[:n_strides + 1]
     idx = np.arange(len(series))
-    positions = np.empty(n_points)
-    for k in range(n_strides):
-        a, b = boundaries[k], boundaries[k + 1]
-        # half-open stride [a, b) so strides concatenate without duplicates
-        positions[k * pps:(k + 1) * pps] = a + (b - a) * np.arange(pps) / pps
+    # one row per half-open stride [a, b), so strides share no sample
+    a, b = events[:n_strides, None], events[1:n_strides + 1, None]
+    positions = (a + (b - a) * np.arange(pps) / pps).ravel()
     return TimeSeries(np.interp(positions, idx, series.samples), float(pps))

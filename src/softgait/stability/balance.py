@@ -58,15 +58,15 @@ def _find_peaks(x: np.ndarray, prominence: float,
                 distance: float) -> np.ndarray:
     """scipy.signal.find_peaks(x, prominence=, distance=)[0]: the local
     maxima of `x` left after thinning to `distance` samples apart, highest
-    first, whose prominence is at least `prominence`."""
+    first, that rise at least `prominence` over their base.  A peak's base
+    is the higher of the minima of `x` between it and the nearest sample
+    above it on each side, or the signal's end when there is none."""
     # a strict rise, an optional plateau, then a strict fall; a plateau
     # counts at its middle
     slope = (x[1:] > x[:-1]).astype(np.int8) - (x[1:] < x[:-1])
     turns = np.flatnonzero(slope)
     top = np.flatnonzero((slope[turns[:-1]] > 0) & (slope[turns[1:]] < 0))
     peaks = (turns[top] + 1 + turns[top + 1]) // 2
-    if len(peaks) == 0:
-        return peaks
 
     # from the highest peak down (in np.argsort's order, as scipy), drop
     # the peaks closer than `distance` to one kept
@@ -80,37 +80,14 @@ def _find_peaks(x: np.ndarray, prominence: float,
             keep[j + 1:hi[j]] = False
     peaks = peaks[keep]
 
-    # a peak's prominence is its height over the higher of its bases: the
-    # lowest samples between it and the nearest higher sample on each side
-    # (or the signal's end).  x is monotone between the samples where its
-    # slope changes, so the bases lie among those, the ends and the peaks
-    # (`samples`, values `v`).  Find the nearest higher ones by binary
-    # lifting on the running maxima spans[k][i] = max(v[i:i + 2**k]).
-    samples = np.concatenate(
-        ([0], np.union1d(np.flatnonzero(np.diff(slope)) + 1, peaks),
-         [len(x) - 1]))
-    v = x[samples]
-    at = np.searchsorted(samples, peaks)
-    height = x[peaks]
-    spans = [v]
-    while 2 ** len(spans) <= len(v):
-        half = 2 ** (len(spans) - 1)
-        spans.append(np.maximum(spans[-1][:-half], spans[-1][half:]))
-    left, right = at, at + 1   # v[left:right] <= height
-    for k in reversed(range(len(spans))):
-        span, step = spans[k], 2 ** k
-        wider = left - step
-        ok = (wider >= 0) & (span[np.maximum(wider, 0)] <= height)
-        left = np.where(ok, wider, left)
-        ok = (right + step <= len(v)) \
-            & (span[np.minimum(right, len(span) - 1)] <= height)
-        right = np.where(ok, right + step, right)
-    # min of v[left:at + 1] and of v[at:right]: every other reduceat
-    padded = np.append(v, 0.0)
-    bounds = np.column_stack((left, at + 1, at, right))
-    base = np.maximum(np.minimum.reduceat(padded, bounds[:, :2].ravel())[::2],
-                      np.minimum.reduceat(padded, bounds[:, 2:].ravel())[::2])
-    return peaks[height - base >= prominence]
+    bases = []
+    for p in peaks.tolist():
+        left = np.flatnonzero(x[:p] > x[p])
+        right = np.flatnonzero(x[p + 1:] > x[p])
+        start = left[-1] + 1 if len(left) else 0
+        stop = p + 1 + right[0] if len(right) else len(x)
+        bases.append(max(x[start:p + 1].min(), x[p:stop].min()))
+    return peaks[x[peaks] - np.array(bases) >= prominence]
 
 
 def pendulum_length(com: dict[str, TimeSeries], heel: np.ndarray,

@@ -124,14 +124,9 @@ def fnn_dimension(series: TimeSeries, tau: int,
         pts = _embed_raw(x, tau, dim)[:usable]
         dist, idx = cKDTree(pts).query(pts, k=2, workers=-1)
         dist, idx = dist[:, 1], idx[:, 1]
-        i = np.arange(usable)
-        extra = np.abs(x[i + dim * tau] - x[idx + dim * tau])
-        nonzero = dist > 0
-        ratio_false = np.zeros(usable, dtype=bool)
-        ratio_false[nonzero] = extra[nonzero] / dist[nonzero] > FNN_RATIO_TOL
-        ratio_false[~nonzero] = extra[~nonzero] > 0
-        new_dist = np.hypot(dist, extra)
-        size_false = new_dist / attractor_size > FNN_SIZE_TOL
+        extra = np.abs(x[dim * tau:] - x[idx + dim * tau])
+        ratio_false = extra > FNN_RATIO_TOL * dist
+        size_false = np.hypot(dist, extra) / attractor_size > FNN_SIZE_TOL
         if np.mean(ratio_false | size_false) < FNN_THRESHOLD:
             return max(dim, 2), False
     return max_dim, True

@@ -106,6 +106,19 @@ def reference_log_distances(series: np.ndarray, i_idx: np.ndarray,
     return np.log(np.maximum(np.sqrt(tot), LOG_FLOOR))
 
 
+def per_stride_time_normalize(series: TimeSeries, events: np.ndarray,
+                              n_strides: int, n_points: int) -> np.ndarray:
+    """time_normalize's samples with the grid filled one stride at a time:
+    stride k, the half-open [events[k], events[k + 1]), fills points
+    k * pps to (k + 1) * pps - 1."""
+    pps = n_points // n_strides
+    positions = np.empty(n_points)
+    for k in range(n_strides):
+        a, b = events[k], events[k + 1]
+        positions[k * pps:(k + 1) * pps] = a + (b - a) * np.arange(pps) / pps
+    return np.interp(positions, np.arange(len(series)), series.samples)
+
+
 def reference_mutual_information(x: np.ndarray, y: np.ndarray,
                                  n_bins: int = 32) -> float:
     """Mutual information in bits of two equal-length samples, each binned

@@ -153,6 +153,18 @@ class TestFnn:
         assert saturated
         assert dim == 4
 
+    def test_coincident_neighbors_with_the_same_next_sample_are_true(self):
+        # every delay vector has exact copies (pair distance 0) and all of
+        # them go on to the same sample (extra coordinate 0)
+        x = np.tile(np.arange(4.0), 250)
+        assert fnn_dimension(series(x), tau=1, max_dim=1) == (2, False)
+
+    def test_coincident_neighbors_that_part_are_false(self):
+        # each value comes twice and then steps up by 1: a pair at distance
+        # 0 whose extra coordinate differs is false at any ratio
+        x = np.repeat(np.arange(500.0), 2)
+        assert fnn_dimension(series(x), tau=1, max_dim=1) == (1, True)
+
     def test_minimum_dimension_is_two(self):
         # even a trivially predictable ramp reports at least dim 2
         x = np.linspace(0.0, 1.0, 2000)

@@ -77,6 +77,24 @@ class TestRecordingRoundTrip:
         rec = load_recording(out)
         assert rec.n_samples == small_tc_trial.n_samples
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_samples", 5), ("n_samples", None), ("n_samples", "1472"),
+        ("rate", 0), ("rate", -100.0), ("rate", True), ("rate", "100"),
+        ("rate", None), ("rate", float("inf")), ("rate", float("nan"))])
+    def test_manifest_must_match_the_arrays(self, small_tc_trial, tmp_path,
+                                            key, value):
+        save_recording(small_tc_trial, str(tmp_path))
+        manifest = tmp_path / MANIFEST_NAME
+        raw = json.loads(manifest.read_text())
+        # None deletes the key
+        if value is None:
+            del raw[key]
+        else:
+            raw[key] = value
+        manifest.write_text(json.dumps(raw))
+        with pytest.raises(RecordingIOError, match=key):
+            load_recording(str(tmp_path))
+
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(RecordingIOError):
             load_recording(str(tmp_path / "nowhere"))
@@ -392,9 +410,19 @@ class TestCliErrorCodes:
         def flat_marker(rec):
             rewrite(rec, marker_LHEEL=small_tc_trial.markers["LHEEL"][:, 2])
 
+        def wrong_n_samples(rec):
+            path = rec / MANIFEST_NAME
+            raw = json.loads(path.read_text())
+            path.write_text(json.dumps(dict(raw, n_samples=5)))
+
+        def bool_rate(rec):
+            path = rec / MANIFEST_NAME
+            raw = json.loads(path.read_text())
+            path.write_text(json.dumps(dict(raw, rate=True)))
+
         for damage in (drop_arrays, truncate_arrays, drop_events_right,
                        manifest_not_object, meta_not_object, object_array,
-                       float_events, flat_marker):
+                       float_events, flat_marker, wrong_n_samples, bool_rate):
             rec = tmp_path / damage.__name__
             shutil.copytree(good, rec)
             damage(rec)

@@ -7,12 +7,22 @@ from scipy.signal import find_peaks
 from helpers import exhaustive_mos
 from softgait.config import RunConfig
 from softgait.plant import generate_trial
-from softgait.signals import TimeSeries
-from softgait.stability.balance import (GRAVITY, MarkerGapError, _find_peaks,
-                                        com_velocity, detect_foot_strikes,
-                                        estimate_com, mos_ap, mos_ml,
+from softgait.signals import TimeSeries, butterworth_lowpass
+from softgait.stability.balance import (GRAVITY, STRIKE_FILTER,
+                                        STRIKE_PROMINENCE_MM, MarkerGapError,
+                                        _find_peaks, com_velocity,
+                                        detect_foot_strikes, estimate_com,
+                                        mos_ap, mos_ml,
                                         pendulum_eigenfrequency,
                                         pendulum_length, stance_frames, xcom)
+
+
+@pytest.fixture(scope="module", params=range(5))
+def default_run(request, default_trial):
+    """The default RunConfig() trial at seeds 0 to 4."""
+    seed = request.param
+    return default_trial if seed == 0 \
+        else generate_trial(RunConfig(seed=seed).to_trial_spec())
 
 
 def make_markers(n=200, rate=100.0, seed=0):
@@ -178,11 +188,21 @@ class TestFootStrikeDetection:
             want = find_peaks(x, prominence=prominence, distance=distance)[0]
             assert np.array_equal(_find_peaks(x, prominence, distance), want)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_one_strike_per_default_stride(self, seed, default_trial):
+    def test_peak_helper_equals_find_peaks_at_paper_scale(self, default_run):
+        # the heel signal and settings of detect_foot_strikes
+        rec = default_run
+        heel = TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate)
+        x = -butterworth_lowpass(heel, *STRIKE_FILTER).samples
+        distance = max(int(0.5 * rec.meta["stride_period"] * rec.rate), 1)
+        want = find_peaks(x, prominence=STRIKE_PROMINENCE_MM,
+                          distance=distance)[0]
+        assert len(want) == 200
+        assert np.array_equal(
+            _find_peaks(x, STRIKE_PROMINENCE_MM, distance), want)
+
+    def test_one_strike_per_default_stride(self, default_run):
         # the strike at sample 0 of a 201-stride trial is never a minimum
-        rec = default_trial if seed == 0 \
-            else generate_trial(RunConfig(seed=seed).to_trial_spec())
+        rec = default_run
         strikes = detect_foot_strikes(
             TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate),
             rec.meta["stride_period"])

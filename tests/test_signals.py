@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter, filtfilt, lfilter
 
+from helpers import per_stride_time_normalize
 from softgait.analysis import LYAPUNOV_FILTER, MOS_FILTER
 from softgait.signals import (TimeSeries, _butter_lowpass,
                               butterworth_lowpass, finite_difference,
@@ -185,6 +186,21 @@ class TestTimeNormalize:
         assert out.samples[0] == 10.0
         assert out.samples[100] == 60.0
         assert out.samples[200] == 130.0
+
+    def test_equals_the_per_stride_grid(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n_strides = int(rng.integers(1, 30))
+            pps = int(rng.integers(1, 150))
+            n_events = n_strides + int(rng.integers(1, 4))
+            events = int(rng.integers(0, 50)) \
+                + np.cumsum(rng.integers(1, 300, size=n_events))
+            ts = make_series(rng.normal(size=events[-1] + 10))
+            out = time_normalize(ts, events, n_strides, n_strides * pps)
+            want = per_stride_time_normalize(ts, events, n_strides,
+                                             n_strides * pps)
+            assert out.sample_rate == pps
+            assert np.array_equal(out.samples, want)
 
     def test_rejects_indivisible_points(self):
         ts = make_series(np.zeros(300))
