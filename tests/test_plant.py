@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -11,6 +12,10 @@ from softgait.lut import RHO, SIGMA, moment_map
 from softgait.plant import (ANKLE_DAMPING, DT, INERTIA_DEG,
                             MOTOR_LOOP_BANDWIDTH, PlantState, Perturbation,
                             generate_trial, ground_deflection, step_plant)
+
+# AC K_d 10 at 63 kN/m, 20 strides, seed 3
+COMPLIANT_RECORDING_SHA256 = (
+    "2962666217c1fbc04b7832a9c60728fd2b949d159a43424ebcba955487011eb0")
 
 
 class TestGroundDeflection:
@@ -204,6 +209,32 @@ class TestGenerateTrial:
                                        amplitude_jitter=0.0).to_trial_spec())
         peak = np.max(rec.cop_left[:, 2])
         assert peak == pytest.approx(1.1 * 59.0 * 9.81, rel=0.01)
+
+    def test_compliant_recording_is_pinned(self):
+        """Every array of a compliant-ground trial, so the ground
+        deflection and the generator's draw order are both covered.
+        Values are hashed at the reports' nine significant digits, so
+        last-ulp differences between platforms do not reach the digest."""
+        rec = generate_trial(RunConfig(mode="AC", K_d=10.0,
+                                       ground_stiffness=63.0, n_strides=20,
+                                       seed=3).to_trial_spec())
+        arrays = {"cop_left": rec.cop_left, "cop_right": rec.cop_right,
+                  "events_left": rec.events_left,
+                  "events_right": rec.events_right}
+        arrays.update((f"markers/{k}", v) for k, v in rec.markers.items())
+        arrays.update((f"prosthesis/{k}", v)
+                      for k, v in rec.prosthesis.items())
+        h = hashlib.sha256()
+        for name in sorted(arrays):
+            a = arrays[name]
+            h.update(f"{name} {a.dtype.kind} {a.shape}\n".encode())
+            h.update(",".join(map("{:.9g}".format, a.ravel().tolist()))
+                     .encode())
+        digest = h.hexdigest()
+        assert digest == COMPLIANT_RECORDING_SHA256, (
+            "the compliant-ground recording changed; if the change is "
+            "intended, update COMPLIANT_RECORDING_SHA256 and say why in "
+            f"CHANGES.md (sha256 now {digest})")
 
 
 class TestLoadResponse:
