@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .plant import Perturbation, TrialSpec
+from .plant import TrialSpec
 
 
 class ConfigError(ValueError):
@@ -28,7 +28,6 @@ class RunConfig:
     noise_mm: float = 1.0
     period_jitter: float = 0.02
     amplitude_jitter: float = 0.02
-    perturbations: list[dict] = field(default_factory=list)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -58,16 +57,6 @@ class RunConfig:
         """The validated trial (the two classes share their field names);
         a value out of range or of the wrong type is a ConfigError."""
         try:
-            return TrialSpec(**dict(vars(self), perturbations=tuple(
-                _perturbation(p) for p in self.perturbations)))
-        except ConfigError:
-            raise
+            return TrialSpec(**vars(self))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-
-
-def _perturbation(raw: dict) -> Perturbation:
-    try:
-        return Perturbation(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad perturbation {raw}: {exc}") from exc

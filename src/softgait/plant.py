@@ -11,10 +11,14 @@ and each tick is advanced exactly by a matrix exponential taken once at
 import (zero-order hold; Van Loan 1978, IEEE TAC 23:395).  The ground
 deflects linearly with vertical force; that deflection shapes the marker
 templates only, since ground stiffness does not enter the ankle dynamics.
-The trial generator drives the controller/plant loop with a kinematic
-template (pelvis sway, heel trajectory, stance load profile) and seeded
-stride-to-stride variability so the stability analysis downstream is
-non-degenerate.
+
+A trial has two parts.  `_template` makes every random draw and builds,
+with whole-array operations, the body's kinematic template (pelvis sway,
+heel path, CoP, foot strikes, stride-to-stride variability so that the
+stability analysis downstream is non-degenerate) and the two signals the
+prosthesis sees, tibia velocity and stance load.  `_closed_loop` then
+steps estimator, controller and plant through those signals; nothing it
+computes reaches the markers or the CoP.
 """
 
 from __future__ import annotations
@@ -44,6 +48,17 @@ AP_SWAY = 12.0            # mm
 VT_BOUNCE = 10.0          # mm
 TIBIA_AMPLITUDE = 10.0    # deg
 STANCE_END = 0.6          # stride fraction at toe-off; swing fills the rest
+PEAK_FORCE = 1.1          # vertical force peak, in body weights
+GRAVITY = 9.81            # m/s^2; the simulator loads no analysis module
+COP_AP_STRIKE = 250.0     # mm, fore-aft CoP at foot strike
+COP_AP_TRAVEL = 372.0     # mm, heel-to-toe CoP travel over stance
+COP_ML = 80.0             # mm, lateral CoP offset; the left foot's is negative
+HEEL_ML = -90.0           # mm
+HEEL_AP = 150.0           # mm, fore-aft heel excursion amplitude
+HEEL_NOISE = 0.3          # heel marker noise, as a fraction of noise_mm
+OMEGA_NOISE = 2.0         # deg/s, tibia-velocity noise
+PELVIS_MARKERS = {"LASI": (-60.0, 80.0, 0.0), "RASI": (60.0, 80.0, 0.0),
+                  "LPSI": (-60.0, -80.0, 0.0), "RPSI": (60.0, -80.0, 0.0)}
 # per-tick channels of the closed-loop log, in recording column order
 PROSTHESIS_KEYS = ("x", "q", "M", "omega", "gait_percent", "L_s", "q_d",
                    "x_cmd")
@@ -119,19 +134,6 @@ def step_plant(state: PlantState, motor_cmd: float,
 
 
 @dataclass
-class Perturbation:
-    kind: str          # "stiffness-step" | "load-impulse"
-    at_stride: int
-    magnitude: float   # new kN/m for stiffness-step, extra Nm for load-impulse
-
-    def __post_init__(self):
-        if self.kind not in ("stiffness-step", "load-impulse"):
-            raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        if self.kind == "stiffness-step" and not self.magnitude > 0:
-            raise ValueError("stiffness-step magnitude must be positive")
-
-
-@dataclass
 class TrialSpec:
     """Everything that determines a generated trial, including the seed.
 
@@ -148,7 +150,6 @@ class TrialSpec:
     amplitude_jitter: float   # fractional sd of per-stride amplitudes
     noise_mm: float           # marker measurement noise, smoothed
     body_mass: float          # kg
-    perturbations: tuple[Perturbation, ...] = ()
 
     def __post_init__(self):
         if self.mode not in ("AC", "TC"):
@@ -172,10 +173,6 @@ class TrialSpec:
             raise ValueError("n_strides must be an integer of at least 2")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
-        for p in self.perturbations:
-            if not 0 <= p.at_stride < self.n_strides:
-                raise ValueError(f"perturbation at_stride {p.at_stride} "
-                                 f"outside [0, {self.n_strides})")
 
 
 @dataclass
@@ -233,31 +230,27 @@ def _heel_height(s: np.ndarray) -> np.ndarray:
     return h
 
 
-def _smooth_noise(rng: np.random.Generator, n: int, scale: float,
-                  window: int = 5) -> np.ndarray:
+def _smooth_noise(rng: np.random.Generator, n: int,
+                  scale: float) -> np.ndarray:
+    """Five-sample moving average of white noise, scaled; no draw at 0."""
     if scale == 0.0:
         return np.zeros(n)
-    w = np.ones(window) / window
-    return scale * np.convolve(rng.standard_normal(n + window), w,
-                               mode="same")[:n]
+    window = 5
+    return scale * np.convolve(rng.standard_normal(n + window),
+                               np.ones(window) / window, mode="same")[:n]
 
 
-def generate_trial(spec: TrialSpec) -> TrialRecording:
-    """Run the closed controller/plant loop under the kinematic template.
-
-    Deterministic per spec (including seed): identical specs give
-    bitwise-identical recordings.
-    """
+def _template(spec: TrialSpec):
+    """(body, omega, load): the `TrialRecording` fields markers, CoP and
+    events, then the tibia velocity (deg/s) and the dorsiflexing stance
+    load (Nm) that drive the prosthesis.  Draws in a fixed order."""
     rng = np.random.default_rng(spec.seed)
-    T = spec.stride_period
-
     period_g = np.clip(rng.standard_normal(spec.n_strides), -3, 3)
-    durations = T * (1.0 + spec.period_jitter * period_g)
+    durations = spec.stride_period * (1.0 + spec.period_jitter * period_g)
     amp_g = np.clip(rng.standard_normal(spec.n_strides), -3, 3)
     amps = 1.0 + spec.amplitude_jitter * amp_g
     starts = np.concatenate(([0.0], np.cumsum(durations)))
-    total = starts[-1]
-    n = int(math.floor(total / DT))
+    n = int(math.floor(starts[-1] / DT))
     t = np.arange(n) * DT
 
     # continuous stride phase: k + s with s in [0, 1) inside stride k
@@ -266,35 +259,19 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     s_local = (t - starts[stride_idx]) / durations[stride_idx]
     amp_here = amps[stride_idx]
 
-    # ground stiffness per sample (stiffness-step perturbations)
-    k_g = np.full(n, spec.ground_stiffness)
-    impulse = np.zeros(n)
-    for p in spec.perturbations:
-        mask = stride_idx >= p.at_stride
-        if p.kind == "stiffness-step":
-            k_g[mask] = p.magnitude
-        else:  # load-impulse active during one stance
-            one = (stride_idx == p.at_stride) & (s_local < STANCE_END)
-            impulse[one] = p.magnitude
-
     # per-leg vertical force; right leg offset by half a stride
-    peak = 1.1 * spec.body_mass * 9.81
+    peak = PEAK_FORCE * spec.body_mass * GRAVITY
     s_right = (s_local + 0.5) % 1.0
-    f_left = np.where(
-        s_local < STANCE_END,
-        peak * _stance_bump(np.clip(s_local / STANCE_END, 0, 1)), 0.0) \
-        * amp_here
-    f_right = np.where(
-        s_right < STANCE_END,
-        peak * _stance_bump(np.clip(s_right / STANCE_END, 0, 1)), 0.0) \
-        * amp_here
-    defl_left = ground_deflection(f_left, k_g)
-    defl_right = ground_deflection(f_right, k_g)
+    f_left, f_right = (np.where(
+        s_leg < STANCE_END,
+        peak * _stance_bump(np.clip(s_leg / STANCE_END, 0, 1)), 0.0)
+        * amp_here for s_leg in (s_local, s_right))
+    defl_left = ground_deflection(f_left, spec.ground_stiffness)
+    defl_right = ground_deflection(f_right, spec.ground_stiffness)
     f_total = f_left + f_right
-    with np.errstate(invalid="ignore"):
-        defl_com = np.where(f_total > 0,
-                            (f_left * defl_left + f_right * defl_right)
-                            / np.where(f_total > 0, f_total, 1.0), 0.0)
+    defl_com = np.where(f_total > 0,
+                        (f_left * defl_left + f_right * defl_right)
+                        / np.where(f_total > 0, f_total, 1.0), 0.0)
 
     # pelvis / CoM template (mm)
     two_pi_s = 2.0 * math.pi * s_local
@@ -305,51 +282,55 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     com_vt = PELVIS_HEIGHT + VT_BOUNCE * amp_here \
         * np.cos(2.0 * two_pi_s) - defl_com \
         + _smooth_noise(rng, n, spec.noise_mm)
-
-    offsets = {"LASI": (-60.0, 80.0, 0.0), "RASI": (60.0, 80.0, 0.0),
-               "LPSI": (-60.0, -80.0, 0.0), "RPSI": (60.0, -80.0, 0.0)}
-    markers = {}
     center = np.stack([com_ml, com_ap, com_vt], axis=1)
-    for name, off in offsets.items():
-        markers[name] = center + np.asarray(off)
+    markers = {name: center + np.asarray(off)
+               for name, off in PELVIS_MARKERS.items()}
 
     # left heel: template height minus local ground deflection
+    heel_noise = HEEL_NOISE * spec.noise_mm
     heel_vt = _heel_height(s_local) * amp_here - defl_left \
-        + _smooth_noise(rng, n, 0.3 * spec.noise_mm)
-    heel_ml = np.full(n, -90.0) + _smooth_noise(rng, n, 0.3 * spec.noise_mm)
-    heel_ap = 150.0 * np.cos(two_pi_s) + _smooth_noise(rng, n,
-                                                       0.3 * spec.noise_mm)
+        + _smooth_noise(rng, n, heel_noise)
+    heel_ml = np.full(n, HEEL_ML) + _smooth_noise(rng, n, heel_noise)
+    heel_ap = HEEL_AP * np.cos(two_pi_s) + _smooth_noise(rng, n, heel_noise)
     markers["LHEEL"] = np.stack([heel_ml, heel_ap, heel_vt], axis=1)
 
     # CoP: heel-to-toe progression during stance, held elsewhere
-    def cop_channels(s_leg, force, ml_base):
+    def cop_channels(s_leg, force, ml):
         u = np.clip(s_leg / STANCE_END, 0.0, 1.0)
-        ap = 250.0 - 372.0 * u
-        ml = np.full_like(ap, ml_base)
-        in_stance = s_leg < STANCE_END
-        ap = np.where(in_stance, ap, 250.0)
-        return np.stack([ml, ap, force], axis=1)
+        ap = np.where(s_leg < STANCE_END, COP_AP_STRIKE - COP_AP_TRAVEL * u,
+                      COP_AP_STRIKE)
+        return np.stack([np.full_like(ap, ml), ap, force], axis=1)
 
-    cop_left = cop_channels(s_local, f_left, -80.0)
-    cop_right = cop_channels(s_right, f_right, 80.0)
-
-    # closed-loop prosthesis simulation, fed by two template signals:
-    # tibia velocity (-sin puts the estimator's phase zero at foot strike)
-    omega_noise = _smooth_noise(rng, n, 2.0)  # deg/s
+    # tibia velocity: -sin puts the estimator's phase zero at foot strike
     omega = -TIBIA_AMPLITUDE * amp_here \
         * (2.0 * math.pi / durations[stride_idx]) * np.sin(two_pi_s) \
-        + omega_noise
-    # and the stance load, dorsiflexing: the ankle moment rises
-    # monotonically through stance as the CoP travels heel to toe, then
-    # releases quickly at toe-off
+        + _smooth_noise(rng, n, OMEGA_NOISE)
+    # stance load, dorsiflexing: the ankle moment rises monotonically
+    # through stance as the CoP travels heel to toe, then releases quickly
+    # at toe-off
     u_st = s_local / STANCE_END
     ramp = u_st < 0.95
     release = ~ramp & (u_st < 1.0)
     g = np.zeros(n)
     g[ramp] = u_st[ramp] / 0.95
     g[release] = np.cos(0.5 * math.pi * (u_st[release] - 0.95) / 0.05) ** 2
-    load = LOAD_MOMENT_ARM * peak * amp_here * g + impulse
+    load = LOAD_MOMENT_ARM * peak * amp_here * g
 
+    events_left = np.round(starts[:-1] / DT).astype(int)
+    events_right = np.round((starts[:-1] + 0.5 * durations) / DT).astype(int)
+    body = {"markers": markers,
+            "cop_left": cop_channels(s_local, f_left, -COP_ML),
+            "cop_right": cop_channels(s_right, f_right, COP_ML),
+            "events_left": events_left[events_left < n],
+            "events_right": events_right[events_right < n]}
+    return body, omega, load
+
+
+def _closed_loop(mode: str, K_d: float, omega: np.ndarray,
+                 load: np.ndarray) -> dict[str, np.ndarray]:
+    """The `PROSTHESIS_KEYS` log of estimator, controller and plant
+    stepped once per sample of omega and load."""
+    n = len(omega)
     gait_lut = default_gait_lut()
     moment_lut = default_moment_lut()
     plant = PlantState()
@@ -358,8 +339,8 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
     log["omega"] = omega
     for i in range(n):
         phase = tibia_phase_update(phase, omega.item(i))
-        out = step_controller(spec.mode, plant.q, plant.moment, phase,
-                              spec.K_d, gait_lut, moment_lut)
+        out = step_controller(mode, plant.q, plant.moment, phase, K_d,
+                              gait_lut, moment_lut)
         plant = step_plant(plant, out.x_cmd, load.item(i))
         log["x"][i] = plant.x
         log["q"][i] = plant.q
@@ -368,19 +349,21 @@ def generate_trial(spec: TrialSpec) -> TrialRecording:
         log["L_s"][i] = phase.L_s
         log["q_d"][i] = out.q_d
         log["x_cmd"][i] = out.x_cmd
+    return log
 
-    events_left = np.round(starts[:-1] / DT).astype(int)
-    events_left = events_left[events_left < n]
-    right_times = starts[:-1] + 0.5 * durations
-    events_right = np.round(right_times / DT).astype(int)
-    events_right = events_right[events_right < n]
 
+def generate_trial(spec: TrialSpec) -> TrialRecording:
+    """Run the closed controller/plant loop under the kinematic template.
+
+    Deterministic per spec (including seed): identical specs give
+    bitwise-identical recordings.
+    """
+    body, omega, load = _template(spec)
     meta = {"mode": spec.mode, "K_d": spec.K_d, "seed": spec.seed,
             "n_strides": spec.n_strides, "stride_period": spec.stride_period,
             "ground_stiffness": ("rigid" if math.isinf(spec.ground_stiffness)
                                  else spec.ground_stiffness),
             "body_mass": spec.body_mass}
-    return TrialRecording(markers=markers, cop_left=cop_left,
-                          cop_right=cop_right, prosthesis=log,
-                          events_left=events_left, events_right=events_right,
-                          rate=1.0 / DT, meta=meta)
+    return TrialRecording(
+        **body, prosthesis=_closed_loop(spec.mode, spec.K_d, omega, load),
+        rate=1.0 / DT, meta=meta)

@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import json
@@ -8,7 +9,6 @@ import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from softgait.config import ConfigError, RunConfig
 from softgait.io import (MANIFEST_NAME, RECORDING_NAME, RecordingIOError,
                          _round_sig, load_recording, load_report,
                          save_recording, save_report, write_plot_csvs)
-from softgait.plant import Perturbation, generate_trial
+from softgait.plant import generate_trial
 
 TINY_ANALYSIS = {
     "exclude_strides": 5, "window_strides": 20, "n_windows": 5,
@@ -175,35 +175,12 @@ class TestRunConfig:
 
     def test_to_trial_spec_carries_condition(self):
         cfg = RunConfig(mode="AC", K_d=20.0, ground_stiffness=63.0,
-                        n_strides=30, seed=5,
-                        perturbations=[{"kind": "load-impulse",
-                                        "at_stride": 10, "magnitude": 5.0}])
+                        n_strides=30, seed=5)
         spec = cfg.to_trial_spec()
         assert spec.mode == "AC"
         assert spec.K_d == 20.0
         assert spec.ground_stiffness == 63.0
         assert spec.seed == 5
-        assert len(spec.perturbations) == 1
-        spec = replace(spec, perturbations=spec.perturbations
-                       + (Perturbation("stiffness-step", 20, 25.0),))
-        assert [p.at_stride for p in spec.perturbations] == [10, 20]
-
-    def test_bad_perturbation_rejected(self):
-        for pert in ({"bogus": 1},
-                     {"kind": "bogus", "at_stride": 1, "magnitude": 1.0},
-                     {"kind": "load-impulse", "at_stride": -1,
-                      "magnitude": 5.0},
-                     {"kind": "load-impulse", "at_stride": 10,
-                      "magnitude": 5.0},
-                     {"kind": "load-impulse", "at_stride": 500,
-                      "magnitude": 5.0},
-                     {"kind": "stiffness-step", "at_stride": 1,
-                      "magnitude": 0.0},
-                     {"kind": "stiffness-step", "at_stride": 1,
-                      "magnitude": -25.0}):
-            cfg = RunConfig(n_strides=10, perturbations=[pert])
-            with pytest.raises(ConfigError):
-                cfg.to_trial_spec()
 
 
 @pytest.fixture(scope="module")
@@ -327,9 +304,6 @@ class TestCliErrorCodes:
         for raw in ({"mode": "WRONG"}, {"mode": "TC", "K_d": 0.0},
                     {"mode": "AC", "K_d": 2.5},
                     {"body_mass": 0.0}, {"n_strides": 10.5}, {"seed": -1},
-                    {"n_strides": 10, "perturbations": [
-                        {"kind": "load-impulse", "at_stride": 500,
-                         "magnitude": 5.0}]},
                     {"period_jitter": 0.6, "n_strides": 100},
                     {"amplitude_jitter": -5, "n_strides": 20},
                     # squaring the tibia velocity would overflow a float
@@ -341,6 +315,15 @@ class TestCliErrorCodes:
             assert code == 1
             assert capsys.readouterr().err.startswith("invalid config:")
             assert not (tmp_path / "o").exists()
+        # a run.json that lists perturbations, which the simulator does
+        # not have, is refused rather than run without them
+        bad.write_text(json.dumps({"n_strides": 10, "perturbations": []}))
+        code = main(["simulate", "--config", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config:") and "perturbations" in err
+        assert not (tmp_path / "o").exists()
 
     def test_failed_simulation_is_reported(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -575,3 +558,27 @@ def test_analysis_leaves_scipy_signal_and_stats_unloaded():
     assert _loaded("from softgait.stability.stats import wilcoxon_ranksum; "
                    "wilcoxon_ranksum([1.0, 2.0], [3.0, 4.0])",
                    stack) == ["scipy.stats"]
+
+
+def test_only_the_cli_prints_and_nothing_warns():
+    """The library reports through return values, exceptions and
+    `logging`: `print` is the CLI's alone, and no module imports
+    `warnings`."""
+    package = Path(softgait.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        name = str(path.relative_to(package))
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "warnings" for m in modules):
+                found.append(f"{name}:{node.lineno} imports warnings")
+            if (isinstance(node, ast.Call) and name != "cli.py"
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"):
+                found.append(f"{name}:{node.lineno} calls print")
+    assert found == []

@@ -10,7 +10,7 @@ from helpers import gait_like_velocity
 from softgait.config import RunConfig
 from softgait.lut import RHO, SIGMA, moment_map
 from softgait.plant import (ANKLE_DAMPING, DT, INERTIA_DEG,
-                            MOTOR_LOOP_BANDWIDTH, PlantState, Perturbation,
+                            MOTOR_LOOP_BANDWIDTH, PlantState,
                             generate_trial, ground_deflection, step_plant)
 
 # AC K_d 10 at 63 kN/m, 20 strides, seed 3
@@ -107,48 +107,6 @@ class TestTrialSpec:
                             ("noise_mm", -1.0)):
             with pytest.raises(ValueError, match=name):
                 replace(spec, **{name: value})
-
-
-class TestPerturbations:
-    def test_inject_returns_new_spec(self):
-        spec = RunConfig(mode="TC").to_trial_spec()
-        pert = Perturbation("stiffness-step", 5, 25.0)
-        out = replace(spec, perturbations=spec.perturbations + (pert,))
-        assert out.perturbations == (pert,)
-        assert len(spec.perturbations) == 0
-
-    def test_rejects_perturbation_outside_trial(self):
-        for at_stride in (-1, 10):
-            pert = Perturbation("stiffness-step", at_stride, 25.0)
-            with pytest.raises(ValueError):
-                replace(RunConfig(n_strides=10).to_trial_spec(),
-                        perturbations=(pert,))
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Perturbation("nonsense", 0, 1.0)
-
-    def test_rejects_non_positive_stiffness_step(self):
-        for magnitude in (0.0, -25.0, math.nan):
-            with pytest.raises(ValueError):
-                replace(RunConfig(n_strides=10).to_trial_spec(),
-                        perturbations=(
-                            Perturbation("stiffness-step", 1, magnitude),))
-
-    def test_stiffness_step_changes_late_deflection(self):
-        base = RunConfig(mode="TC", ground_stiffness=63.0, n_strides=10,
-                         seed=3, noise_mm=0.0).to_trial_spec()
-        stepped = replace(base, perturbations=(
-            Perturbation("stiffness-step", 5, 25.0),))
-        a = generate_trial(base)
-        b = generate_trial(stepped)
-        heel_a = a.markers["LHEEL"][:, 2]
-        heel_b = b.markers["LHEEL"][:, 2]
-        pre = slice(0, a.events_left[4])
-        post = slice(a.events_left[6], a.events_left[9])
-        assert np.allclose(heel_a[pre], heel_b[pre])
-        # the softer late-trial surface sinks further under load
-        assert np.max(heel_a[post] - heel_b[post]) > 3.0
 
 
 class TestGenerateTrial:
