@@ -8,6 +8,13 @@ wraps the TC: it derives the unloaded equilibrium angle from the TC
 command and offsets it by M / K_d to emulate the chosen quasi-stiffness.
 Only stiffness is emulated: the law has no damping or inertia terms.
 
+The estimator and the gait reference read only the tibia velocity, never
+the ankle, so a trial runs them in stages: `tibia_phase_update` once per
+tick, then `tibia_reference_motor` once, on the whole trial's arrays.
+`step_controller` is the per-tick rest, moment feedback, the blend and
+AC's two moment-dependent inversions, and the only part that reads the
+plant (see `plant._closed_loop`).
+
 Signs follow `lut.moment_map`, so both are springs: AC of K_d, and TC,
 whose motor holds its gait-surface position, of SIGMA*RHO.  TC's moment
 feedback K_M * M has a loop gain of -K_M*SIGMA = -0.25: it yields to load.
@@ -16,11 +23,11 @@ feedback K_M * M has a loop gain of -K_M*SIGMA = -0.25: it yields to load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .lut import Lut2D, moment_map
+from .lut import Lut2D, UnreachableTargetError, moment_map
 
 DT = 0.01                   # s, the 100 Hz control tick
 MOTOR_RANGE_MM = (-40.0, 40.0)
@@ -36,11 +43,12 @@ LEAK = DT / LEAK_TAU        # per-tick leak of the estimator's running means
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
-    return min(max(v, lo), hi)
+    """min(max(v, lo), hi) for lo <= hi, NaN and signed zeros included,
+    without the builtins' call overhead."""
+    return lo if v < lo else hi if v > hi else v
 
 
-@dataclass
-class TibiaPhaseState:
+class TibiaPhaseState(NamedTuple):
     """Phase-plane estimator state.
 
     The tibia angle is recovered from angular velocity by leaky
@@ -64,10 +72,6 @@ class TibiaPhaseState:
         """Stride fraction in [0, 1): zero at foot strike."""
         return self.phase_angle / (2.0 * math.pi)
 
-    @property
-    def L_s_norm(self) -> float:
-        return self.L_s / SSP
-
 
 _OMEGA_FLOOR = 1e-9
 
@@ -83,9 +87,8 @@ def tibia_phase_update(state: TibiaPhaseState,
 
     if ms_omega < _OMEGA_FLOOR and abs(omega) < _OMEGA_FLOOR:
         # no motion: hold phase and stride length
-        return TibiaPhaseState(
-            theta_integral=theta, phase_angle=state.phase_angle, L_s=state.L_s,
-            theta_mean=theta_mean, ms_theta=ms_theta, ms_omega=ms_omega)
+        return TibiaPhaseState(theta, state.phase_angle, state.L_s,
+                               theta_mean, ms_theta, ms_omega)
 
     omega_scale = math.sqrt(ms_omega / ms_theta) if ms_theta > _OMEGA_FLOOR else 1.0
     phase = math.atan2(-omega / omega_scale, theta_c) % (2.0 * math.pi)
@@ -95,9 +98,7 @@ def tibia_phase_update(state: TibiaPhaseState,
     if phase - state.phase_angle < -math.pi:  # the orbit wrapped: new stride
         radius = math.sqrt(2.0 * ms_theta)
         L_s = STRIDE_CALIBRATION * radius
-    return TibiaPhaseState(
-        theta_integral=theta, phase_angle=phase, L_s=L_s,
-        theta_mean=theta_mean, ms_theta=ms_theta, ms_omega=ms_omega)
+    return TibiaPhaseState(theta, phase, L_s, theta_mean, ms_theta, ms_omega)
 
 
 def blend_commands(x_m: float, x_g: float, L_s_norm: float) -> float:
@@ -116,19 +117,20 @@ def moment_feedback(M: float) -> float:
     return _clamp(K_M * M, *MOTOR_RANGE_MM)
 
 
-def tibia_reference_motor(gait_percent: float, L_s: float, gait_lut: Lut2D,
-                          moment_lut: Lut2D) -> float:
-    """Reference motor position: gait surface gives the reference ankle
-    angle, whose unloaded (zero-moment) motor position is looked up."""
-    gp = _clamp(gait_percent, gait_lut.axis_a[0], gait_lut.axis_a[-1])
-    ls = _clamp(L_s, gait_lut.axis_b[0], gait_lut.axis_b[-1])
-    q_ref = gait_lut.eval(gp, ls)
-    return moment_lut.invert(0.0, ("b", q_ref))
+def tibia_reference_motor(gait_percent: np.ndarray, L_s: np.ndarray,
+                          gait_lut: Lut2D, moment_lut: Lut2D) -> np.ndarray:
+    """Reference motor position of each tick: the gait surface gives the
+    reference ankle angle, whose unloaded (zero-moment) motor position is
+    looked up.  Takes the estimator's whole-trial arrays."""
+    gp = np.clip(gait_percent, gait_lut.axis_a[0], gait_lut.axis_a[-1])
+    ls = np.clip(L_s, gait_lut.axis_b[0], gait_lut.axis_b[-1])
+    q_ref = gait_lut.eval_array(gp, ls)
+    return moment_lut.invert_array(0.0, ("b", q_ref))
 
 
 def admittance_equilibrium(x_d_tc: float, moment_lut: Lut2D) -> float:
     """Virtual unloaded ankle angle realized by the TC motor command."""
-    x = _clamp(x_d_tc, moment_lut.axis_a[0], moment_lut.axis_a[-1])
+    x = _clamp(x_d_tc, *moment_lut.limits["a"])
     return moment_lut.invert(0.0, ("a", x))
 
 
@@ -143,19 +145,18 @@ def ankle_controller(q_d: float, q: float, M: float,
                      moment_lut: Lut2D) -> float:
     """Feedforward (moment-map inversion at the desired angle) plus
     proportional feedback on the angle error."""
-    qd = _clamp(q_d, moment_lut.axis_b[0], moment_lut.axis_b[-1])
+    qd = _clamp(q_d, *moment_lut.limits["b"])
     try:
         x_ff = moment_lut.invert(M, ("b", qd))
-    except ValueError:
+    except UnreachableTargetError:
         # moment not reachable at this angle: saturate at the range edge
-        lo, hi = moment_lut.axis_a[0], moment_lut.axis_a[-1]
+        lo, hi = moment_lut.limits["a"]
         x_ff = lo if M > moment_lut.eval(lo, qd) else hi
     x_fb = FB_GAIN * (qd - q)
     return _clamp(x_ff + x_fb, MOTOR_RANGE_MM[0], MOTOR_RANGE_MM[1])
 
 
-@dataclass
-class ControllerOutput:
+class ControllerOutput(NamedTuple):
     """One tick of controller diagnostics alongside the motor command.
 
     In TC mode there is no desired angle (`q_d` is NaN)."""
@@ -164,26 +165,24 @@ class ControllerOutput:
     q_d: float
 
 
-def step_controller(mode: str, q: float, M: float, phase: TibiaPhaseState,
-                    K_d: float, gait_lut: Lut2D,
+def step_controller(mode: str, q: float, M: float, x_g: float,
+                    L_s_norm: float, K_d: float,
                     moment_lut: Lut2D) -> ControllerOutput:
     """Compose one DT control tick in either TC or AC mode from the
-    measured ankle angle q (deg) and moment M (Nm).
+    measured ankle angle q (deg) and moment M (Nm), the tick's gait
+    reference x_g (`tibia_reference_motor`) and its stride length over SSP.
 
     The AC law reads the raw moment: its loop gain on it, 1 - SIGMA*RHO / K_d,
     stays inside (-1, 1) above `plant.TrialSpec`'s bound K_d > SIGMA*RHO / 2.
     """
-    x_g = tibia_reference_motor(phase.gait_percent, phase.L_s, gait_lut,
-                                moment_lut)
     x_m = moment_feedback(M)
-    x_d_tc = _clamp(blend_commands(x_m, x_g, phase.L_s_norm), *MOTOR_RANGE_MM)
+    x_d_tc = _clamp(blend_commands(x_m, x_g, L_s_norm), *MOTOR_RANGE_MM)
     if mode == "TC":
-        return ControllerOutput(x_cmd=x_d_tc, q_d=math.nan)
+        return ControllerOutput(x_d_tc, math.nan)
     if mode == "AC":
         q_e = admittance_equilibrium(x_d_tc, moment_lut)
         q_d = admittance_target(q_e, M, K_d)
-        return ControllerOutput(x_cmd=ankle_controller(q_d, q, M, moment_lut),
-                                q_d=q_d)
+        return ControllerOutput(ankle_controller(q_d, q, M, moment_lut), q_d)
     raise ValueError(f"unknown controller mode {mode!r}")
 
 

@@ -2,8 +2,9 @@
 
 The same mechanism backs three roles in the controllers: the moment map
 (motor position, ankle angle) -> Nm, its zero-moment inversion giving the
-unloaded ankle angle, and the feedforward inversion giving the motor
-position that realizes a target moment at a desired angle.
+unloaded ankle angle or motor position, and the feedforward inversion
+giving the motor position that realizes a target moment at a desired
+angle.
 """
 
 from __future__ import annotations
@@ -49,9 +50,12 @@ class Lut2D:
     along it is strictly monotone in the same direction; which axes are
     is worked out from the values at construction.
 
-    The controllers query the table a few times per tick, one scalar at a
+    The controllers query the table up to twice per tick, one scalar at a
     time, so `eval` and `invert` work on Python-float copies of the grid
-    and touch only the table entries they need.
+    and touch only the table entries they need.  `eval_array` and
+    `invert_array` answer a whole trial's queries at once with the same
+    float operations in the same order, so each element is bit-identical
+    to the scalar call; they gather only the entries each query probes.
     """
 
     def __init__(self, axis_a, axis_b, values):
@@ -68,12 +72,15 @@ class Lut2D:
             raise InvalidLutError(
                 f"values shape {self.values.shape} does not match axes "
                 f"({len(self.axis_a)}, {len(self.axis_b)})")
-        self._monotone_axes = set()
-        for ax, axis in (("a", 0), ("b", 1)):
+        # fixed axis -> free axis, for the inversions that are well defined
+        self._free = {}
+        for fixed, free, axis in (("b", "a", 0), ("a", "b", 1)):
             d = np.diff(self.values, axis=axis)
             if np.all(d > 0) or np.all(d < 0):
-                self._monotone_axes.add(ax)
+                self._free[fixed] = free
         self._grid = {"a": self.axis_a.tolist(), "b": self.axis_b.tolist()}
+        # first and last node of each axis, as Python floats
+        self.limits = {name: (g[0], g[-1]) for name, g in self._grid.items()}
         # fixed axis -> the slices along the free axis, one per fixed node
         self._slices = {"a": self.values.tolist(),
                         "b": self.values.T.tolist()}
@@ -86,8 +93,33 @@ class Lut2D:
             raise LutDomainError(
                 f"coordinate {c} outside axis_{name} range "
                 f"[{grid[0]}, {grid[-1]}]")
-        i = max(min(bisect_right(axis, c) - 1, len(axis) - 2), 0)
+        # searching nodes 1 .. n - 2 clamps the cell index to 0 .. n - 2
+        i = bisect_right(axis, c, 1, len(axis) - 1) - 1
         return i, (c - axis[i]) / (axis[i + 1] - axis[i])
+
+    def _cells(self, name: str, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`_cell` of each element of c; np.searchsorted(side="right")
+        finds the cells `bisect_right` does."""
+        axis = self.axis_a if name == "a" else self.axis_b
+        inside = (axis[0] <= c) & (c <= axis[-1])
+        if not inside.all():
+            raise LutDomainError(
+                f"coordinate {c[~inside].flat[0]} outside axis_{name} range "
+                f"[{axis[0]}, {axis[-1]}]")
+        i = np.clip(np.searchsorted(axis, c, side="right") - 1,
+                    0, len(axis) - 2)
+        return i, (c - axis[i]) / (axis[i + 1] - axis[i])
+
+    def _free_axis(self, fixed_axis: str) -> str:
+        """The axis an inversion solves along, once it is known to be
+        strictly monotone."""
+        free_axis = self._free.get(fixed_axis)
+        if free_axis is None:
+            if fixed_axis not in ("a", "b"):
+                raise InvalidLutError("fixed axis must be 'a' or 'b'")
+            raise InvalidLutError("values are not strictly monotone along "
+                                  f"axis {'a' if fixed_axis == 'b' else 'b'}")
+        return free_axis
 
     def eval(self, a: float, b: float) -> float:
         """Bilinear interpolation of the four surrounding nodes; exact at nodes."""
@@ -106,17 +138,10 @@ class Lut2D:
         error is at floating-point level.
         """
         fixed_axis, fixed_value = fixed
-        if fixed_axis == "b":
-            free_axis = "a"
-        elif fixed_axis == "a":
-            free_axis = "b"
-        else:
-            raise InvalidLutError("fixed axis must be 'a' or 'b'")
-        if free_axis not in self._monotone_axes:
-            raise InvalidLutError(
-                f"values are not strictly monotone along axis {free_axis}")
+        free_axis = self._free_axis(fixed_axis)
         j, t = self._cell(fixed_axis, fixed_value)
-        v0, v1 = self._slices[fixed_axis][j], self._slices[fixed_axis][j + 1]
+        slices = self._slices[fixed_axis]
+        v0, v1 = slices[j], slices[j + 1]
         n = len(v0)
         w = 1 - t
         first = w * v0[0] + t * v1[0]
@@ -139,7 +164,7 @@ class Lut2D:
                 hi = mid
             else:
                 lo = mid + 1
-        k = min(max(lo - 1, 0), n - 2)
+        k = 0 if lo < 1 else n - 2 if lo > n - 1 else lo - 1
         k0, k1 = (k, k + 1) if increasing else (n - 1 - k, n - 2 - k)
         g0 = w * v0[k0] + t * v1[k0]
         denom = w * v0[k1] + t * v1[k1] - g0
@@ -147,3 +172,64 @@ class Lut2D:
         grid = self._grid[free_axis]
         return float(grid[k0] + t * (grid[k1] - grid[k0]))
 
+    def eval_array(self, a, b) -> np.ndarray:
+        """`eval` of each element of the broadcast arrays a and b."""
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                   np.asarray(b, dtype=float))
+        i, ta = self._cells("a", a)
+        j, tb = self._cells("b", b)
+        v = self.values
+        return ((1 - ta) * (1 - tb) * v[i, j] + ta * (1 - tb) * v[i + 1, j]
+                + (1 - ta) * tb * v[i, j + 1] + ta * tb * v[i + 1, j + 1])
+
+    def invert_array(self, target, fixed: tuple[str, np.ndarray]) -> np.ndarray:
+        """`invert` of each element of the broadcast arrays target and
+        fixed[1]; raises if any element would.
+
+        The binary search makes the scalar search's probes, one round for
+        every query at a time, until each query's range is empty.
+        """
+        fixed_axis, fixed_value = fixed
+        free_axis = self._free_axis(fixed_axis)
+        target, fixed_value = np.broadcast_arrays(
+            np.asarray(target, dtype=float),
+            np.asarray(fixed_value, dtype=float))
+        j, t = self._cells(fixed_axis, fixed_value)
+        # row k of s is the slice along the free axis at fixed node k
+        s = self.values if fixed_axis == "a" else self.values.T
+        n = s.shape[1]
+        w = 1 - t
+
+        def g(m):
+            return w * s[j, m] + t * s[j + 1, m]
+
+        first, last = g(0), g(n - 1)
+        reachable = ((np.minimum(first, last) <= target)
+                     & (target <= np.maximum(first, last)))
+        if not reachable.all():
+            k = np.flatnonzero(~reachable)[0]
+            raise UnreachableTargetError(
+                f"target {target.flat[k]} outside slice range "
+                f"[{min(first.flat[k], last.flat[k])}, "
+                f"{max(first.flat[k], last.flat[k])}]")
+        increasing = last > first
+        lo = np.zeros(j.shape, dtype=np.intp)
+        hi = np.full(j.shape, n, dtype=np.intp)
+        searching = lo < hi
+        while searching.any():
+            # a finished search may sit at n, one past the last entry
+            mid = np.minimum((lo + hi) >> 1, n - 1)
+            g_m = g(np.where(increasing, mid, n - 1 - mid))
+            left = (target < g_m) | (g_m != g_m)
+            hi = np.where(searching & left, mid, hi)
+            lo = np.where(searching & ~left, mid + 1, lo)
+            searching = lo < hi
+        k = np.clip(lo - 1, 0, n - 2)
+        k0 = np.where(increasing, k, n - 1 - k)
+        k1 = np.where(increasing, k + 1, n - 2 - k)
+        g0 = g(k0)
+        denom = g(k1) - g0
+        u = np.divide(target - g0, denom, out=np.zeros_like(denom),
+                      where=denom != 0)
+        grid = self.axis_a if free_axis == "a" else self.axis_b
+        return grid[k0] + u * (grid[k1] - grid[k0])

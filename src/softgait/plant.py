@@ -16,9 +16,13 @@ A trial has two parts.  `_template` makes every random draw and builds,
 with whole-array operations, the body's kinematic template (pelvis sway,
 heel path, CoP, foot strikes, stride-to-stride variability so that the
 stability analysis downstream is non-degenerate) and the two signals the
-prosthesis sees, tibia velocity and stance load.  `_closed_loop` then
-steps estimator, controller and plant through those signals; nothing it
-computes reaches the markers or the CoP.
+prosthesis sees, tibia velocity and stance load.  `_closed_loop` then runs
+the prosthesis on those signals in three stages, each over the whole
+trial before the next: the phase estimator, stepped once per tick on the
+tibia velocity alone; the gait reference, computed once on the
+estimator's arrays; and the closed loop proper, in which only the
+controller and the plant step, since only they read the plant.  Nothing
+it computes reaches the markers or the CoP.
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .controllers import (DT, TibiaPhaseState, default_gait_lut,
+from .controllers import (DT, SSP, TibiaPhaseState, default_gait_lut,
                           default_moment_lut, step_controller,
-                          tibia_phase_update)
+                          tibia_phase_update, tibia_reference_motor)
 from .lut import RHO, SIGMA, moment_map
 
 DEG = math.pi / 180.0
@@ -89,8 +94,7 @@ class SimulationDivergedError(RuntimeError):
     pass
 
 
-@dataclass
-class PlantState:
+class PlantState(NamedTuple):
     x: float = 0.0            # motor position, mm
     x_dot: float = 0.0
     q: float = 0.0            # ankle angle, deg
@@ -116,20 +120,16 @@ def step_plant(state: PlantState, motor_cmd: float,
     """
     (p00, p01, _, _, _), (p10, p11, _, _, _), \
         (p20, p21, p22, p23, p24), (p30, p31, p32, p33, p34) = TICK_UPDATE
-    y = state.x - motor_cmd
-    yd = state.x_dot
-    q = state.q
-    q_dot = state.q_dot
+    x, yd, q, q_dot, _ = state
+    y = x - motor_cmd
     c = (SIGMA * motor_cmd + external_load) / INERTIA_DEG
     x_new = p00 * y + p01 * yd + motor_cmd
     q_new = p20 * y + p21 * yd + p22 * q + p23 * q_dot + p24 * c
-    new = PlantState(x=x_new, x_dot=p10 * y + p11 * yd, q=q_new,
-                     q_dot=p30 * y + p31 * yd + p32 * q + p33 * q_dot
-                     + p34 * c,
-                     moment=moment_map(x_new, q_new))
-    for v in (new.x, new.q, new.x_dot, new.q_dot, new.moment):
-        if not math.isfinite(v):
-            raise SimulationDivergedError("plant state is no longer finite")
+    new = PlantState(x_new, p10 * y + p11 * yd, q_new,
+                     p30 * y + p31 * yd + p32 * q + p33 * q_dot + p34 * c,
+                     moment_map(x_new, q_new))
+    if not all(map(math.isfinite, new)):
+        raise SimulationDivergedError("plant state is no longer finite")
     return new
 
 
@@ -328,27 +328,38 @@ def _template(spec: TrialSpec):
 
 def _closed_loop(mode: str, K_d: float, omega: np.ndarray,
                  load: np.ndarray) -> dict[str, np.ndarray]:
-    """The `PROSTHESIS_KEYS` log of estimator, controller and plant
-    stepped once per sample of omega and load."""
+    """The `PROSTHESIS_KEYS` log of estimator, controller and plant on
+    each sample of omega and load, in three stages (see the module
+    docstring).  Ticks read and write the arrays through memoryviews,
+    which give and take Python floats without a list of them."""
     n = len(omega)
-    gait_lut = default_gait_lut()
     moment_lut = default_moment_lut()
-    plant = PlantState()
-    phase = TibiaPhaseState()
-    log = {k: np.zeros(n) for k in PROSTHESIS_KEYS}
+    log = {k: np.empty(n) for k in PROSTHESIS_KEYS}
     log["omega"] = omega
-    for i in range(n):
-        phase = tibia_phase_update(phase, omega.item(i))
-        out = step_controller(mode, plant.q, plant.moment, phase, K_d,
-                              gait_lut, moment_lut)
-        plant = step_plant(plant, out.x_cmd, load.item(i))
-        log["x"][i] = plant.x
-        log["q"][i] = plant.q
-        log["M"][i] = plant.moment
-        log["gait_percent"][i] = phase.gait_percent
-        log["L_s"][i] = phase.L_s
-        log["q_d"][i] = out.q_d
-        log["x_cmd"][i] = out.x_cmd
+
+    # 1. estimator: reads only the tibia velocity
+    gait_percent, L_s = (memoryview(log[k]) for k in ("gait_percent", "L_s"))
+    phase = TibiaPhaseState()
+    for i, w in enumerate(memoryview(omega)):
+        phase = tibia_phase_update(phase, w)
+        gait_percent[i] = phase.gait_percent
+        L_s[i] = phase.L_s
+
+    # 2. gait reference: reads only the estimate
+    x_g = tibia_reference_motor(log["gait_percent"], log["L_s"],
+                                default_gait_lut(), moment_lut)
+
+    # 3. controller and plant, the only stage that reads the plant
+    x, q, M, q_d, x_cmd = (memoryview(log[k])
+                           for k in ("x", "q", "M", "q_d", "x_cmd"))
+    state = PlantState()
+    for i, (x_g_i, L_s_norm, load_i) in enumerate(zip(
+            memoryview(x_g), memoryview(log["L_s"] / SSP), memoryview(load))):
+        out = step_controller(mode, state.q, state.moment, x_g_i, L_s_norm,
+                              K_d, moment_lut)
+        state = step_plant(state, out.x_cmd, load_i)
+        x_cmd[i], q_d[i] = out
+        x[i], _, q[i], _, M[i] = state
     return log
 
 

@@ -13,7 +13,10 @@ from itertools import combinations
 
 import numpy as np
 
-from softgait.lut import LutDomainError, UnreachableTargetError
+from softgait import controllers as ctl
+from softgait.lut import (SIGMA, LutDomainError, UnreachableTargetError,
+                          moment_map)
+from softgait.plant import INERTIA_DEG, PROSTHESIS_KEYS, TICK_UPDATE
 from softgait.signals import TimeSeries, time_normalize
 from softgait.stability.embedding import EmbeddingParams, delay_embed
 from softgait.stability.lyapunov import rosenstein_divergence
@@ -59,6 +62,78 @@ def reference_lut_invert(axis_a, axis_b, values, target: float,
     denom = gs[k + 1] - gs[k]
     t = 0.0 if denom == 0 else (target - gs[k]) / denom
     return float(cs[k] + t * (cs[k + 1] - cs[k]))
+
+
+def reference_closed_loop(mode: str, K_d: float, omega: np.ndarray,
+                          load: np.ndarray) -> dict[str, np.ndarray]:
+    """The prosthesis log stepped one tick at a time, every stage in one
+    loop: estimator, gait reference by scalar table lookups, TC/AC law and
+    plant, with the library's float operations in the library's order."""
+    gait_lut, moment_lut = ctl.default_gait_lut(), ctl.default_moment_lut()
+    lo_gp, hi_gp = gait_lut.axis_a[[0, -1]].tolist()
+    lo_ls, hi_ls = gait_lut.axis_b[[0, -1]].tolist()
+    lo_x, hi_x = ctl.MOTOR_RANGE_MM
+    lo_q, hi_q = ctl.ANGLE_RANGE_DEG
+    leak, two_pi = ctl.LEAK, 2.0 * math.pi
+    theta = theta_mean = ms_theta = ms_omega = phase = L_s = 0.0
+    x = x_dot = q = q_dot = M = 0.0
+    log = {k: np.zeros(len(omega)) for k in PROSTHESIS_KEYS}
+    log["omega"] = omega
+    for i, (w, ext) in enumerate(zip(omega.tolist(), load.tolist())):
+        # phase-plane estimator
+        theta = theta * (1.0 - leak) + w * ctl.DT
+        theta_mean = theta_mean + (theta - theta_mean) * leak
+        theta_c = theta - theta_mean
+        ms_theta = ms_theta + (theta_c ** 2 - ms_theta) * leak
+        ms_omega = ms_omega + (w ** 2 - ms_omega) * leak
+        if not (ms_omega < 1e-9 and abs(w) < 1e-9):
+            scale = math.sqrt(ms_omega / ms_theta) if ms_theta > 1e-9 else 1.0
+            new_phase = math.atan2(-w / scale, theta_c) % two_pi
+            if new_phase == two_pi:
+                new_phase = 0.0
+            if new_phase - phase < -math.pi:
+                L_s = ctl.STRIDE_CALIBRATION * math.sqrt(2.0 * ms_theta)
+            phase = new_phase
+        gait_percent = phase / two_pi
+        # gait reference and moment feedback, blended by stride length
+        q_ref = gait_lut.eval(min(max(gait_percent, lo_gp), hi_gp),
+                              min(max(L_s, lo_ls), hi_ls))
+        x_g = moment_lut.invert(0.0, ("b", q_ref))
+        x_m = min(max(ctl.K_M * M, lo_x), hi_x)
+        L_s_norm = L_s / ctl.SSP
+        if L_s_norm >= 1.0:
+            x_tc = x_g
+        else:
+            a = 0.5 * math.cos(math.pi * L_s_norm) + 0.5
+            x_tc = a * x_m + (1.0 - a) * x_g
+        x_tc = min(max(x_tc, lo_x), hi_x)
+        if mode == "TC":
+            x_cmd, q_d = x_tc, math.nan
+        else:
+            # admittance law and ankle position loop
+            q_e = moment_lut.invert(0.0, ("a", min(max(x_tc, lo_x), hi_x)))
+            q_d = min(max(q_e + M / K_d, lo_q), hi_q)
+            qd = min(max(q_d, lo_q), hi_q)
+            try:
+                x_ff = moment_lut.invert(M, ("b", qd))
+            except UnreachableTargetError:
+                x_ff = lo_x if M > moment_lut.eval(lo_x, qd) else hi_x
+            x_cmd = min(max(x_ff + ctl.FB_GAIN * (qd - q), lo_x), hi_x)
+        # plant, advanced by the zero-order-hold update
+        (p00, p01, _, _, _), (p10, p11, _, _, _), \
+            (p20, p21, p22, p23, p24), (p30, p31, p32, p33, p34) = TICK_UPDATE
+        y = x - x_cmd
+        c = (SIGMA * x_cmd + ext) / INERTIA_DEG
+        x, x_dot, q, q_dot = (
+            p00 * y + p01 * x_dot + x_cmd, p10 * y + p11 * x_dot,
+            p20 * y + p21 * x_dot + p22 * q + p23 * q_dot + p24 * c,
+            p30 * y + p31 * x_dot + p32 * q + p33 * q_dot + p34 * c)
+        M = moment_map(x, q)
+        for key, value in (("x", x), ("q", q), ("M", M),
+                           ("gait_percent", gait_percent), ("L_s", L_s),
+                           ("q_d", q_d), ("x_cmd", x_cmd)):
+            log[key][i] = value
+    return log
 
 
 def brute_force_divergence(pts: np.ndarray, samples_per_stride: int,

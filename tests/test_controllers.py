@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softgait.controllers import (DT, MOTOR_RANGE_MM,
+from softgait.controllers import (DT, MOTOR_RANGE_MM, SSP,
                                   TibiaPhaseState, admittance_equilibrium,
                                   admittance_target, ankle_controller,
                                   blend_commands, moment_feedback,
                                   step_controller, tibia_phase_update,
                                   tibia_reference_motor)
-from softgait.lut import RHO, SIGMA
+from softgait.lut import RHO, SIGMA, InvalidLutError, Lut2D
 
 
 def run_phase_estimator(periods=20, T=1.47, amp=10.0):
@@ -47,7 +47,6 @@ class TestPhaseEstimator:
     def test_stride_length_converges_near_ssp(self):
         state, _ = run_phase_estimator()
         assert 0.5 < state.L_s < 1.5
-        assert state.L_s_norm == pytest.approx(state.L_s / 0.95)
 
     def test_holds_state_at_rest(self):
         state = TibiaPhaseState()
@@ -130,48 +129,84 @@ class TestAnkleController:
         cmd = ankle_controller(0.0, 0.0, 1e5, moment_lut)
         assert cmd == MOTOR_RANGE_MM[0]
 
+    def test_table_not_monotone_in_the_motor_raises(self):
+        # the moment rises then falls along the motor axis, so there is no
+        # one motor position for a moment; that is a bad table, not a
+        # moment beyond the motor's reach
+        lut = Lut2D([-40.0, 0.0, 40.0], [-30.0, 30.0],
+                    [[0.0, -10.0], [5.0, -5.0], [0.0, -10.0]])
+        with pytest.raises(InvalidLutError):
+            ankle_controller(0.0, 0.0, 1.0, lut)
+
 
 class TestStepController:
     # mid-stance phase at half the self-selected stride length, so the TC
     # command blends moment feedback with the gait reference
     M = 15.0
-    PHASE = TibiaPhaseState(phase_angle=0.8 * math.pi, L_s=0.475)
+    GAIT_PERCENT = 0.4
+    L_S = 0.475
+
+    def x_g(self, gait_lut, moment_lut):
+        return float(tibia_reference_motor(
+            np.array([self.GAIT_PERCENT]), np.array([self.L_S]), gait_lut,
+            moment_lut)[0])
 
     def test_tc_mode_has_no_admittance_fields(self, gait_lut, moment_lut):
-        out = step_controller("TC", 0.0, self.M, self.PHASE, 15.0,
-                              gait_lut, moment_lut)
+        x_g = self.x_g(gait_lut, moment_lut)
+        out = step_controller("TC", 0.0, self.M, x_g, self.L_S / SSP, 15.0,
+                              moment_lut)
         assert math.isnan(out.q_d)
-        x_g = tibia_reference_motor(self.PHASE.gait_percent, 0.475,
-                                    gait_lut, moment_lut)
         x_m = moment_feedback(15.0)
-        expected = blend_commands(x_m, x_g, self.PHASE.L_s_norm)
+        expected = blend_commands(x_m, x_g, self.L_S / SSP)
         assert MOTOR_RANGE_MM[0] < expected < MOTOR_RANGE_MM[1]
         assert x_m != x_g
         assert out.x_cmd == expected
 
     def test_ac_mode_reports_admittance_fields(self, gait_lut, moment_lut):
         K_d = 15.0
-        tc = step_controller("TC", 0.0, self.M, self.PHASE, K_d,
-                             gait_lut, moment_lut)
-        out = step_controller("AC", 0.0, self.M, self.PHASE, K_d,
-                              gait_lut, moment_lut)
+        x_g = self.x_g(gait_lut, moment_lut)
+        tc = step_controller("TC", 0.0, self.M, x_g, self.L_S / SSP, K_d,
+                             moment_lut)
+        out = step_controller("AC", 0.0, self.M, x_g, self.L_S / SSP, K_d,
+                              moment_lut)
         q_e = admittance_equilibrium(tc.x_cmd, moment_lut)
         assert out.q_d == pytest.approx(q_e + self.M / K_d)
 
-    def test_unknown_mode_raises(self, gait_lut, moment_lut):
+    def test_unknown_mode_raises(self, moment_lut):
         with pytest.raises(ValueError):
-            step_controller("XX", 0.0, 0.0, TibiaPhaseState(),
-                            15.0, gait_lut, moment_lut)
+            step_controller("XX", 0.0, 0.0, 0.0, 0.0, 15.0, moment_lut)
 
 
 class TestTibiaReference:
     def test_reference_realizes_gait_angle_unloaded(self, gait_lut,
                                                     moment_lut):
-        x = tibia_reference_motor(0.4, 0.95, gait_lut, moment_lut)
-        q_ref = gait_lut.eval(0.4, 0.95)
-        assert x / RHO == pytest.approx(q_ref, abs=1e-9)
+        gait_percent = np.array([0.0, 0.1, 0.4, 0.65, 0.9])
+        x = tibia_reference_motor(gait_percent, np.full(5, 0.95), gait_lut,
+                                  moment_lut)
+        for x_i, gp in zip(x, gait_percent):
+            q_ref = gait_lut.eval(gp, 0.95)
+            assert x_i / RHO == pytest.approx(q_ref, abs=1e-9)
 
     def test_out_of_range_phase_is_clamped(self, gait_lut, moment_lut):
-        a = tibia_reference_motor(1.5, 0.95, gait_lut, moment_lut)
-        b = tibia_reference_motor(1.0, 0.95, gait_lut, moment_lut)
-        assert a == pytest.approx(b)
+        a, b = tibia_reference_motor(np.array([1.5, 1.0]), np.full(2, 0.95),
+                                     gait_lut, moment_lut)
+        assert a == b
+        # stride lengths beyond the surface's axis read its edge
+        short, edge = tibia_reference_motor(
+            np.full(2, 0.4), np.array([0.0, gait_lut.axis_b[0]]), gait_lut,
+            moment_lut)
+        assert short == edge
+
+    def test_matches_the_scalar_lookups(self, gait_lut, moment_lut):
+        """Each tick's reference is, bit for bit, the scalar gait-surface
+        lookup and zero-moment inversion at the clamped estimate."""
+        rng = np.random.default_rng(2)
+        gait_percent = rng.uniform(-0.1, 1.1, 500)
+        # beyond 1.5 m push-off asks for an angle no motor position unloads
+        L_s = rng.uniform(0.0, 1.5, 500)
+        x = tibia_reference_motor(gait_percent, L_s, gait_lut, moment_lut)
+        for x_i, gp, ls in zip(x.tolist(), gait_percent.tolist(),
+                               L_s.tolist()):
+            q_ref = gait_lut.eval(min(max(gp, 0.0), 1.0),
+                                  min(max(ls, 0.2), 2.0))
+            assert x_i == moment_lut.invert(0.0, ("b", q_ref))

@@ -89,6 +89,8 @@ _FALLING = Lut2D([-2.0, -0.3, 0.1, 0.7, 3.5], [0.0, 0.1, 0.7, 2.0],
                  -np.add.outer([0.0, 1.5, 1.75, 4.0, 9.0],
                                [0.0, 0.3, 0.5, 2.5]))
 _TABLES = (default_moment_lut(), _FALLING)
+# the same grid rising along both axes
+_RISING = Lut2D(_FALLING.axis_a, _FALLING.axis_b, -_FALLING.values)
 
 
 @st.composite
@@ -135,6 +137,84 @@ class TestMatchesVectorisedReference:
         assert _outcome(lambda: lut.invert(target, fixed)) == _outcome(
             lambda: reference_lut_invert(lut.axis_a, lut.axis_b, lut.values,
                                          target, fixed))
+
+
+def _coordinates(axis, rng, k=40):
+    """k random points across the axis, every node, then both edges."""
+    return np.concatenate([rng.uniform(axis[0], axis[-1], k), axis,
+                           axis[[0, -1]]])
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("lut", (default_moment_lut(), _FALLING, _RISING),
+                         ids=("moment", "falling", "rising"))
+class TestArrayForms:
+    """eval_array and invert_array give, element for element and bit for
+    bit, the scalar eval and invert and the helpers.py references, and
+    raise when any one element would."""
+
+    def test_eval_array(self, lut):
+        rng = np.random.default_rng(0)
+        a, b = np.meshgrid(_coordinates(lut.axis_a, rng),
+                           _coordinates(lut.axis_b, rng))
+        a, b = a.ravel(), b.ravel()
+        pairs = list(zip(a.tolist(), b.tolist()))
+        out = lut.eval_array(a, b)
+        assert out.shape == a.shape
+        assert _bits(out) == _bits([lut.eval(x, y) for x, y in pairs])
+        assert _bits(out) == _bits([
+            reference_lut_eval(lut.axis_a, lut.axis_b, lut.values, x, y)
+            for x, y in pairs])
+
+    @pytest.mark.parametrize("fixed_axis", ("a", "b"))
+    def test_invert_array(self, lut, fixed_axis):
+        rng = np.random.default_rng(1)
+        fixed_grid, free_grid = ((lut.axis_a, lut.axis_b) if fixed_axis == "a"
+                                 else (lut.axis_b, lut.axis_a))
+        fixed, free = np.meshgrid(_coordinates(fixed_grid, rng),
+                                  _coordinates(free_grid, rng))
+        fixed, free = fixed.ravel(), free.ravel()
+        # targets read off the table, so each is inside its slice: at random
+        # points, at the nodes and at both ends of the slice's range
+        target = (lut.eval_array(fixed, free) if fixed_axis == "a"
+                  else lut.eval_array(free, fixed))
+        queries = list(zip(target.tolist(), fixed.tolist()))
+        out = lut.invert_array(target, (fixed_axis, fixed))
+        assert _bits(out) == _bits([lut.invert(t, (fixed_axis, c))
+                                    for t, c in queries])
+        assert _bits(out) == _bits([
+            reference_lut_invert(lut.axis_a, lut.axis_b, lut.values, t,
+                                 (fixed_axis, c)) for t, c in queries])
+        # a float target broadcasts against the fixed coordinates
+        t0, c0 = queries[0]
+        one = lut.invert_array(t0, (fixed_axis, fixed[:1]))
+        assert _bits(one) == _bits([lut.invert(t0, (fixed_axis, c0))])
+
+    def test_any_element_out_of_range_raises(self, lut):
+        a = np.linspace(lut.axis_a[0], lut.axis_a[-1], 9)
+        b = np.linspace(lut.axis_b[0], lut.axis_b[-1], 9)
+        for bad in (lut.axis_a[-1] + 1e-9, lut.axis_a[0] - 1.0, np.nan):
+            off = a.copy()
+            off[4] = bad
+            with pytest.raises(LutDomainError):
+                lut.eval_array(off, b)
+            with pytest.raises(LutDomainError):
+                lut.invert_array(lut.values[0, 0], ("a", off))
+        target = lut.eval_array(a, b)
+        for bad in (lut.values.max() + 1.0, lut.values.min() - 1.0, np.nan):
+            off = target.copy()
+            off[4] = bad
+            with pytest.raises(UnreachableTargetError):
+                lut.invert_array(off, ("b", b))
+
+    def test_invert_array_requires_monotone_slices(self, lut):
+        flat = Lut2D(lut.axis_a, lut.axis_b,
+                     np.zeros_like(lut.values) + lut.axis_a[:, None])
+        with pytest.raises(InvalidLutError):
+            flat.invert_array(0.0, ("a", lut.axis_a[:2]))
 
 
 class TestValidation:

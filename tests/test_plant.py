@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import gait_like_velocity
+from helpers import gait_like_velocity, reference_closed_loop
 from softgait.config import RunConfig
 from softgait.lut import RHO, SIGMA, moment_map
 from softgait.plant import (ANKLE_DAMPING, DT, INERTIA_DEG,
-                            MOTOR_LOOP_BANDWIDTH, PlantState,
-                            generate_trial, ground_deflection, step_plant)
+                            MOTOR_LOOP_BANDWIDTH, PROSTHESIS_KEYS,
+                            PlantState, _template, generate_trial,
+                            ground_deflection, step_plant)
 
 # AC K_d 10 at 63 kN/m, 20 strides, seed 3
 COMPLIANT_RECORDING_SHA256 = (
@@ -193,6 +194,28 @@ class TestGenerateTrial:
             "the compliant-ground recording changed; if the change is "
             "intended, update COMPLIANT_RECORDING_SHA256 and say why in "
             f"CHANGES.md (sha256 now {digest})")
+
+
+class TestClosedLoop:
+    @pytest.mark.parametrize("seed", (0, 11))
+    @pytest.mark.parametrize("ground", (math.inf, 63.0, 25.0))
+    @pytest.mark.parametrize("mode, K_d", (
+        ("TC", 15.0), ("AC", 10.0), ("AC", 15.0), ("AC", 20.0),
+        # just above AC's stability bound SIGMA*RHO / 2, where the moment
+        # loop rings
+        ("AC", 2.6)))
+    def test_matches_the_per_tick_reference(self, mode, K_d, ground, seed):
+        """The staged loop (estimator and gait reference over the whole
+        trial, then controller and plant) logs, bit for bit, what one loop
+        stepping every stage with scalar table lookups logs."""
+        spec = RunConfig(mode=mode, K_d=K_d, ground_stiffness=ground,
+                         n_strides=20, seed=seed).to_trial_spec()
+        _, omega, load = _template(spec)
+        expected = reference_closed_loop(mode, K_d, omega, load)
+        log = generate_trial(spec).prosthesis
+        for key in PROSTHESIS_KEYS:
+            assert np.array_equal(log[key], expected[key], equal_nan=True), \
+                key
 
 
 class TestLoadResponse:
