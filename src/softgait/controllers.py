@@ -122,8 +122,8 @@ def tibia_reference_motor(gait_percent: np.ndarray, L_s: np.ndarray,
     """Reference motor position of each tick: the gait surface gives the
     reference ankle angle, whose unloaded (zero-moment) motor position is
     looked up.  Takes the estimator's whole-trial arrays."""
-    gp = np.clip(gait_percent, gait_lut.axis_a[0], gait_lut.axis_a[-1])
-    ls = np.clip(L_s, gait_lut.axis_b[0], gait_lut.axis_b[-1])
+    gp = np.clip(gait_percent, *gait_lut.limits["a"])
+    ls = np.clip(L_s, *gait_lut.limits["b"])
     q_ref = gait_lut.eval_array(gp, ls)
     return moment_lut.invert_array(0.0, ("b", q_ref))
 
