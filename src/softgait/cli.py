@@ -65,8 +65,8 @@ def cmd_simulate(args) -> int:
     try:
         rec = generate_trial(spec)
     except (SimulationDivergedError, ValueError) as exc:
-        # the spec is valid, so a ValueError is this trial failing: an
-        # unreachable LUT target, or two foot strikes in one tick
+        # the spec is valid, so a ValueError is this trial failing: two
+        # foot strikes in one tick
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lut import Lut2D, UnreachableTargetError, moment_map
+from .lut import Lut2D, moment_map
 
 DT = 0.01                   # s, the 100 Hz control tick
 MOTOR_RANGE_MM = (-40.0, 40.0)
@@ -121,17 +121,15 @@ def tibia_reference_motor(gait_percent: np.ndarray, L_s: np.ndarray,
                           gait_lut: Lut2D, moment_lut: Lut2D) -> np.ndarray:
     """Reference motor position of each tick: the gait surface gives the
     reference ankle angle, whose unloaded (zero-moment) motor position is
-    looked up.  Takes the estimator's whole-trial arrays."""
-    gp = np.clip(gait_percent, *gait_lut.limits["a"])
-    ls = np.clip(L_s, *gait_lut.limits["b"])
-    q_ref = gait_lut.eval_array(gp, ls)
+    looked up, both saturating at their tables' range.  Takes the
+    estimator's whole-trial arrays."""
+    q_ref = gait_lut.eval_array(gait_percent, L_s)
     return moment_lut.invert_array(0.0, ("b", q_ref))
 
 
 def admittance_equilibrium(x_d_tc: float, moment_lut: Lut2D) -> float:
     """Virtual unloaded ankle angle realized by the TC motor command."""
-    x = _clamp(x_d_tc, *moment_lut.limits["a"])
-    return moment_lut.invert(0.0, ("a", x))
+    return moment_lut.invert(0.0, ("a", x_d_tc))
 
 
 def admittance_target(q_e: float, M: float, K_d: float) -> float:
@@ -144,15 +142,10 @@ def admittance_target(q_e: float, M: float, K_d: float) -> float:
 def ankle_controller(q_d: float, q: float, M: float,
                      moment_lut: Lut2D) -> float:
     """Feedforward (moment-map inversion at the desired angle) plus
-    proportional feedback on the angle error."""
-    qd = _clamp(q_d, *moment_lut.limits["b"])
-    try:
-        x_ff = moment_lut.invert(M, ("b", qd))
-    except UnreachableTargetError:
-        # moment not reachable at this angle: saturate at the range edge
-        lo, hi = moment_lut.limits["a"]
-        x_ff = lo if M > moment_lut.eval(lo, qd) else hi
-    x_fb = FB_GAIN * (qd - q)
+    proportional feedback on the angle error.  q_d must lie in
+    ANGLE_RANGE_DEG, as `admittance_target` returns it."""
+    x_ff = moment_lut.invert(M, ("b", q_d))
+    x_fb = FB_GAIN * (q_d - q)
     return _clamp(x_ff + x_fb, MOTOR_RANGE_MM[0], MOTOR_RANGE_MM[1])
 
 

@@ -4,7 +4,9 @@ The same mechanism backs three roles in the controllers: the moment map
 (motor position, ankle angle) -> Nm, its zero-moment inversion giving the
 unloaded ankle angle or motor position, and the feedforward inversion
 giving the motor position that realizes a target moment at a desired
-angle.
+angle.  A table saturates at its range, as the actuator it stands for
+does: a query coordinate off the grid reads the grid's edge, and a target
+beyond a slice gives the end node of the axis solved along.
 """
 
 from __future__ import annotations
@@ -12,14 +14,6 @@ from __future__ import annotations
 from bisect import bisect_right
 
 import numpy as np
-
-
-class LutDomainError(ValueError):
-    """Query coordinate outside the tabulated grid (no extrapolation)."""
-
-
-class UnreachableTargetError(ValueError):
-    """Inversion target outside the value range of the slice."""
 
 
 class InvalidLutError(ValueError):
@@ -50,12 +44,16 @@ class Lut2D:
     along it is strictly monotone in the same direction; which axes are
     is worked out from the values at construction.
 
-    The controllers query the table up to twice per tick, one scalar at a
-    time, so `eval` and `invert` work on Python-float copies of the grid
-    and touch only the table entries they need.  `eval_array` and
-    `invert_array` answer a whole trial's queries at once with the same
-    float operations in the same order, so each element is bit-identical
-    to the scalar call; they gather only the entries each query probes.
+    Queries never raise for their values: coordinates are clamped to the
+    grid, a target beyond its slice saturates at an end node, and NaN in
+    gives NaN out.
+
+    The controllers invert the table twice per AC tick, one scalar at a
+    time, so `invert` works on Python-float copies of the grid and touches
+    only the table entries it needs.  `invert_array` answers a whole
+    trial's queries at once with the same float operations in the same
+    order, so each element is bit-identical to the scalar call; it and
+    `eval_array` gather only the entries each query probes.
     """
 
     def __init__(self, axis_a, axis_b, values):
@@ -79,20 +77,15 @@ class Lut2D:
             if np.all(d > 0) or np.all(d < 0):
                 self._free[fixed] = free
         self._grid = {"a": self.axis_a.tolist(), "b": self.axis_b.tolist()}
-        # first and last node of each axis, as Python floats
-        self.limits = {name: (g[0], g[-1]) for name, g in self._grid.items()}
         # fixed axis -> the slices along the free axis, one per fixed node
         self._slices = {"a": self.values.tolist(),
                         "b": self.values.T.tolist()}
 
     def _cell(self, name: str, c: float) -> tuple[int, float]:
-        """Index of the axis_<name> cell holding c and c's fraction across it."""
+        """Index of the axis_<name> cell holding c, clamped to the axis,
+        and its fraction across the cell."""
         axis = self._grid[name]
-        if not (axis[0] <= c <= axis[-1]):
-            grid = self.axis_a if name == "a" else self.axis_b
-            raise LutDomainError(
-                f"coordinate {c} outside axis_{name} range "
-                f"[{grid[0]}, {grid[-1]}]")
+        c = axis[0] if c < axis[0] else axis[-1] if c > axis[-1] else c
         # searching nodes 1 .. n - 2 clamps the cell index to 0 .. n - 2
         i = bisect_right(axis, c, 1, len(axis) - 1) - 1
         return i, (c - axis[i]) / (axis[i + 1] - axis[i])
@@ -101,11 +94,7 @@ class Lut2D:
         """`_cell` of each element of c; np.searchsorted(side="right")
         finds the cells `bisect_right` does."""
         axis = self.axis_a if name == "a" else self.axis_b
-        inside = (axis[0] <= c) & (c <= axis[-1])
-        if not inside.all():
-            raise LutDomainError(
-                f"coordinate {c[~inside].flat[0]} outside axis_{name} range "
-                f"[{axis[0]}, {axis[-1]}]")
+        c = np.clip(c, axis[0], axis[-1])
         i = np.clip(np.searchsorted(axis, c, side="right") - 1,
                     0, len(axis) - 2)
         return i, (c - axis[i]) / (axis[i + 1] - axis[i])
@@ -121,21 +110,15 @@ class Lut2D:
                                   f"axis {'a' if fixed_axis == 'b' else 'b'}")
         return free_axis
 
-    def eval(self, a: float, b: float) -> float:
-        """Bilinear interpolation of the four surrounding nodes; exact at nodes."""
-        i, ta = self._cell("a", a)
-        j, tb = self._cell("b", b)
-        v0, v1 = self._slices["a"][i], self._slices["a"][i + 1]
-        return float((1 - ta) * (1 - tb) * v0[j] + ta * (1 - tb) * v1[j]
-                     + (1 - ta) * tb * v0[j + 1] + ta * tb * v1[j + 1])
-
     def invert(self, target: float, fixed: tuple[str, float]) -> float:
         """Solve lut(c, fixed) = target for the free coordinate c.
 
         The slice along the free axis holds the interpolant at the free
         grid nodes, so it is piecewise-linear in c and the root is exact
         (one linear solve inside the bracketing cell): the round-trip
-        error is at floating-point level.
+        error is at floating-point level.  A target beyond the slice gives
+        the free axis' end node where the slice is highest (target above
+        it) or lowest (target below it).
         """
         fixed_axis, fixed_value = fixed
         free_axis = self._free_axis(fixed_axis)
@@ -146,21 +129,19 @@ class Lut2D:
         w = 1 - t
         first = w * v0[0] + t * v1[0]
         last = w * v0[-1] + t * v1[-1]
-        if not (min(first, last) <= target <= max(first, last)):
-            g = w * np.asarray(v0) + t * np.asarray(v1)
-            raise UnreachableTargetError(
-                f"target {target} outside slice range [{g.min()}, {g.max()}]")
-        # binary search of the slice in rising order for the last entry
-        # <= target, with the probes and the NaN-last ordering of
-        # np.searchsorted(side="right"); slice entry m is computed only
-        # when probed
         increasing = last > first
+        grid = self._grid[free_axis]
+        above = target > max(first, last)
+        if above or target < min(first, last):
+            return grid[-1] if above == increasing else grid[0]
+        # binary search of the slice in rising order for the last entry
+        # <= target, with the probes of np.searchsorted(side="right");
+        # slice entry m is computed only when probed
         lo, hi = 0, n
         while lo < hi:
             mid = (lo + hi) >> 1
             m = mid if increasing else n - 1 - mid
-            g_m = w * v0[m] + t * v1[m]
-            if target < g_m or g_m != g_m:
+            if target < w * v0[m] + t * v1[m]:
                 hi = mid
             else:
                 lo = mid + 1
@@ -169,11 +150,11 @@ class Lut2D:
         g0 = w * v0[k0] + t * v1[k0]
         denom = w * v0[k1] + t * v1[k1] - g0
         t = 0.0 if denom == 0 else (target - g0) / denom
-        grid = self._grid[free_axis]
         return float(grid[k0] + t * (grid[k1] - grid[k0]))
 
     def eval_array(self, a, b) -> np.ndarray:
-        """`eval` of each element of the broadcast arrays a and b."""
+        """Bilinear interpolation of the four nodes around each element of
+        the broadcast arrays a and b; exact at nodes."""
         a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
                                    np.asarray(b, dtype=float))
         i, ta = self._cells("a", a)
@@ -183,8 +164,7 @@ class Lut2D:
                 + (1 - ta) * tb * v[i, j + 1] + ta * tb * v[i + 1, j + 1])
 
     def invert_array(self, target, fixed: tuple[str, np.ndarray]) -> np.ndarray:
-        """`invert` of each element of the broadcast arrays target and
-        fixed[1]; raises if any element would.
+        """`invert` of each element of the broadcast target and fixed[1].
 
         The binary search makes the scalar search's probes, one round for
         every query at a time, until each query's range is empty.
@@ -204,14 +184,6 @@ class Lut2D:
             return w * s[j, m] + t * s[j + 1, m]
 
         first, last = g(0), g(n - 1)
-        reachable = ((np.minimum(first, last) <= target)
-                     & (target <= np.maximum(first, last)))
-        if not reachable.all():
-            k = np.flatnonzero(~reachable)[0]
-            raise UnreachableTargetError(
-                f"target {target.flat[k]} outside slice range "
-                f"[{min(first.flat[k], last.flat[k])}, "
-                f"{max(first.flat[k], last.flat[k])}]")
         increasing = last > first
         lo = np.zeros(j.shape, dtype=np.intp)
         hi = np.full(j.shape, n, dtype=np.intp)
@@ -219,8 +191,7 @@ class Lut2D:
         while searching.any():
             # a finished search may sit at n, one past the last entry
             mid = np.minimum((lo + hi) >> 1, n - 1)
-            g_m = g(np.where(increasing, mid, n - 1 - mid))
-            left = (target < g_m) | (g_m != g_m)
+            left = target < g(np.where(increasing, mid, n - 1 - mid))
             hi = np.where(searching & left, mid, hi)
             lo = np.where(searching & ~left, mid + 1, lo)
             searching = lo < hi
@@ -232,4 +203,7 @@ class Lut2D:
         u = np.divide(target - g0, denom, out=np.zeros_like(denom),
                       where=denom != 0)
         grid = self.axis_a if free_axis == "a" else self.axis_b
-        return grid[k0] + u * (grid[k1] - grid[k0])
+        above = target > np.maximum(first, last)
+        end = np.where(above == increasing, grid[-1], grid[0])
+        return np.where(above | (target < np.minimum(first, last)), end,
+                        grid[k0] + u * (grid[k1] - grid[k0]))

@@ -232,9 +232,8 @@ def _heel_height(s: np.ndarray) -> np.ndarray:
 
 def _smooth_noise(rng: np.random.Generator, n: int,
                   scale: float) -> np.ndarray:
-    """Five-sample moving average of white noise, scaled; no draw at 0."""
-    if scale == 0.0:
-        return np.zeros(n)
+    """Five-sample moving average of white noise, scaled.  Draws at every
+    scale, 0 included, so the draws after it do not depend on it."""
     window = 5
     return scale * np.convolve(rng.standard_normal(n + window),
                                np.ones(window) / window, mode="same")[:n]

@@ -123,7 +123,9 @@ def fnn_dimension(series: TimeSeries, tau: int,
             break
         pts = _embed_raw(x, tau, dim)[:usable]
         dist, idx = cKDTree(pts).query(pts, k=2, workers=-1)
-        dist, idx = dist[:, 1], idx[:, 1]
+        # an exact copy of a point may come back first, the point second
+        own = idx[:, 1] == np.arange(usable)
+        dist, idx = dist[:, 1], np.where(own, idx[:, 0], idx[:, 1])
         extra = np.abs(x[dim * tau:] - x[idx + dim * tau])
         ratio_false = extra > FNN_RATIO_TOL * dist
         size_false = np.hypot(dist, extra) / attractor_size > FNN_SIZE_TOL

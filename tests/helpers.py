@@ -14,8 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from softgait import controllers as ctl
-from softgait.lut import (SIGMA, LutDomainError, UnreachableTargetError,
-                          moment_map)
+from softgait.lut import SIGMA, moment_map
 from softgait.plant import INERTIA_DEG, PROSTHESIS_KEYS, TICK_UPDATE
 from softgait.signals import TimeSeries, time_normalize
 from softgait.stability.embedding import EmbeddingParams, delay_embed
@@ -25,8 +24,7 @@ LOG_FLOOR = 1e-300
 
 
 def _reference_cell(axis: np.ndarray, c: float) -> tuple[int, float]:
-    if not (axis[0] <= c <= axis[-1]):
-        raise LutDomainError(f"coordinate {c} outside [{axis[0]}, {axis[-1]}]")
+    c = float(np.clip(c, axis[0], axis[-1]))
     i = min(int(np.searchsorted(axis, c, side="right")) - 1, len(axis) - 2)
     i = max(i, 0)
     return i, (c - axis[i]) / (axis[i + 1] - axis[i])
@@ -44,7 +42,9 @@ def reference_lut_eval(axis_a, axis_b, values, a: float, b: float) -> float:
 def reference_lut_invert(axis_a, axis_b, values, target: float,
                          fixed: tuple[str, float]) -> float:
     """Monotone table inversion the vectorised way: interpolate the whole
-    slice along the free axis, then searchsorted in its rising order."""
+    slice along the free axis, then searchsorted in its rising order.  A
+    target beyond the slice gives the free axis' end node at the slice's
+    nearer extreme."""
     fixed_axis, fixed_value = fixed
     if fixed_axis == "b":
         grid, fixed_grid, vals = axis_a, axis_b, values
@@ -55,8 +55,10 @@ def reference_lut_invert(axis_a, axis_b, values, target: float,
     increasing = g[-1] > g[0]
     gs = g if increasing else g[::-1]
     cs = grid if increasing else grid[::-1]
-    if not (min(g[0], g[-1]) <= target <= max(g[0], g[-1])):
-        raise UnreachableTargetError(f"target {target} outside the slice")
+    if target > gs[-1]:
+        return float(cs[-1])
+    if target < gs[0]:
+        return float(cs[0])
     k = int(np.searchsorted(gs, target, side="right")) - 1
     k = min(max(k, 0), len(gs) - 2)
     denom = gs[k + 1] - gs[k]
@@ -73,6 +75,19 @@ def reference_closed_loop(mode: str, K_d: float, omega: np.ndarray,
     lo_gp, hi_gp = gait_lut.axis_a[[0, -1]].tolist()
     lo_ls, hi_ls = gait_lut.axis_b[[0, -1]].tolist()
     lo_x, hi_x = ctl.MOTOR_RANGE_MM
+
+    def motor_for(moment, angle):
+        """Motor position realizing the moment at the angle; a moment beyond
+        the slice saturates at the motor's range end."""
+        def at(x_end):
+            return reference_lut_eval(moment_lut.axis_a, moment_lut.axis_b,
+                                      moment_lut.values, x_end, angle)
+        if moment > at(lo_x):
+            return lo_x
+        if moment < at(hi_x):
+            return hi_x
+        return moment_lut.invert(moment, ("b", angle))
+
     lo_q, hi_q = ctl.ANGLE_RANGE_DEG
     leak, two_pi = ctl.LEAK, 2.0 * math.pi
     theta = theta_mean = ms_theta = ms_omega = phase = L_s = 0.0
@@ -96,9 +111,11 @@ def reference_closed_loop(mode: str, K_d: float, omega: np.ndarray,
             phase = new_phase
         gait_percent = phase / two_pi
         # gait reference and moment feedback, blended by stride length
-        q_ref = gait_lut.eval(min(max(gait_percent, lo_gp), hi_gp),
-                              min(max(L_s, lo_ls), hi_ls))
-        x_g = moment_lut.invert(0.0, ("b", q_ref))
+        q_ref = reference_lut_eval(gait_lut.axis_a, gait_lut.axis_b,
+                                   gait_lut.values,
+                                   min(max(gait_percent, lo_gp), hi_gp),
+                                   min(max(L_s, lo_ls), hi_ls))
+        x_g = motor_for(0.0, q_ref)
         x_m = min(max(ctl.K_M * M, lo_x), hi_x)
         L_s_norm = L_s / ctl.SSP
         if L_s_norm >= 1.0:
@@ -111,14 +128,10 @@ def reference_closed_loop(mode: str, K_d: float, omega: np.ndarray,
             x_cmd, q_d = x_tc, math.nan
         else:
             # admittance law and ankle position loop
-            q_e = moment_lut.invert(0.0, ("a", min(max(x_tc, lo_x), hi_x)))
+            q_e = moment_lut.invert(0.0, ("a", x_tc))
             q_d = min(max(q_e + M / K_d, lo_q), hi_q)
-            qd = min(max(q_d, lo_q), hi_q)
-            try:
-                x_ff = moment_lut.invert(M, ("b", qd))
-            except UnreachableTargetError:
-                x_ff = lo_x if M > moment_lut.eval(lo_x, qd) else hi_x
-            x_cmd = min(max(x_ff + ctl.FB_GAIN * (qd - q), lo_x), hi_x)
+            x_ff = motor_for(M, q_d)
+            x_cmd = min(max(x_ff + ctl.FB_GAIN * (q_d - q), lo_x), hi_x)
         # plant, advanced by the zero-order-hold update
         (p00, p01, _, _, _), (p10, p11, _, _, _), \
             (p20, p21, p22, p23, p24), (p30, p31, p32, p33, p34) = TICK_UPDATE

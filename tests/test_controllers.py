@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_lut_eval
 from softgait.controllers import (DT, MOTOR_RANGE_MM, SSP,
                                   TibiaPhaseState, admittance_equilibrium,
                                   admittance_target, ankle_controller,
@@ -183,9 +184,8 @@ class TestTibiaReference:
         gait_percent = np.array([0.0, 0.1, 0.4, 0.65, 0.9])
         x = tibia_reference_motor(gait_percent, np.full(5, 0.95), gait_lut,
                                   moment_lut)
-        for x_i, gp in zip(x, gait_percent):
-            q_ref = gait_lut.eval(gp, 0.95)
-            assert x_i / RHO == pytest.approx(q_ref, abs=1e-9)
+        q_ref = gait_lut.eval_array(gait_percent, 0.95)
+        assert x / RHO == pytest.approx(q_ref, abs=1e-9)
 
     def test_out_of_range_phase_is_clamped(self, gait_lut, moment_lut):
         a, b = tibia_reference_motor(np.array([1.5, 1.0]), np.full(2, 0.95),
@@ -197,16 +197,27 @@ class TestTibiaReference:
             moment_lut)
         assert short == edge
 
+    def test_unreachable_reference_saturates(self, gait_lut, moment_lut):
+        # push-off at 2 m asks for -12 * 2 / 0.95 deg, whose unloaded motor
+        # position lies below the motor's range: the reference saturates
+        # there, as the motor command would
+        x = tibia_reference_motor(np.array([0.72, 0.3]), np.full(2, 2.0),
+                                  gait_lut, moment_lut)
+        assert x[0] == MOTOR_RANGE_MM[0]
+        assert x[1] == pytest.approx(RHO * 8.0 * 2.0 / SSP)
+
     def test_matches_the_scalar_lookups(self, gait_lut, moment_lut):
         """Each tick's reference is, bit for bit, the scalar gait-surface
         lookup and zero-moment inversion at the clamped estimate."""
         rng = np.random.default_rng(2)
         gait_percent = rng.uniform(-0.1, 1.1, 500)
-        # beyond 1.5 m push-off asks for an angle no motor position unloads
-        L_s = rng.uniform(0.0, 1.5, 500)
+        # beyond about 1.58 m push-off asks for an angle no motor position
+        # unloads, and the inversion saturates
+        L_s = rng.uniform(0.0, 2.5, 500)
         x = tibia_reference_motor(gait_percent, L_s, gait_lut, moment_lut)
         for x_i, gp, ls in zip(x.tolist(), gait_percent.tolist(),
                                L_s.tolist()):
-            q_ref = gait_lut.eval(min(max(gp, 0.0), 1.0),
-                                  min(max(ls, 0.2), 2.0))
+            q_ref = reference_lut_eval(gait_lut.axis_a, gait_lut.axis_b,
+                                       gait_lut.values, min(max(gp, 0.0), 1.0),
+                                       min(max(ls, 0.2), 2.0))
             assert x_i == moment_lut.invert(0.0, ("b", q_ref))

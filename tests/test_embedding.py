@@ -165,6 +165,14 @@ class TestFnn:
         x = np.repeat(np.arange(500.0), 2)
         assert fnn_dimension(series(x), tau=1, max_dim=1) == (1, True)
 
+    def test_a_point_is_never_its_own_neighbor(self):
+        # rounded values, each twice: many delay vectors have exact copies,
+        # and the k=2 query may list the copy first and the point itself
+        # second; the copy, not the point, is the neighbor
+        x = np.repeat(np.round(
+            2 * np.random.default_rng(1).standard_normal(300)), 2)
+        assert fnn_dimension(series(x), tau=2, max_dim=8) == (6, False)
+
     def test_minimum_dimension_is_two(self):
         # even a trivially predictable ramp reports at least dim 2
         x = np.linspace(0.0, 1.0, 2000)

@@ -327,17 +327,28 @@ class TestCliErrorCodes:
 
     def test_failed_simulation_is_reported(self, tmp_path, capsys):
         config = tmp_path / "run.json"
-        # a valid spec whose trial cannot be run: at seed 14 the amplitude
-        # jitter asks the gait surface for an angle the motor cannot
-        # reach; at seed 13 a stride three sd short lasts less than one tick
-        for raw in ({"amplitude_jitter": 0.33, "n_strides": 10, "seed": 14},
-                    {"period_jitter": 0.3333, "n_strides": 10, "seed": 13}):
-            config.write_text(json.dumps(raw))
-            code = main(["simulate", "--config", str(config),
-                         "--out", str(tmp_path / "o")])
-            assert code == 1
-            assert capsys.readouterr().err.startswith("simulation failed:")
-            assert not (tmp_path / "o").exists()
+        # a valid spec whose trial cannot be run: at seed 13 a stride three
+        # sd short lasts less than one tick
+        config.write_text(json.dumps(
+            {"period_jitter": 0.3333, "n_strides": 10, "seed": 13}))
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("simulation failed:")
+        assert not (tmp_path / "o").exists()
+
+    def test_unreachable_gait_reference_saturates(self, tmp_path):
+        # the amplitude jitter takes the estimated stride length past what
+        # the motor can unload at push-off; the gait reference saturates at
+        # the motor's range end, as the motor command does
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"mode": "TC", "n_strides": 200,
+                                      "amplitude_jitter": 0.33, "seed": 0}))
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        rec = load_recording(str(tmp_path / "o"))
+        assert rec.prosthesis["x_cmd"].min() == -40.0
 
     def test_malformed_json_config_is_invalid(self, tmp_path):
         bad = tmp_path / "bad.json"

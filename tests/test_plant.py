@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 
 from helpers import gait_like_velocity, reference_closed_loop
 from softgait.config import RunConfig
+from softgait.controllers import MOTOR_RANGE_MM
 from softgait.lut import RHO, SIGMA, moment_map
 from softgait.plant import (ANKLE_DAMPING, DT, INERTIA_DEG,
                             MOTOR_LOOP_BANDWIDTH, PROSTHESIS_KEYS,
@@ -146,6 +147,18 @@ class TestGenerateTrial:
             RunConfig(mode="TC", n_strides=6, seed=12).to_trial_spec())
         assert not np.array_equal(a.markers["LHEEL"], b.markers["LHEEL"])
 
+    @pytest.mark.parametrize("mode", ("TC", "AC"))
+    def test_marker_noise_does_not_reach_the_prosthesis(self, mode):
+        """Every noise level draws the marker noise, so the tibia velocity
+        noise after it comes from the same point of the seeded stream."""
+        logs = [generate_trial(RunConfig(mode=mode, n_strides=6, seed=2,
+                                         noise_mm=noise).to_trial_spec())
+                .prosthesis for noise in (0.0, 0.5, 1.0)]
+        for key in PROSTHESIS_KEYS:
+            for log in logs[1:]:
+                assert np.array_equal(log[key], logs[0][key],
+                                      equal_nan=True), key
+
     def test_meta_records_condition(self, small_ac_trial):
         meta = small_ac_trial.meta
         assert meta["mode"] == "AC"
@@ -213,6 +226,21 @@ class TestClosedLoop:
         _, omega, load = _template(spec)
         expected = reference_closed_loop(mode, K_d, omega, load)
         log = generate_trial(spec).prosthesis
+        for key in PROSTHESIS_KEYS:
+            assert np.array_equal(log[key], expected[key], equal_nan=True), \
+                key
+
+    @pytest.mark.parametrize("mode", ("TC", "AC"))
+    def test_saturated_reference_matches(self, mode):
+        """At seed 14 the amplitude jitter takes the estimated stride
+        length past what the motor can unload at push-off, so the gait
+        reference saturates at the motor's range end."""
+        spec = RunConfig(mode=mode, amplitude_jitter=0.33, n_strides=10,
+                         seed=14).to_trial_spec()
+        _, omega, load = _template(spec)
+        expected = reference_closed_loop(mode, spec.K_d, omega, load)
+        log = generate_trial(spec).prosthesis
+        assert np.any(log["x_cmd"] == MOTOR_RANGE_MM[0])
         for key in PROSTHESIS_KEYS:
             assert np.array_equal(log[key], expected[key], equal_nan=True), \
                 key
