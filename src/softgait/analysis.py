@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .plant import TrialRecording
+from .io import TrialRecording
 from .signals import TimeSeries, butterworth_lowpass, moving_average
 from .stability.balance import (AXES, GRAVITY, com_velocity,
                                 detect_foot_strikes, estimate_com, mos_ap,
@@ -120,18 +120,23 @@ def analyze_trial(rec: TrialRecording,
     omega0 = pendulum_eigenfrequency(length_m)
     xc = xcom(com_mos, vel_mos, length_m)
 
-    def side_mos(cop: np.ndarray, side_events: np.ndarray):
+    def side_mos(cop: np.ndarray, stance: np.ndarray,
+                 side_events: np.ndarray):
         cop_ml_f = moving_average(TimeSeries(cop[:, 0], rate), COP_WINDOW)
         cop_ap_f = moving_average(TimeSeries(cop[:, 1], rate), COP_WINDOW)
-        stance = stance_frames(cop[:, 2], body_weight)
         ml = mos_ml(xc["ML"], cop_ml_f.samples, stance, side_events)
         ap = mos_ap(xc["AP"], cop_ap_f.samples, stance, side_events)
         return ml, ap
 
-    left_ml, left_ap = side_mos(rec.cop_left, events)
-    right_events = rec.events_right[
-        (rec.events_right >= events[0]) & (rec.events_right <= events[-1])]
-    right_ml, right_ap = side_mos(rec.cop_right, right_events)
+    left_ml, left_ap = side_mos(
+        rec.cop_left, stance_frames(rec.cop_left[:, 2], body_weight), events)
+    # right strikes: the onsets of right stance on the force channel,
+    # within the span of the analysed left strides
+    right_stance = stance_frames(rec.cop_right[:, 2], body_weight)
+    onsets = np.flatnonzero(right_stance[1:] & ~right_stance[:-1]) + 1
+    right_ml, right_ap = side_mos(
+        rec.cop_right, right_stance,
+        onsets[(onsets >= events[0]) & (onsets <= events[-1])])
 
     # quasi-stiffness and phase portrait (angular velocity vs angle) of the
     # average cycle, on filtered prosthesis angle and moment

@@ -79,10 +79,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    # the analysis stack (scipy.spatial) loads only here and in
-    # cmd_compare, which also loads scipy.stats for its rank-sum tests, so
-    # `simulate` pays for neither
+    # scipy loads only here and in cmd_compare: the analysis stack needs
+    # scipy.linalg and scipy.spatial, and compare's rank-sum tests also
+    # scipy.stats, while `simulate` runs on numpy alone
     from .analysis import AnalysisSettings, analyze_trial
+    from .stability.lyapunov import HORIZON_STRIDES
 
     settings = AnalysisSettings()
     if args.config is not None:
@@ -114,7 +115,7 @@ def cmd_analyze(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         report_path = os.path.join(args.out, "report.json")
         save_report(report, report_path)
-        write_plot_csvs(report, args.out)
+        write_plot_csvs(report, args.out, HORIZON_STRIDES)
     except OSError as exc:
         print(f"error writing {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,5 +1,7 @@
 """Disk formats: trial recordings (one .npz of the raw arrays plus a JSON
-manifest), analysis reports, and flat CSVs for plotting."""
+manifest), analysis reports, and flat CSVs for plotting.  The recording
+is all that the simulator and the analysis share, so this module imports
+neither."""
 
 from __future__ import annotations
 
@@ -7,13 +9,45 @@ import json
 import math
 import os
 import zipfile
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .plant import PROSTHESIS_KEYS, TrialRecording
-
 MANIFEST_NAME = "manifest.json"
 RECORDING_NAME = "recording.npz"
+# per-tick channels of the closed-loop log, in recording column order
+PROSTHESIS_KEYS = ("x", "q", "M", "omega", "gait_percent", "L_s", "q_d",
+                   "x_cmd")
+
+
+@dataclass
+class TrialRecording:
+    """Synchronized channels of one simulated walking trial at 100 Hz."""
+
+    markers: dict[str, np.ndarray]        # name -> (N, 3) mm, axes (ML, AP, VT)
+    cop_left: np.ndarray                  # (N, 3): ML mm, AP mm, force N
+    cop_right: np.ndarray
+    prosthesis: dict[str, np.ndarray]     # per-tick controller/plant log
+    events_left: np.ndarray               # ground-truth foot-strike indices,
+    events_right: np.ndarray              # for tests; `analyze` reads neither
+    rate: float                           # Hz
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        n = len(self.cop_left)
+        for name, arr in self.markers.items():
+            if len(arr) != n:
+                raise ValueError(f"marker {name} length mismatch")
+        for name, arr in self.prosthesis.items():
+            if len(arr) != n:
+                raise ValueError(f"prosthesis channel {name} length mismatch")
+        if np.any(np.diff(self.events_left) <= 0) \
+                or np.any(np.diff(self.events_right) <= 0):
+            raise ValueError("events must be strictly increasing")
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.cop_left)
 
 
 class RecordingIOError(OSError):
@@ -139,10 +173,10 @@ def load_report(path: str) -> dict:
         raise RecordingIOError(f"cannot read report {path}: {exc}") from exc
 
 
-def write_plot_csvs(report: dict, out_dir: str) -> None:
-    """Flat CSVs ready for plotting tools."""
-    from .stability.lyapunov import HORIZON_STRIDES
-
+def write_plot_csvs(report: dict, out_dir: str,
+                    horizon_strides: float) -> None:
+    """Flat CSVs ready for plotting tools; each divergence curve spans
+    `horizon_strides` strides."""
     os.makedirs(out_dir, exist_ok=True)
     qs = report["quasi_stiffness"]
     _write_csv(os.path.join(out_dir, "stiffness_profile.csv"),
@@ -160,7 +194,7 @@ def write_plot_csvs(report: dict, out_dir: str) -> None:
                [np.asarray(pp["q"]), np.asarray(pp["qdot"])])
     for axis, curve in report["divergence"].items():
         curve = np.asarray(curve, dtype=float)
-        strides = (np.arange(len(curve)) / (len(curve) - 1) * HORIZON_STRIDES
+        strides = (np.arange(len(curve)) / (len(curve) - 1) * horizon_strides
                    if len(curve) > 1 else np.zeros(1))
         _write_csv(os.path.join(out_dir, f"divergence_{axis}.csv"),
                    ["strides", "mean_log_divergence"], [strides, curve])

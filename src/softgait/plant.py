@@ -8,7 +8,9 @@ plantarflexor moment of the moment map (`lut.moment_map` states the sign
 convention).  The moment map is affine, so with the motor command and
 the load held over a tick the motor and ankle form one linear system,
 and each tick is advanced exactly by a matrix exponential taken once at
-import (zero-order hold; Van Loan 1978, IEEE TAC 23:395).  The ground
+import (zero-order hold; Van Loan 1978, IEEE TAC 23:395), computed with
+numpy by scaling and squaring a Taylor polynomial (Moler & Van Loan 2003,
+SIAM Rev 45:3), so that the simulator loads no scipy.  The ground
 deflects linearly with vertical force; that deflection shapes the marker
 templates only, since ground stiffness does not enter the ankle dynamics.
 
@@ -29,15 +31,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .controllers import (DT, SSP, TibiaPhaseState, default_gait_lut,
                           default_moment_lut, step_controller,
                           tibia_phase_update, tibia_reference_motor)
+from .io import PROSTHESIS_KEYS, TrialRecording
 from .lut import RHO, SIGMA, moment_map
 
 DEG = math.pi / 180.0
@@ -64,9 +66,22 @@ HEEL_NOISE = 0.3          # heel marker noise, as a fraction of noise_mm
 OMEGA_NOISE = 2.0         # deg/s, tibia-velocity noise
 PELVIS_MARKERS = {"LASI": (-60.0, 80.0, 0.0), "RASI": (60.0, 80.0, 0.0),
                   "LPSI": (-60.0, -80.0, 0.0), "RPSI": (60.0, -80.0, 0.0)}
-# per-tick channels of the closed-loop log, in recording column order
-PROSTHESIS_KEYS = ("x", "q", "M", "omega", "gait_percent", "L_s", "q_d",
-                   "x_cmd")
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a nonzero square matrix: the degree-18 Taylor polynomial
+    of a / 2^s, squared s times, with s = ceil(log2 ||a||_inf) + 1 so
+    that ||a / 2^s|| <= 1/2 and the truncated series is exact to
+    rounding."""
+    s = max(0, math.ceil(math.log2(np.abs(a).sum(axis=1).max())) + 1)
+    a = a / 2.0 ** s
+    term = out = np.eye(len(a))
+    for k in range(1, 19):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def _tick_update() -> tuple[tuple[float, ...], ...]:
@@ -84,7 +99,7 @@ def _tick_update() -> tuple[tuple[float, ...], ...]:
     a[2, 3] = 1.0
     a[3, :] = (SIGMA / INERTIA_DEG, 0.0, -SIGMA * RHO / INERTIA_DEG,
                -ANKLE_DAMPING / INERTIA_DEG, 1.0)
-    return tuple(map(tuple, scipy.linalg.expm(a * DT)[:4].tolist()))
+    return tuple(map(tuple, _expm(a * DT)[:4].tolist()))
 
 
 TICK_UPDATE = _tick_update()
@@ -173,36 +188,6 @@ class TrialSpec:
             raise ValueError("n_strides must be an integer of at least 2")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
-
-
-@dataclass
-class TrialRecording:
-    """Synchronized channels of one simulated walking trial at 100 Hz."""
-
-    markers: dict[str, np.ndarray]        # name -> (N, 3) mm, axes (ML, AP, VT)
-    cop_left: np.ndarray                  # (N, 3): ML mm, AP mm, force N
-    cop_right: np.ndarray
-    prosthesis: dict[str, np.ndarray]     # per-tick controller/plant log
-    events_left: np.ndarray               # ground-truth foot-strike indices
-    events_right: np.ndarray
-    rate: float                           # Hz
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        n = len(self.cop_left)
-        for name, arr in self.markers.items():
-            if len(arr) != n:
-                raise ValueError(f"marker {name} length mismatch")
-        for name, arr in self.prosthesis.items():
-            if len(arr) != n:
-                raise ValueError(f"prosthesis channel {name} length mismatch")
-        if np.any(np.diff(self.events_left) <= 0) \
-                or np.any(np.diff(self.events_right) <= 0):
-            raise ValueError("events must be strictly increasing")
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.cop_left)
 
 
 def _stance_bump(u: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ import numpy as np
 
 from softgait import controllers as ctl
 from softgait.lut import SIGMA, moment_map
-from softgait.plant import INERTIA_DEG, PROSTHESIS_KEYS, TICK_UPDATE
+from softgait.io import PROSTHESIS_KEYS
+from softgait.plant import INERTIA_DEG, TICK_UPDATE
 from softgait.signals import TimeSeries, time_normalize
 from softgait.stability.embedding import EmbeddingParams, delay_embed
 from softgait.stability.lyapunov import rosenstein_divergence

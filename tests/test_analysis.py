@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,18 @@ class TestAnalyzeTrial:
                              "M": avg.mean_moment.tolist()},
             "phase_portrait": {"q": avg.mean_angle.tolist(),
                                "qdot": cycles["qdot"].mean(axis=0).tolist()}}
+
+    @pytest.mark.parametrize("events", [lambda e: e + 5,
+                                        lambda e: e[:0]],
+                             ids=["shifted", "emptied"])
+    def test_reads_no_ground_truth_events(self, small_tc_trial, tc_report,
+                                          events):
+        # a lab recording has no ground-truth strikes: both sides' strikes
+        # come from what the markers and the force channels record
+        rec = replace(small_tc_trial,
+                      events_left=events(small_tc_trial.events_left),
+                      events_right=events(small_tc_trial.events_right))
+        assert repr(analyze_trial(rec, FAST_SETTINGS)) == repr(tc_report)
 
     def test_ac_meta_propagates(self, ac_report):
         assert ac_report["meta"]["mode"] == "AC"

@@ -22,6 +22,7 @@ from softgait.io import (MANIFEST_NAME, RECORDING_NAME, RecordingIOError,
                          _round_sig, load_recording, load_report,
                          save_recording, save_report, write_plot_csvs)
 from softgait.plant import generate_trial
+from softgait.stability.lyapunov import HORIZON_STRIDES
 
 TINY_ANALYSIS = {
     "exclude_strides": 5, "window_strides": 20, "n_windows": 5,
@@ -135,7 +136,7 @@ class TestPlotCsvs:
                                             "qdot": [1.0, 0.0]}},
             "divergence": {"ML": [0.0, 0.5, 1.0]},
         }
-        write_plot_csvs(report, str(tmp_path))
+        write_plot_csvs(report, str(tmp_path), HORIZON_STRIDES)
         for name in ("stiffness_profile.csv", "moment_angle.csv",
                      "phase_portrait.csv", "divergence_ML.csv"):
             assert (tmp_path / name).exists()
@@ -555,16 +556,19 @@ def _loaded(code: str, modules: tuple[str, ...]) -> list[str]:
 
 @pytest.mark.parametrize("module", ["softgait.plant", "softgait.cli"])
 def test_simulate_path_leaves_the_analysis_stack_unloaded(module):
-    # only the analysis needs scipy.spatial, so a `softgait simulate`
-    # process must not import it (nor scipy.signal, which nothing needs)
+    # the simulator runs on numpy alone, so a `softgait simulate` process
+    # loads no scipy module: not the analysis' scipy.spatial, nor
+    # scipy.signal, which nothing needs
     assert _loaded(f"import {module}",
-                   ("scipy.signal", "scipy.spatial")) == []
+                   ("scipy", "scipy.signal", "scipy.spatial")) == []
 
 
-def test_analysis_leaves_scipy_signal_and_stats_unloaded():
-    # the filter and the strike peaks are numpy and LAPACK; scipy.stats
+def test_analysis_leaves_the_simulator_and_scipy_signal_and_stats_unloaded():
+    # the analysis shares only the recording with the simulator; the
+    # filter and the strike peaks are numpy and LAPACK; scipy.stats
     # loads with the first rank-sum test, which only `compare` runs
-    stack = ("scipy.signal", "scipy.stats")
+    stack = ("softgait.plant", "softgait.controllers", "softgait.lut",
+             "scipy.signal", "scipy.stats")
     assert _loaded("import softgait.analysis", stack) == []
     assert _loaded("from softgait.stability.stats import wilcoxon_ranksum; "
                    "wilcoxon_ranksum([1.0, 2.0], [3.0, 4.0])",

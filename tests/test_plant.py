@@ -4,20 +4,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from helpers import gait_like_velocity, reference_closed_loop
 from softgait.config import RunConfig
 from softgait.controllers import MOTOR_RANGE_MM
+from softgait.io import PROSTHESIS_KEYS
 from softgait.lut import RHO, SIGMA, moment_map
 from softgait.plant import (ANKLE_DAMPING, DT, INERTIA_DEG,
-                            MOTOR_LOOP_BANDWIDTH, PROSTHESIS_KEYS,
-                            PlantState, _template, generate_trial,
+                            MOTOR_LOOP_BANDWIDTH, TICK_UPDATE, PlantState,
+                            _expm, _template, generate_trial,
                             ground_deflection, step_plant)
 
 # AC K_d 10 at 63 kN/m, 20 strides, seed 3
 COMPLIANT_RECORDING_SHA256 = (
-    "2962666217c1fbc04b7832a9c60728fd2b949d159a43424ebcba955487011eb0")
+    "018897fa7de35ba09ad919f837c480a5fb10bad828309e4660cd8de59e7f737c")
 
 
 class TestGroundDeflection:
@@ -34,6 +36,36 @@ class TestGroundDeflection:
         k_g = np.array([math.inf, math.inf, 63.0])
         assert np.array_equal(ground_deflection(force, k_g),
                               [0.0, 0.0, 10.0])
+
+
+class TestTickUpdate:
+    def test_matches_scipy_expm(self):
+        """The four kept rows of exp(A DT), with A written out from the
+        plant's equations, agree with scipy's Pade expm to 1e-12 of the
+        largest entry."""
+        w = 2.0 * math.pi * MOTOR_LOOP_BANDWIDTH
+        a = np.array([
+            [0.0, 1.0, 0.0, 0.0, 0.0],
+            [-w * w, -2.0 * w, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0, 0.0],
+            [SIGMA / INERTIA_DEG, 0.0, -SIGMA * RHO / INERTIA_DEG,
+             -ANKLE_DAMPING / INERTIA_DEG, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0]])
+        ref = scipy.linalg.expm(a * DT)[:4]
+        assert np.abs(np.array(TICK_UPDATE) - ref).max() \
+            <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("w, t", [
+        (2.0 * math.pi * MOTOR_LOOP_BANDWIDTH, DT / 4),
+        (2.0 * math.pi * MOTOR_LOOP_BANDWIDTH, DT), (1.0, 1.0),
+        (30.0, 0.1)])
+    def test_critically_damped_block_closed_form(self, w, t):
+        """exp of [[0, 1], [-w^2, -2w]] t is
+        e^(-wt) [[1 + wt, t], [-w^2 t, 1 - wt]]."""
+        got = _expm(np.array([[0.0, 1.0], [-w * w, -2.0 * w]]) * t)
+        ref = math.exp(-w * t) * np.array([[1.0 + w * t, t],
+                                           [-w * w * t, 1.0 - w * t]])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestStepPlant:
