@@ -3,9 +3,11 @@
 
 Drives the `softgait` command line programmatically, the same way a shell
 script would: simulate a tibia-controller baseline and an admittance
-candidate, analyze both recordings, and compare the candidate against the
-baseline.  Everything lands in a scratch directory, and the comparison
-(exponent deltas and margin-of-stability rank-sum tests) is printed.
+candidate, analyze the baseline, analyze the candidate at the baseline's
+embedding (its report's `embedding` block passed as
+`embedding_overrides`), and compare the candidate against the baseline.
+Everything lands in a scratch directory, and the comparison (exponent
+deltas and margin-of-stability rank-sum tests) is printed.
 
 The two trials use different seeds: the simulated body kinematics follow
 a stochastic template that the controller does not feed back into, so
@@ -49,14 +51,21 @@ def main():
         {"mode": "TC", "n_strides": 60, "seed": 1}, indent=2))
     (root / "candidate.json").write_text(json.dumps(
         {"mode": "AC", "K_d": 15.0, "n_strides": 60, "seed": 2}, indent=2))
-    (root / "analysis.json").write_text(json.dumps(ANALYSIS, indent=2))
+    def analyze(name, settings):
+        (root / f"analysis_{name}.json").write_text(
+            json.dumps(settings, indent=2))
+        run(["analyze", str(root / f"rec_{name}"),
+             "--config", str(root / f"analysis_{name}.json"),
+             "--out", str(root / f"out_{name}")])
 
     for name in ("baseline", "candidate"):
         run(["simulate", "--config", str(root / f"{name}.json"),
              "--out", str(root / f"rec_{name}")])
-        run(["analyze", str(root / f"rec_{name}"),
-             "--config", str(root / "analysis.json"),
-             "--out", str(root / f"out_{name}")])
+    analyze("baseline", ANALYSIS)
+    # exponents compare only at one embedding: the baseline's
+    embedding = load_report(
+        str(root / "out_baseline" / "report.json"))["embedding"]
+    analyze("candidate", dict(ANALYSIS, embedding_overrides=embedding))
 
     run(["compare", str(root / "out_candidate" / "report.json"),
          "--baseline", str(root / "out_baseline" / "report.json"),

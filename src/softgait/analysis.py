@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,7 +32,8 @@ class AnalysisSettings:
     window_strides: int = 150
     n_windows: int = 25
     points_per_window: int = 15000
-    embedding_overrides: dict | None = None   # axis -> (tau, dim)
+    # a report's "embedding" block: axis -> {"tau": int, "dim": int}
+    embedding_overrides: dict | None = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -49,17 +50,19 @@ class AnalysisSettings:
         overrides = self.embedding_overrides
         if overrides is None:
             return
+        shape = '{"tau": int, "dim": int}, as in a report\'s embedding block'
         if not isinstance(overrides, dict):
-            raise TypeError("embedding_overrides must map axes to (tau, dim), "
+            raise TypeError(f"embedding_overrides must map axes to {shape}, "
                             f"got {overrides!r}")
-        for axis, pair in overrides.items():
+        keys = {f.name for f in fields(EmbeddingParams)}
+        for axis, block in overrides.items():
             if axis not in AXES:
                 raise ValueError(f"embedding_overrides: unknown axis {axis!r}")
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(_is_int(v) for v in pair)):
-                raise TypeError(f"embedding_overrides[{axis!r}] must be two "
-                                f"integers (tau, dim), got {pair!r}")
-            EmbeddingParams(*pair)
+            if not (isinstance(block, dict) and block.keys() == keys
+                    and all(map(_is_int, block.values()))):
+                raise TypeError(f"embedding_overrides[{axis!r}] must be "
+                                f"{shape}, got {block!r}")
+            EmbeddingParams(**block)
 
 
 def _is_int(value) -> bool:
@@ -106,7 +109,7 @@ def analyze_trial(rec: TrialRecording,
     lam = {}
     for axis in AXES:
         override = (settings.embedding_overrides or {}).get(axis)
-        params = EmbeddingParams(*override) if override else None
+        params = EmbeddingParams(**override) if override else None
         res = windowed_lyapunov(vel_lyap[axis], events,
                                 settings.window_strides, settings.n_windows,
                                 settings.points_per_window, params)
@@ -138,13 +141,12 @@ def analyze_trial(rec: TrialRecording,
         rec.cop_right, right_stance,
         onsets[(onsets >= events[0]) & (onsets <= events[-1])])
 
-    # quasi-stiffness and phase portrait (angular velocity vs angle) of the
-    # average cycle, on filtered prosthesis angle and moment
-    cycles = prosthesis_cycles(TimeSeries(rec.prosthesis["q"], rate),
-                               TimeSeries(rec.prosthesis["M"], rate), events)
-    avg = average_cycle(cycles)
+    # the average cycle of the filtered prosthesis angle, moment and
+    # angular velocity, and its quasi-stiffness
+    avg = average_cycle(prosthesis_cycles(
+        TimeSeries(rec.prosthesis["q"], rate),
+        TimeSeries(rec.prosthesis["M"], rate), events))
     profile = quasi_stiffness(avg)
-    mean_qdot = cycles["qdot"].mean(axis=0)
 
     report = {
         "meta": dict(rec.meta),
@@ -152,8 +154,7 @@ def analyze_trial(rec: TrialRecording,
         "n_windows": settings.n_windows,
         "pendulum_length_m": length_m,
         "pendulum_eigenfrequency": omega0,
-        "embedding": {a: {"tau": int(lam[a].params.tau),
-                          "dim": int(lam[a].params.dim)} for a in AXES},
+        "embedding": {a: asdict(lam[a].params) for a in AXES},
         "lyapunov": {a: {
             "short": {"mean": lam[a].lambda_short_mean,
                       "sd": lam[a].lambda_short_sd},
@@ -171,12 +172,7 @@ def analyze_trial(rec: TrialRecording,
                           for v in profile.stiffness],
             "terminal": profile.terminal_value(),
         },
-        "profiles": {
-            "moment_angle": {"q": avg.mean_angle.tolist(),
-                             "M": avg.mean_moment.tolist()},
-            "phase_portrait": {"q": avg.mean_angle.tolist(),
-                               "qdot": mean_qdot.tolist()},
-        },
+        "profiles": {name: mean.tolist() for name, mean in avg.items()},
     }
     return report
 

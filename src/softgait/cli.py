@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .config import ConfigError, RunConfig
 from .io import (RecordingIOError, load_recording, load_report,
@@ -50,35 +51,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_simulate(args) -> int:
+class _Failure(Exception):
+    """A command's end: the message `main` prints and the exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+@contextmanager
+def _fails(code: int, prefix: str, *errors: type[Exception]):
+    """Re-raise any of `errors` as a _Failure with `prefix: error`."""
     try:
+        yield
+    except errors as exc:
+        raise _Failure(code, f"{prefix}: {exc}") from exc
+
+
+def cmd_simulate(args) -> str:
+    with _fails(EXIT_IO, "error", OSError), \
+            _fails(EXIT_INVALID, "invalid config", ConfigError):
         config = RunConfig.from_file(args.config)
         if args.seed is not None:
             config.seed = args.seed
         spec = config.to_trial_spec()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
+    # the spec is valid, so a ValueError is this trial failing: two foot
+    # strikes in one tick, or fewer than two samples
+    with _fails(EXIT_INVALID, "simulation failed",
+                SimulationDivergedError, ValueError):
         rec = generate_trial(spec)
-    except (SimulationDivergedError, ValueError) as exc:
-        # the spec is valid, so a ValueError is this trial failing: two
-        # foot strikes in one tick
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        manifest = save_recording(rec, args.out)
-    except OSError as exc:
-        print(f"error writing {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"wrote {manifest}")
-    return EXIT_OK
+    with _fails(EXIT_IO, f"error writing {args.out}", OSError):
+        return save_recording(rec, args.out)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> str:
     # scipy loads only here and in cmd_compare: the analysis stack needs
     # scipy.linalg and scipy.spatial, and compare's rank-sum tests also
     # scipy.stats, while `simulate` runs on numpy alone
@@ -87,40 +93,20 @@ def cmd_analyze(args) -> int:
 
     settings = AnalysisSettings()
     if args.config is not None:
-        try:
+        with _fails(EXIT_IO, "error", OSError), \
+                _fails(EXIT_INVALID, "invalid config", TypeError, ValueError):
             with open(args.config) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except json.JSONDecodeError as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        try:
-            settings = AnalysisSettings(**raw)
-        except (TypeError, ValueError) as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-    try:
+                settings = AnalysisSettings(**json.load(fh))
+    with _fails(EXIT_IO, "error", RecordingIOError):
         rec = load_recording(args.recording)
-    except RecordingIOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
+    with _fails(EXIT_INVALID, "analysis failed", ValueError):
         report = analyze_trial(rec, settings)
-    except ValueError as exc:
-        print(f"analysis failed: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
+    with _fails(EXIT_IO, f"error writing {args.out}", OSError):
         os.makedirs(args.out, exist_ok=True)
         report_path = os.path.join(args.out, "report.json")
         save_report(report, report_path)
         write_plot_csvs(report, args.out, HORIZON_STRIDES)
-    except OSError as exc:
-        print(f"error writing {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"wrote {report_path}")
-    return EXIT_OK
+    return report_path
 
 
 def _candidate_names(paths: list[str]) -> list[str] | None:
@@ -135,40 +121,35 @@ def _candidate_names(paths: list[str]) -> list[str] | None:
     return None
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> str:
     from .analysis import SchemaMismatchError, compare_reports
 
     names = _candidate_names(args.candidates)
     if names is None:
-        print("invalid arguments: a candidate report is given twice "
-              "(paths equal up to the extension)", file=sys.stderr)
-        return EXIT_INVALID
-    try:
+        raise _Failure(EXIT_INVALID, "invalid arguments: a candidate report "
+                       "is given twice (paths equal up to the extension)")
+    with _fails(EXIT_IO, "error", RecordingIOError):
         baseline = load_report(args.baseline)
         candidates = {name: load_report(p)
                       for name, p in zip(names, args.candidates)}
-    except RecordingIOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
+    with _fails(EXIT_INVALID, "invalid report", SchemaMismatchError):
         result = compare_reports(baseline, candidates)
-    except SchemaMismatchError as exc:
-        print(f"invalid report: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
+    with _fails(EXIT_IO, f"error writing {args.out}", OSError):
         save_report(result, args.out)
-    except OSError as exc:
-        print(f"error writing {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return args.out
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {"simulate": cmd_simulate, "analyze": cmd_analyze,
                "compare": cmd_compare}[args.command]
-    return handler(args)
+    try:
+        path = handler(args)
+    except _Failure as failure:
+        print(failure, file=sys.stderr)
+        return failure.code
+    print(f"wrote {path}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

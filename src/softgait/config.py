@@ -47,9 +47,10 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         with open(path) as fh:
+            # a ValueError: malformed JSON, or bytes that are not UTF-8
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(raw)
 

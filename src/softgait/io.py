@@ -184,14 +184,13 @@ def write_plot_csvs(report: dict, out_dir: str,
                [np.asarray(qs["stance_percent"], dtype=float),
                 np.array([np.nan if v is None else v
                           for v in qs["stiffness"]])])
-    ma = report["profiles"]["moment_angle"]
+    profiles = report["profiles"]
+    angle = np.asarray(profiles["q"])
     _write_csv(os.path.join(out_dir, "moment_angle.csv"),
-               ["angle_deg", "moment_Nm"],
-               [np.asarray(ma["q"]), np.asarray(ma["M"])])
-    pp = report["profiles"]["phase_portrait"]
+               ["angle_deg", "moment_Nm"], [angle, np.asarray(profiles["M"])])
     _write_csv(os.path.join(out_dir, "phase_portrait.csv"),
                ["angle_deg", "angular_velocity_deg_s"],
-               [np.asarray(pp["q"]), np.asarray(pp["qdot"])])
+               [angle, np.asarray(profiles["qdot"])])
     for axis, curve in report["divergence"].items():
         curve = np.asarray(curve, dtype=float)
         strides = (np.arange(len(curve)) / (len(curve) - 1) * horizon_strides

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -169,6 +169,15 @@ class TrialSpec:
     def __post_init__(self):
         if self.mode not in ("AC", "TC"):
             raise ValueError(f"mode must be AC or TC, got {self.mode!r}")
+        # a bool is not a number; only the ground may be infinitely stiff
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type != "float":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if f.name != "ground_stiffness" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("K_d", "ground_stiffness", "stride_period", "body_mass"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -183,11 +192,12 @@ class TrialSpec:
         for name in ("period_jitter", "amplitude_jitter"):
             if not 0 <= getattr(self, name) < 1 / 3:
                 raise ValueError(f"{name} must be in [0, 1/3)")
-        if not (isinstance(self.n_strides, numbers.Integral)
-                and self.n_strides >= 2):
-            raise ValueError("n_strides must be an integer of at least 2")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError("seed must be a non-negative integer")
+        for name, least in (("n_strides", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    and not isinstance(value, bool) and value >= least):
+                raise ValueError(f"{name} must be an integer of at least "
+                                 f"{least}, got {value!r}")
 
 
 def _stance_bump(u: np.ndarray) -> np.ndarray:
@@ -235,6 +245,8 @@ def _template(spec: TrialSpec):
     amps = 1.0 + spec.amplitude_jitter * amp_g
     starts = np.concatenate(([0.0], np.cumsum(durations)))
     n = int(math.floor(starts[-1] / DT))
+    if n < 2:
+        raise ValueError(f"the trial lasts {n} samples; it needs at least 2")
     t = np.arange(n) * DT
 
     # continuous stride phase: k + s with s in [0, 1) inside stride k

@@ -20,16 +20,6 @@ PLATEAU_TOL_DEG = 1e-3
 TERMINAL_PERCENT = 60.0    # of stance, where the terminal value is read
 
 
-@dataclass
-class CycleAverage:
-    mean_moment: np.ndarray   # Nm, length POINTS_PER_CYCLE
-    mean_angle: np.ndarray    # deg
-
-    def __post_init__(self):
-        if len(self.mean_moment) != len(self.mean_angle):
-            raise ValueError("profiles must have equal length")
-
-
 def segment_cycles(signals: dict[str, TimeSeries],
                    foot_strikes: np.ndarray) -> dict[str, np.ndarray]:
     """Each signal's [strike_k, strike_{k+1}) cycles, time-normalized to
@@ -53,11 +43,12 @@ def prosthesis_cycles(q: TimeSeries, moment: TimeSeries,
          "qdot": qdot_f}, foot_strikes)
 
 
-def average_cycle(cycles: dict[str, np.ndarray]) -> CycleAverage:
-    """Pointwise mean of the moment ("M") and angle ("q") cycles."""
-    if len(cycles["q"]) == 0:
+def average_cycle(cycles: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Pointwise mean of each signal's cycles: name -> POINTS_PER_CYCLE
+    samples."""
+    if not all(map(len, cycles.values())):
         raise ValueError("no cycles to average")
-    return CycleAverage(cycles["M"].mean(axis=0), cycles["q"].mean(axis=0))
+    return {name: c.mean(axis=0) for name, c in cycles.items()}
 
 
 @dataclass
@@ -71,19 +62,21 @@ class StiffnessProfile:
         return float(self.stiffness[i])
 
 
-def quasi_stiffness(avg: CycleAverage) -> StiffnessProfile:
+def quasi_stiffness(avg: dict[str, np.ndarray]) -> StiffnessProfile:
     """Instantaneous moment-angle slope over 20-85% of stance.
 
     Centered sliding-window linear regression (window 5% of stance) on the
-    averaged profiles; windows where the angle stays within the plateau
-    tolerance are left NaN rather than extrapolated.
+    averaged angle ("q", deg) and moment ("M", Nm) of `average_cycle`;
+    windows where the angle stays within the plateau tolerance are left
+    NaN rather than extrapolated.
     """
-    n = len(avg.mean_moment)
-    stance_n = int(round(STANCE_FRACTION * n))
+    if len(avg["q"]) != len(avg["M"]):
+        raise ValueError("profiles must have equal length")
+    stance_n = int(round(STANCE_FRACTION * len(avg["M"])))
     if stance_n < 3:
         raise ValueError("cycle profile too short for a stance segment")
-    q = avg.mean_angle[:stance_n]
-    m = avg.mean_moment[:stance_n]
+    q = avg["q"][:stance_n]
+    m = avg["M"][:stance_n]
     half = max(int(round(REGRESSION_WIDTH * stance_n / 2)), 1)
     i0 = int(round(WINDOW_START * stance_n))
     i1 = int(round(WINDOW_END * stance_n))

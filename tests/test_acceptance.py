@@ -256,8 +256,8 @@ def test_criterion_9_determinism(tmp_path):
     analysis_cfg.write_text(json.dumps({
         "exclude_strides": 5, "window_strides": 20, "n_windows": 5,
         "points_per_window": 2000,
-        "embedding_overrides": {"ML": [10, 4], "AP": [10, 4],
-                                "VT": [10, 4]}}))
+        "embedding_overrides": {axis: {"tau": 10, "dim": 4}
+                                for axis in ("ML", "AP", "VT")}}))
 
     def full_run(tag):
         root = tmp_path / tag

@@ -5,6 +5,8 @@ import pytest
 
 from softgait.analysis import (AnalysisSettings, SchemaMismatchError,
                                analyze_trial, compare_reports)
+from softgait.config import RunConfig
+from softgait.plant import generate_trial
 from softgait.signals import TimeSeries
 from softgait.stability.balance import detect_foot_strikes
 from softgait.stability.stats import ALPHA
@@ -14,7 +16,8 @@ from softgait.stiffness import (average_cycle, prosthesis_cycles,
 FAST_SETTINGS = AnalysisSettings(
     exclude_strides=5, window_strides=20, n_windows=5,
     points_per_window=2000,
-    embedding_overrides={"ML": (10, 4), "AP": (10, 4), "VT": (10, 4)})
+    embedding_overrides={axis: {"tau": 10, "dim": 4}
+                         for axis in ("ML", "AP", "VT")})
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +81,11 @@ class TestAnalyzeTrial:
             "stiffness": [None if np.isnan(v) else v
                           for v in profile.stiffness.tolist()],
             "terminal": profile.terminal_value()}
+        # each averaged signal once: the angle, the moment and the
+        # angular velocity
         assert ac_report["profiles"] == {
-            "moment_angle": {"q": avg.mean_angle.tolist(),
-                             "M": avg.mean_moment.tolist()},
-            "phase_portrait": {"q": avg.mean_angle.tolist(),
-                               "qdot": cycles["qdot"].mean(axis=0).tolist()}}
+            name: cycles[name].mean(axis=0).tolist()
+            for name in ("q", "M", "qdot")}
 
     @pytest.mark.parametrize("events", [lambda e: e + 5,
                                         lambda e: e[:0]],
@@ -107,8 +110,8 @@ class TestAnalyzeTrial:
         settings = AnalysisSettings(
             exclude_strides=5, window_strides=20, n_windows=30,
             points_per_window=2000,
-            embedding_overrides={"ML": (10, 3), "AP": (10, 3),
-                                 "VT": (10, 3)})
+            embedding_overrides={axis: {"tau": 10, "dim": 3}
+                                 for axis in ("ML", "AP", "VT")})
         with pytest.raises(ValueError, match="need"):
             analyze_trial(small_tc_trial, settings)
 
@@ -150,7 +153,34 @@ def fake_report(lam, mos_vals, mode="TC"):
     }
 
 
+@pytest.fixture(scope="module")
+def other_seed_report():
+    """An AC trial at another seed than tc_report's: same-seed trials
+    share their markers and CoP, so their exponents and margins agree."""
+    rec = generate_trial(RunConfig(mode="AC", K_d=15.0, n_strides=45,
+                                   seed=8).to_trial_spec())
+    return analyze_trial(rec, FAST_SETTINGS)
+
+
 class TestCompareReports:
+    def test_swapping_baseline_and_candidate_is_antisymmetric(
+            self, tc_report, ac_report, other_seed_report):
+        for a, b in ((tc_report, ac_report), (tc_report, other_seed_report)):
+            ab = compare_reports(a, {"c": b})["candidates"]["c"]
+            ba = compare_reports(b, {"c": a})["candidates"]["c"]
+            for axis in ("ML", "AP", "VT"):
+                for horizon in ("short", "long"):
+                    d_ab = ab["delta_lambda"][axis][horizon]["delta"]
+                    d_ba = ba["delta_lambda"][axis][horizon]["delta"]
+                    assert d_ba == -d_ab
+            for side in ("left", "right"):
+                for direction in ("ML", "AP"):
+                    assert ba["mos"][side][direction]["p_value"] == \
+                        ab["mos"][side][direction]["p_value"]
+        # the seeds differ, so the check is not one of zeros and ones
+        assert ab["delta_lambda"]["ML"]["short"]["delta"] != 0
+        assert ab["mos"]["left"]["ML"]["p_value"] < 1
+
     def test_delta_lambda_arithmetic(self):
         rng = np.random.default_rng(0)
         base = fake_report(7.13, rng.normal(40.0, 2.0, 30))

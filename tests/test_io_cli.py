@@ -27,7 +27,8 @@ from softgait.stability.lyapunov import HORIZON_STRIDES
 TINY_ANALYSIS = {
     "exclude_strides": 5, "window_strides": 20, "n_windows": 5,
     "points_per_window": 2000,
-    "embedding_overrides": {"ML": [10, 4], "AP": [10, 4], "VT": [10, 4]},
+    "embedding_overrides": {axis: {"tau": 10, "dim": 4}
+                            for axis in ("ML", "AP", "VT")},
 }
 
 
@@ -131,9 +132,8 @@ class TestPlotCsvs:
         report = {
             "quasi_stiffness": {"stance_percent": [20.0, 30.0],
                                 "stiffness": [10.0, None]},
-            "profiles": {"moment_angle": {"q": [0.0, 1.0], "M": [0.0, 15.0]},
-                         "phase_portrait": {"q": [0.0, 1.0],
-                                            "qdot": [1.0, 0.0]}},
+            "profiles": {"q": [0.0, 1.0], "M": [0.0, 15.0],
+                         "qdot": [1.0, 0.0]},
             "divergence": {"ML": [0.0, 0.5, 1.0]},
         }
         write_plot_csvs(report, str(tmp_path), HORIZON_STRIDES)
@@ -143,6 +143,11 @@ class TestPlotCsvs:
         lines = (tmp_path / "divergence_ML.csv").read_text().splitlines()
         assert lines[0] == "strides,mean_log_divergence"
         assert lines[-1].startswith("10,")
+        # both profile plots take the angle from the one "q" list
+        assert (tmp_path / "moment_angle.csv").read_text().splitlines() == \
+            ["angle_deg,moment_Nm", "0,0", "1,15"]
+        assert (tmp_path / "phase_portrait.csv").read_text().splitlines() \
+            == ["angle_deg,angular_velocity_deg_s", "0,1", "1,0"]
 
 
 class TestRunConfig:
@@ -256,7 +261,7 @@ class TestCliSuccess:
 # the trial CI simulates twice and analyses with the demo's windows
 DETERMINISM_RUN = {"mode": "AC", "K_d": 10.0, "n_strides": 60, "seed": 1}
 DETERMINISM_REPORT_SHA256 = (
-    "9aa0599c670c86f8f28139a24aeb8857f0b6e2240da6f9a3a942facfa9b2796c")
+    "46fbea8315cf6800d33c29d5dcddd401bf555f1b802577b8b98b59e9f3ab4021")
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +283,22 @@ def test_cli_report_matches_library(tmp_path, determinism_report):
     (tmp_path / "analysis.json").write_text(json.dumps(analysis))
     assert main(["simulate", "--config", str(tmp_path / "run.json"),
                  "--out", str(tmp_path / "rec")]) == 0
+    assert main(["analyze", str(tmp_path / "rec"), "--config",
+                 str(tmp_path / "analysis.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "report.json").read_bytes() == library_bytes
+
+
+def test_report_embedding_block_is_an_override(tmp_path, determinism_report):
+    """A report's `embedding` block, pasted into analysis.json as
+    `embedding_overrides`, reproduces that report byte for byte."""
+    analysis, library_bytes = determinism_report
+    assert "embedding_overrides" not in analysis
+    block = json.loads(library_bytes)["embedding"]
+    save_recording(generate_trial(RunConfig(**DETERMINISM_RUN)
+                                  .to_trial_spec()), str(tmp_path / "rec"))
+    (tmp_path / "analysis.json").write_text(
+        json.dumps(dict(analysis, embedding_overrides=block)))
     assert main(["analyze", str(tmp_path / "rec"), "--config",
                  str(tmp_path / "analysis.json"),
                  "--out", str(tmp_path / "out")]) == 0
@@ -309,7 +330,12 @@ class TestCliErrorCodes:
                     {"amplitude_jitter": -5, "n_strides": 20},
                     # squaring the tibia velocity would overflow a float
                     {"amplitude_jitter": 1e200, "n_strides": 5},
-                    {"noise_mm": -1}):
+                    {"noise_mm": -1},
+                    # a bool is not a number, and every float but the
+                    # ground stiffness is finite
+                    {"n_strides": 6, "seed": True, "body_mass": True},
+                    {"mode": "TC", "ground_stiffness": True},
+                    {"stride_period": math.inf}):
             bad.write_text(json.dumps(raw))
             code = main(["simulate", "--config", str(bad),
                          "--out", str(tmp_path / "o")])
@@ -328,15 +354,17 @@ class TestCliErrorCodes:
 
     def test_failed_simulation_is_reported(self, tmp_path, capsys):
         config = tmp_path / "run.json"
-        # a valid spec whose trial cannot be run: at seed 13 a stride three
-        # sd short lasts less than one tick
-        config.write_text(json.dumps(
-            {"period_jitter": 0.3333, "n_strides": 10, "seed": 13}))
-        code = main(["simulate", "--config", str(config),
-                     "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("simulation failed:")
-        assert not (tmp_path / "o").exists()
+        # valid specs whose trials cannot be run: at seed 13 a stride three
+        # sd short lasts less than one tick, and strides of 1e-300 s give
+        # a trial of no samples
+        for raw in ({"period_jitter": 0.3333, "n_strides": 10, "seed": 13},
+                    {"stride_period": 1e-300}):
+            config.write_text(json.dumps(raw))
+            code = main(["simulate", "--config", str(config),
+                         "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("simulation failed:")
+            assert not (tmp_path / "o").exists()
 
     def test_unreachable_gait_reference_saturates(self, tmp_path):
         # the amplitude jitter takes the estimated stride length past what
@@ -351,12 +379,16 @@ class TestCliErrorCodes:
         rec = load_recording(str(tmp_path / "o"))
         assert rec.prosthesis["x_cmd"].min() == -40.0
 
-    def test_malformed_json_config_is_invalid(self, tmp_path):
+    def test_malformed_json_config_is_invalid(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{oops")
-        code = main(["simulate", "--config", str(bad),
-                     "--out", str(tmp_path / "o")])
-        assert code == 1
+        # malformed JSON, and bytes that are not UTF-8
+        for raw in (b"{oops", b"\xff\xfe{}"):
+            bad.write_bytes(raw)
+            code = main(["simulate", "--config", str(bad),
+                         "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("invalid config:")
+            assert not (tmp_path / "o").exists()
 
     def test_missing_recording_is_io_error(self, tmp_path):
         code = main(["analyze", str(tmp_path / "norec"),
@@ -444,8 +476,10 @@ class TestCliErrorCodes:
         bad = tmp_path / "settings.json"
         # windows the recording can fill, so only the bad entry can fail
         bad_overrides = [dict(TINY_ANALYSIS, embedding_overrides=o) for o in (
-            {"ML": [10]}, {"ML": ["10", "4"]}, {"ML": [True, 4]},
-            {"ML": [0, 4]}, ["ML"], {"XX": [10, 4]})]
+            {"ML": {"tau": 10}}, {"ML": {"tau": "10", "dim": 4}},
+            {"ML": {"tau": True, "dim": 4}}, {"ML": {"tau": 0, "dim": 4}},
+            {"ML": {"tau": 10, "dim": 4, "theiler": 3}}, ["ML"],
+            {"XX": {"tau": 10, "dim": 4}})]
         out_of_range = [dict(TINY_ANALYSIS, **r) for r in (
             {"window_strides": 0}, {"n_windows": 0}, {"n_windows": -2},
             {"points_per_window": -2500}, {"exclude_strides": -5})]
@@ -457,6 +491,17 @@ class TestCliErrorCodes:
             assert code == 1
             assert capsys.readouterr().err.startswith("invalid config:")
             assert not (tmp_path / "o").exists()
+        # the (tau, dim) pair is not the report's shape, and the message
+        # says which shape is
+        bad.write_text(json.dumps(dict(TINY_ANALYSIS,
+                                       embedding_overrides={"ML": [10, 4]})))
+        code = main(["analyze", str(rec), "--config", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config:")
+        assert '{"tau": int, "dim": int}' in err
+        assert not (tmp_path / "o").exists()
 
     def test_too_few_strides_for_the_windows_is_refused(self, tmp_path,
                                                         capsys):

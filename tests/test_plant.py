@@ -138,7 +138,14 @@ class TestTrialSpec:
                             ("amplitude_jitter", math.nan),
                             ("amplitude_jitter", 1 / 3),
                             ("amplitude_jitter", 1e200),
-                            ("noise_mm", -1.0)):
+                            ("noise_mm", -1.0),
+                            # a bool is not a number, and every float but
+                            # the ground stiffness is finite
+                            ("seed", True), ("n_strides", True),
+                            ("body_mass", True), ("ground_stiffness", True),
+                            ("K_d", math.inf), ("stride_period", math.inf),
+                            ("body_mass", math.inf), ("noise_mm", math.inf),
+                            ("period_jitter", "0.1")):
             with pytest.raises(ValueError, match=name):
                 replace(spec, **{name: value})
 
@@ -206,6 +213,11 @@ class TestGenerateTrial:
     def test_rejects_too_few_strides(self):
         with pytest.raises(ValueError):
             generate_trial(RunConfig(mode="TC", n_strides=1).to_trial_spec())
+
+    def test_rejects_a_trial_of_fewer_than_two_samples(self):
+        spec = RunConfig(stride_period=1e-300, n_strides=6).to_trial_spec()
+        with pytest.raises(ValueError, match="samples"):
+            generate_trial(spec)
 
     def test_vertical_force_peak_scales_with_mass(self):
         rec = generate_trial(RunConfig(mode="TC", n_strides=6, seed=0,

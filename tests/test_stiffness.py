@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from softgait.signals import TimeSeries
-from softgait.stiffness import (CycleAverage, StiffnessProfile,
-                                average_cycle, quasi_stiffness,
-                                segment_cycles)
+from softgait.stiffness import (StiffnessProfile, average_cycle,
+                                quasi_stiffness, segment_cycles)
 
 
 def linear_cycles(K, n_cycles=5, pts=100):
@@ -52,18 +51,18 @@ class TestSegmentation:
 class TestAveraging:
     def test_pointwise_mean(self):
         cycles = {"q": np.array([np.full(10, 1.0), np.full(10, 3.0)]),
-                  "M": np.array([np.full(10, 2.0), np.full(10, 6.0)])}
+                  "M": np.array([np.full(10, 2.0), np.full(10, 6.0)]),
+                  "qdot": np.array([np.full(10, -1.0), np.full(10, 0.0)])}
         avg = average_cycle(cycles)
-        assert np.allclose(avg.mean_angle, 2.0)
-        assert np.allclose(avg.mean_moment, 4.0)
+        assert avg.keys() == cycles.keys()
+        assert np.allclose(avg["q"], 2.0)
+        assert np.allclose(avg["M"], 4.0)
+        assert np.allclose(avg["qdot"], -0.5)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             average_cycle({"q": np.empty((0, 100)), "M": np.empty((0, 100))})
 
-    def test_cycle_average_validation(self):
-        with pytest.raises(ValueError):
-            CycleAverage(np.zeros(5), np.zeros(4))
 
 
 class TestQuasiStiffness:
@@ -84,7 +83,7 @@ class TestQuasiStiffness:
         pts = 100
         q = np.zeros(pts)          # angle never moves
         m = np.linspace(0.0, 30.0, pts)
-        profile = quasi_stiffness(CycleAverage(m, q))
+        profile = quasi_stiffness({"q": q, "M": m})
         assert np.all(np.isnan(profile.stiffness))
 
     def test_terminal_value_picks_nearest_sample(self):
@@ -97,4 +96,8 @@ class TestQuasiStiffness:
 
     def test_too_short_profile_raises(self):
         with pytest.raises(ValueError):
-            quasi_stiffness(CycleAverage(np.zeros(3), np.zeros(3)))
+            quasi_stiffness({"q": np.zeros(3), "M": np.zeros(3)})
+
+    def test_profiles_of_unequal_length_raise(self):
+        with pytest.raises(ValueError, match="equal length"):
+            quasi_stiffness({"q": np.zeros(100), "M": np.zeros(99)})
