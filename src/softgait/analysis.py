@@ -73,6 +73,10 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
 def _positive_meta(meta: dict, key: str) -> float:
     value = meta.get(key)
     if not (_is_number(value) and 0 < value < math.inf):
@@ -237,21 +241,21 @@ def _field(report, *path: str):
 
 def _check_schema(report) -> None:
     """Refuse a report that lacks a field compare_reports reads, or holds
-    something other than numbers where it reads numbers."""
+    something other than finite numbers where it reads numbers."""
     _field(report, "meta")
     means = [("lyapunov", axis, horizon, "mean")
              for axis in AXES for horizon in ("short", "long")]
     means += [("mos", side, direction, "mean")
               for side in ("left", "right") for direction in ("ML", "AP")]
     for path in means:
-        if not _is_number(_field(report, *path)):
+        if not _is_finite(_field(report, *path)):
             raise SchemaMismatchError(
-                f"report {'.'.join(path)} is not a number")
+                f"report {'.'.join(path)} is not a finite number")
     for side in ("left", "right"):
         for direction in ("ML", "AP"):
             samples = _field(report, "mos", side, direction, "per_cycle")
             if not (isinstance(samples, list) and samples
-                    and all(map(_is_number, samples))):
+                    and all(map(_is_finite, samples))):
                 raise SchemaMismatchError(
                     f"report mos.{side}.{direction}.per_cycle is not a "
-                    "non-empty list of numbers")
+                    "non-empty list of finite numbers")

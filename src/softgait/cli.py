@@ -86,8 +86,7 @@ def cmd_simulate(args) -> str:
 
 def cmd_analyze(args) -> str:
     # scipy loads only here and in cmd_compare: the analysis stack needs
-    # scipy.linalg and scipy.spatial, and compare's rank-sum tests also
-    # scipy.stats, while `simulate` runs on numpy alone
+    # scipy.linalg and scipy.spatial, while `simulate` runs on numpy alone
     from .analysis import AnalysisSettings, analyze_trial
     from .stability.lyapunov import HORIZON_STRIDES
 

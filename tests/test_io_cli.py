@@ -558,10 +558,24 @@ class TestCliErrorCodes:
         text_cycles["mos"]["left"]["AP"]["per_cycle"] = ["x"]
         text_mean = json.loads(raw)
         text_mean["mos"]["right"]["ML"]["mean"] = "1.0"
+        # json reads NaN and Infinity, which no rank-sum test or exponent
+        # change can use
+        nan_cycle = json.loads(raw)
+        nan_cycle["mos"]["left"]["ML"]["per_cycle"][0] = math.nan
+        inf_cycle = json.loads(raw)
+        inf_cycle["mos"]["right"]["AP"]["per_cycle"][-1] = math.inf
+        inf_mean = json.loads(raw)
+        inf_mean["mos"]["left"]["AP"]["mean"] = -math.inf
+        nan_lyapunov = json.loads(raw)
+        nan_lyapunov["lyapunov"]["VT"]["long"]["mean"] = math.nan
         for name, report in (("meta_only", {"meta": {}}),
                              ("list_root", [good]), ("no_meta", no_meta),
                              ("text_cycles", text_cycles),
-                             ("text_mean", text_mean)):
+                             ("text_mean", text_mean),
+                             ("nan_cycle", nan_cycle),
+                             ("inf_cycle", inf_cycle),
+                             ("inf_mean", inf_mean),
+                             ("nan_lyapunov", nan_lyapunov)):
             junk = tmp_path / f"{name}.json"
             junk.write_text(json.dumps(report))
             out = tmp_path / f"c_{name}.json"
@@ -610,14 +624,14 @@ def test_simulate_path_leaves_the_analysis_stack_unloaded(module):
 
 def test_analysis_leaves_the_simulator_and_scipy_signal_and_stats_unloaded():
     # the analysis shares only the recording with the simulator; the
-    # filter and the strike peaks are numpy and LAPACK; scipy.stats
-    # loads with the first rank-sum test, which only `compare` runs
+    # filter, the strike peaks and the rank-sum test are numpy and LAPACK
     stack = ("softgait.plant", "softgait.controllers", "softgait.lut",
              "scipy.signal", "scipy.stats")
     assert _loaded("import softgait.analysis", stack) == []
+    # both paths of the test: exact, and normal with ties
     assert _loaded("from softgait.stability.stats import wilcoxon_ranksum; "
-                   "wilcoxon_ranksum([1.0, 2.0], [3.0, 4.0])",
-                   stack) == ["scipy.stats"]
+                   "wilcoxon_ranksum([1.0, 2.0], [3.0, 4.0]); "
+                   "wilcoxon_ranksum([1.0, 2.0], [2.0, 4.0])", stack) == []
 
 
 def test_only_the_cli_prints_and_nothing_warns():

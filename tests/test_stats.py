@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import mannwhitneyu
 
 from helpers import exhaustive_ranksum_p, shuffle_ranksum_p
-from softgait.stability.stats import ALPHA, delta_lambda, wilcoxon_ranksum
+from softgait.stability.stats import (ALPHA, EXACT_MAX_N, delta_lambda,
+                                      wilcoxon_ranksum)
 
 
 class TestDeltaLambda:
@@ -57,7 +61,41 @@ class TestNormalApproximation:
         assert 0.0 < p < 1.0
 
 
+class TestAgainstScipy:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 30),
+           st.booleans())
+    @example(0, EXACT_MAX_N, EXACT_MAX_N, False)
+    @example(0, EXACT_MAX_N + 1, EXACT_MAX_N, False)
+    @example(0, EXACT_MAX_N, EXACT_MAX_N + 1, False)
+    @example(0, EXACT_MAX_N + 1, EXACT_MAX_N + 1, True)
+    @example(1, EXACT_MAX_N, EXACT_MAX_N, True)
+    def test_p_value_matches_mannwhitneyu(self, seed, n1, n2, tied):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=n1)
+        b = rng.normal(loc=0.4, size=n2)
+        if tied:
+            a, b = np.round(a, 1), np.round(b, 1)
+        pooled = np.concatenate([a, b])
+        if np.all(pooled == pooled[0]):
+            return
+        exact = (n1 <= EXACT_MAX_N and n2 <= EXACT_MAX_N
+                 and len(np.unique(pooled)) == len(pooled))
+        want = mannwhitneyu(a, b, use_continuity=False,
+                            alternative="two-sided",
+                            method="exact" if exact else "asymptotic").pvalue
+        assert wilcoxon_ranksum(a, b)[0] == pytest.approx(want, rel=1e-12,
+                                                          abs=0)
+
+
 class TestEdgeCases:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_ranksum([1.0, bad, 3.0], [2.0, 4.0])
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_ranksum([1.0] * 30, [2.0] * 29 + [bad])
+
     def test_identical_samples_not_significant(self):
         p, sig = wilcoxon_ranksum([5.0, 5.0], [5.0, 5.0])
         assert p == 1.0
