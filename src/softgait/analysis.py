@@ -1,24 +1,24 @@
 """Whole-trial analysis: foot-strikes, windowed divergence exponents,
 margins of stability, and quasi-stiffness, aggregated into a report
-dictionary that serializes to the report file."""
+dictionary; `stability.stats` compares reports."""
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .io import TrialRecording
+from .io import AXES, TrialRecording
 from .signals import TimeSeries, butterworth_lowpass, moving_average
-from .stability.balance import (AXES, GRAVITY, com_velocity,
-                                detect_foot_strikes, estimate_com, mos_ap,
-                                mos_ml, pendulum_eigenfrequency,
-                                pendulum_length, stance_frames, xcom)
+from .stability.balance import (GRAVITY, com_velocity, detect_foot_strikes,
+                                estimate_com, mos_ap, mos_ml,
+                                pendulum_eigenfrequency, pendulum_length,
+                                stance_frames, xcom)
 from .stability.embedding import EmbeddingParams
 from .stability.lyapunov import windowed_lyapunov
-from .stability.stats import ALPHA, delta_lambda, wilcoxon_ranksum
+# perfbench's TARGETS traces softgait.analysis.compare_reports, so the
+# name stays here; `compare` imports it from stability.stats
+from .stability.stats import compare_reports, is_finite  # noqa: F401
 from .stiffness import average_cycle, prosthesis_cycles, quasi_stiffness
 
 LYAPUNOV_FILTER = (2, 10.0)   # order, cutoff Hz for divergence CoM
@@ -69,17 +69,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return _is_number(value) and math.isfinite(value)
-
-
 def _positive_meta(meta: dict, key: str) -> float:
     value = meta.get(key)
-    if not (_is_number(value) and 0 < value < math.inf):
+    if not (is_finite(value) and value > 0):
         raise ValueError(f"recording meta needs a positive {key}, "
                          f"got {value!r}")
     return value
@@ -185,77 +177,3 @@ def _mos_entry(res) -> dict:
     return {"mean": res.mean, "sd": res.sd,
             "per_cycle": res.per_cycle.tolist(),
             "skipped_cycles": list(res.skipped)}
-
-
-def compare_reports(baseline: dict, candidates: dict[str, dict]) -> dict:
-    """Exponent changes against the baseline and MOS rank-sum tests.
-
-    Negative delta means improved local dynamic stability; for margins of
-    stability, larger is better, so improvement is a greater mean.
-    """
-    _check_schema(baseline)
-    out = {"baseline": baseline["meta"], "alpha": ALPHA, "candidates": {}}
-    for name, cand in candidates.items():
-        _check_schema(cand)
-        entry = {"meta": cand["meta"], "delta_lambda": {}, "mos": {}}
-        for axis in AXES:
-            entry["delta_lambda"][axis] = {}
-            for horizon in ("short", "long"):
-                d = delta_lambda(cand["lyapunov"][axis][horizon]["mean"],
-                                 baseline["lyapunov"][axis][horizon]["mean"])
-                entry["delta_lambda"][axis][horizon] = {
-                    "delta": d, "improved": d < 0}
-        for side in ("left", "right"):
-            entry["mos"][side] = {}
-            for direction in ("ML", "AP"):
-                base = baseline["mos"][side][direction]["per_cycle"]
-                new = cand["mos"][side][direction]["per_cycle"]
-                p, significant = wilcoxon_ranksum(new, base)
-                entry["mos"][side][direction] = {
-                    "mean": cand["mos"][side][direction]["mean"],
-                    "baseline_mean": baseline["mos"][side][direction]["mean"],
-                    "p_value": p,
-                    "significant": significant,
-                    "improved": (cand["mos"][side][direction]["mean"]
-                                 > baseline["mos"][side][direction]["mean"]),
-                }
-        out["candidates"][name] = entry
-    return out
-
-
-class SchemaMismatchError(ValueError):
-    pass
-
-
-def _field(report, *path: str):
-    """report[path[0]][path[1]]...; refused when a key is missing or a
-    level is not an object."""
-    value = report
-    for depth, key in enumerate(path):
-        if not isinstance(value, dict) or key not in value:
-            raise SchemaMismatchError(
-                f"report missing {'.'.join(path[:depth + 1])}")
-        value = value[key]
-    return value
-
-
-def _check_schema(report) -> None:
-    """Refuse a report that lacks a field compare_reports reads, or holds
-    something other than finite numbers where it reads numbers."""
-    _field(report, "meta")
-    means = [("lyapunov", axis, horizon, "mean")
-             for axis in AXES for horizon in ("short", "long")]
-    means += [("mos", side, direction, "mean")
-              for side in ("left", "right") for direction in ("ML", "AP")]
-    for path in means:
-        if not _is_finite(_field(report, *path)):
-            raise SchemaMismatchError(
-                f"report {'.'.join(path)} is not a finite number")
-    for side in ("left", "right"):
-        for direction in ("ML", "AP"):
-            samples = _field(report, "mos", side, direction, "per_cycle")
-            if not (isinstance(samples, list) and samples
-                    and all(map(_is_finite, samples))):
-                raise SchemaMismatchError(
-                    f"report mos.{side}.{direction}.per_cycle is not a "
-                    "non-empty list of finite numbers")

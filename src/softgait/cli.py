@@ -16,10 +16,8 @@ import os
 import sys
 from contextlib import contextmanager
 
-from .config import ConfigError, RunConfig
 from .io import (RecordingIOError, load_recording, load_report,
                  save_recording, save_report, write_plot_csvs)
-from .plant import SimulationDivergedError, generate_trial
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -69,6 +67,9 @@ def _fails(code: int, prefix: str, *errors: type[Exception]):
 
 
 def cmd_simulate(args) -> str:
+    from .config import ConfigError, RunConfig
+    from .plant import SimulationDivergedError, generate_trial
+
     with _fails(EXIT_IO, "error", OSError), \
             _fails(EXIT_INVALID, "invalid config", ConfigError):
         config = RunConfig.from_file(args.config)
@@ -85,8 +86,8 @@ def cmd_simulate(args) -> str:
 
 
 def cmd_analyze(args) -> str:
-    # scipy loads only here and in cmd_compare: the analysis stack needs
-    # scipy.linalg and scipy.spatial, while `simulate` runs on numpy alone
+    # scipy loads only here: the analysis stack needs scipy.linalg and
+    # scipy.spatial, while `simulate` and `compare` run on numpy alone
     from .analysis import AnalysisSettings, analyze_trial
     from .stability.lyapunov import HORIZON_STRIDES
 
@@ -121,7 +122,7 @@ def _candidate_names(paths: list[str]) -> list[str] | None:
 
 
 def cmd_compare(args) -> str:
-    from .analysis import SchemaMismatchError, compare_reports
+    from .stability.stats import SchemaMismatchError, compare_reports
 
     names = _candidate_names(args.candidates)
     if names is None:

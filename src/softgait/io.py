@@ -15,6 +15,7 @@ import numpy as np
 
 MANIFEST_NAME = "manifest.json"
 RECORDING_NAME = "recording.npz"
+AXES = ("ML", "AP", "VT")    # marker column order, and a report's axis keys
 # per-tick channels of the closed-loop log, in recording column order
 PROSTHESIS_KEYS = ("x", "q", "M", "omega", "gait_percent", "L_s", "q_d",
                    "x_cmd")

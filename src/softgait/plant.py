@@ -181,9 +181,9 @@ class TrialSpec:
         for name in ("K_d", "ground_stiffness", "stride_period", "body_mass"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        # AC's loop gain on the moment, 1 - SIGMA*RHO / K_d, must exceed -1
-        if self.mode == "AC" and not self.K_d > SIGMA * RHO / 2:
-            raise ValueError("K_d must exceed SIGMA*RHO/2 in AC mode")
+        # AC's moment loop gain 1 - SIGMA*RHO/K_d: below -0.9 strides chatter
+        if self.mode == "AC" and not self.K_d >= SIGMA * RHO / 1.9:
+            raise ValueError("K_d must be at least SIGMA*RHO/1.9 in AC mode")
         if not self.noise_mm >= 0:
             raise ValueError("noise_mm must be non-negative")
         # stride durations and amplitudes are scaled by 1 + jitter * g, g

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..io import AXES
 from ..signals import TimeSeries, butterworth_lowpass, finite_difference
 
 GRAVITY = 9.81  # m/s^2
@@ -16,7 +17,6 @@ STRIKE_PROMINENCE_MM = 5.0     # minimum depth of a foot-strike minimum
 STANCE_FORCE_FRACTION = 0.05   # of body weight, stance threshold
 
 PELVIS_MARKERS = ("LASI", "RASI", "LPSI", "RPSI")
-AXES = ("ML", "AP", "VT")
 
 
 class MarkerGapError(ValueError):
@@ -45,9 +45,9 @@ def com_velocity(com: dict[str, TimeSeries]) -> dict[str, TimeSeries]:
 def detect_foot_strikes(heel_vt: TimeSeries,
                         nominal_stride_s: float) -> np.ndarray:
     """Foot-strikes as prominent local minima of the filtered heel height,
-    at least half the nominal stride apart."""
+    at least a quarter of the nominal stride apart."""
     vt = butterworth_lowpass(heel_vt, *STRIKE_FILTER).samples
-    min_dist = max(int(0.5 * nominal_stride_s * heel_vt.sample_rate), 1)
+    min_dist = max(int(0.25 * nominal_stride_s * heel_vt.sample_rate), 1)
     peaks = _find_peaks(-vt, STRIKE_PROMINENCE_MM, min_dist)
     if len(peaks) == 0:
         raise ValueError("no foot-strike minima found")

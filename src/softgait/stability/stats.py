@@ -1,13 +1,21 @@
-"""Exponent bookkeeping and the rank-sum test used for MOS comparisons."""
+"""Report comparison: exponent changes against a baseline and rank-sum
+tests of the margins of stability, in numpy and math alone and with no
+softgait import but `io`, so that `compare` loads no scipy."""
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
+from ..io import AXES
+
 EXACT_MAX_N = 20
 ALPHA = 0.01      # significance level of every rank-sum comparison
+# the (axis, horizon) exponents and (side, direction) margins compared
+EXPONENTS = [(axis, h) for axis in AXES for h in ("short", "long")]
+MARGINS = [(side, d) for side in ("left", "right") for d in ("ML", "AP")]
 
 
 def delta_lambda(lam: float, lam_baseline: float) -> float:
@@ -44,7 +52,6 @@ def wilcoxon_ranksum(sample_a, sample_b):
     Exact null distribution when both samples have at most EXACT_MAX_N
     observations and there are no ties; otherwise the normal
     approximation with tie correction and no continuity correction.
-    numpy and math only, so that `compare` loads no scipy.stats.
     Returns (p_value, significant at ALPHA).
     """
     a = np.asarray(sample_a, dtype=float)
@@ -74,3 +81,74 @@ def wilcoxon_ranksum(sample_a, sample_b):
         s = math.sqrt(n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1))))
         p = math.erfc(abs(u - n1 * n2 / 2) / s / math.sqrt(2))
     return p, p < ALPHA
+
+
+class SchemaMismatchError(ValueError):
+    """A field that compare_reports reads is missing or not finite."""
+
+
+def compare_reports(baseline: dict, candidates: dict[str, dict]) -> dict:
+    """Exponent changes against the baseline and MOS rank-sum tests.
+
+    Negative delta means improved local dynamic stability; for margins of
+    stability, larger is better, so improvement is a greater mean.
+    """
+    base = _read_report(baseline)
+    read = {name: _read_report(cand) for name, cand in candidates.items()}
+    out = {"baseline": base["meta"], "alpha": ALPHA, "candidates": {}}
+    for name, cand in read.items():
+        entry = out["candidates"][name] = {
+            "meta": cand["meta"], "delta_lambda": {a: {} for a in AXES},
+            "mos": {"left": {}, "right": {}}}
+        for axis, horizon in EXPONENTS:
+            d = delta_lambda(cand[axis, horizon], base[axis, horizon])
+            entry["delta_lambda"][axis][horizon] = {
+                "delta": d, "improved": d < 0}
+        for side, direction in MARGINS:
+            mean, samples = cand[side, direction]
+            base_mean, base_samples = base[side, direction]
+            p, significant = wilcoxon_ranksum(samples, base_samples)
+            entry["mos"][side][direction] = {
+                "mean": mean, "baseline_mean": base_mean, "p_value": p,
+                "significant": significant, "improved": mean > base_mean}
+    return out
+
+
+def _read_report(report) -> dict:
+    """The fields compare_reports reads, each fetched and checked once:
+    "meta", the exponent mean at each (axis, horizon) of EXPONENTS, and
+    the MOS (mean, per_cycle) at each (side, direction) of MARGINS."""
+    fields = {"meta": _field(report, "meta")}
+    for block, keys in (("lyapunov", EXPONENTS), ("mos", MARGINS)):
+        for key in keys:
+            fields[key] = _field(report, block, *key, "mean", finite=True)
+    for key in MARGINS:
+        samples = _field(report, "mos", *key, "per_cycle")
+        if not (isinstance(samples, list) and samples
+                and all(map(is_finite, samples))):
+            raise SchemaMismatchError(
+                f"report mos.{'.'.join(key)}.per_cycle is not a "
+                "non-empty list of finite numbers")
+        fields[key] = fields[key], samples
+    return fields
+
+
+def _field(report, *path: str, finite: bool = False):
+    """report[path[0]][path[1]]...; refused when a key is missing or a
+    level is not an object, and with `finite` unless a finite number."""
+    value = report
+    for depth, key in enumerate(path):
+        if not isinstance(value, dict) or key not in value:
+            raise SchemaMismatchError(
+                f"report missing {'.'.join(path[:depth + 1])}")
+        value = value[key]
+    if finite and not is_finite(value):
+        raise SchemaMismatchError(
+            f"report {'.'.join(path)} is not a finite number")
+    return value
+
+
+def is_finite(value) -> bool:
+    """A finite real number; a bool is not a number."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))

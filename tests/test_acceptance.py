@@ -14,7 +14,6 @@ import pytest
 from helpers import (brute_force_divergence, exhaustive_mos,
                      exhaustive_ranksum_p, gait_like_velocity,
                      shuffle_ranksum_p)
-from softgait.analysis import compare_reports
 from softgait.cli import main
 from softgait.config import RunConfig
 from softgait.plant import generate_trial, ground_deflection
@@ -25,7 +24,8 @@ from softgait.stability.embedding import (EmbeddingParams, ami_delay,
                                           delay_embed, fnn_dimension)
 from softgait.stability.lyapunov import (rosenstein_divergence,
                                          windowed_lyapunov)
-from softgait.stability.stats import delta_lambda, wilcoxon_ranksum
+from softgait.stability.stats import (compare_reports, delta_lambda,
+                                      wilcoxon_ranksum)
 from softgait.stiffness import (average_cycle, prosthesis_cycles,
                                 quasi_stiffness)
 

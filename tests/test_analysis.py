@@ -1,15 +1,16 @@
+import collections
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from softgait.analysis import (AnalysisSettings, SchemaMismatchError,
-                               analyze_trial, compare_reports)
+from softgait.analysis import AnalysisSettings, analyze_trial
 from softgait.config import RunConfig
 from softgait.plant import generate_trial
 from softgait.signals import TimeSeries
 from softgait.stability.balance import detect_foot_strikes
-from softgait.stability.stats import ALPHA
+from softgait.stability.stats import (ALPHA, SchemaMismatchError,
+                                      compare_reports)
 from softgait.stiffness import (average_cycle, prosthesis_cycles,
                                 quasi_stiffness)
 
@@ -218,3 +219,59 @@ class TestCompareReports:
             compare_reports({"meta": {}}, {"c": base})
         with pytest.raises(SchemaMismatchError):
             compare_reports(base, {"c": {"lyapunov": {}}})
+
+    def test_schema_messages_name_the_first_bad_field(self):
+        """Fields are checked in one order: meta, the exponent means,
+        the MOS means, then the MOS samples."""
+        base = fake_report(1.0, [1.0, 2.0])
+        no_mean = fake_report(1.0, [1.0, 2.0])
+        del no_mean["lyapunov"]["AP"]["long"]["mean"]
+        both = fake_report(1.0, [1.0, 2.0])
+        both["mos"]["left"]["ML"]["per_cycle"] = []
+        both["mos"]["right"]["AP"]["mean"] = True
+        for report, message in (
+                ([base], "report missing meta"),
+                ({"meta": {}}, "report missing lyapunov"),
+                ({"meta": {}, "lyapunov": []}, "report missing lyapunov.ML"),
+                (no_mean, "report missing lyapunov.AP.long.mean"),
+                (both, "report mos.right.AP.mean is not a finite number")):
+            for baseline, candidate in ((report, base), (base, report)):
+                with pytest.raises(SchemaMismatchError) as err:
+                    compare_reports(baseline, {"c": candidate})
+                assert str(err.value) == message
+        del both["mos"]["right"]["AP"]["mean"]
+        with pytest.raises(SchemaMismatchError, match="^report missing "
+                           r"mos\.right\.AP\.mean$"):
+            compare_reports(both, {})
+        both["mos"]["right"]["AP"]["mean"] = 1.5
+        with pytest.raises(SchemaMismatchError) as err:
+            compare_reports(base, {"a": base, "b": both})
+        assert str(err.value) == ("report mos.left.ML.per_cycle is not a "
+                                  "non-empty list of finite numbers")
+
+    def test_each_field_is_read_once(self):
+        """The baseline is fetched and checked once, however many
+        candidates it is compared with, and so is each candidate."""
+        reads = collections.Counter()
+
+        class Counting(dict):
+            def __getitem__(self, key):
+                if key in ("meta", "mean", "per_cycle"):
+                    reads[id(self), key] += 1
+                return super().__getitem__(key)
+
+        def counting(obj):
+            if isinstance(obj, dict):
+                return Counting({k: counting(v) for k, v in obj.items()})
+            return obj
+
+        base = counting(fake_report(1.0, [1.0, 2.0, 3.0]))
+        cands = {name: counting(fake_report(lam, [2.0, 4.0]))
+                 for name, lam in (("a", 0.5), ("b", 2.0))}
+        out = compare_reports(base, cands)
+        assert out["candidates"]["b"]["delta_lambda"]["VT"]["long"] == {
+            "delta": pytest.approx(0.1), "improved": False}
+        # meta, 6 exponent means, 4 MOS means and 4 MOS samples, each
+        # read once per report
+        assert len(reads) == 3 * 15
+        assert set(reads.values()) == {1}

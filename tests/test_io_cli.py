@@ -321,6 +321,24 @@ class TestCliErrorCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_ac_moment_loop_gain_below_minus_0_9_is_invalid(self, tmp_path,
+                                                            capsys):
+        # the loop gain 1 - SIGMA*RHO/K_d is -0.92 at K_d 2.6, where the
+        # first strides chatter, and -0.89 at 2.65
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"mode": "AC", "K_d": 2.6,
+                                      "n_strides": 5}))
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("invalid config: K_d")
+        assert not (tmp_path / "o").exists()
+        config.write_text(json.dumps({"mode": "AC", "K_d": 2.65,
+                                      "n_strides": 5}))
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert load_recording(str(tmp_path / "o")).meta["K_d"] == 2.65
+
     def test_invalid_config_is_invalid(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         for raw in ({"mode": "WRONG"}, {"mode": "TC", "K_d": 0.0},
@@ -610,7 +628,7 @@ def _loaded(code: str, modules: tuple[str, ...]) -> list[str]:
     out = subprocess.run([sys.executable, "-c", "import json, sys; " + code],
                          capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
-    return json.loads(out.stdout)
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("module", ["softgait.plant", "softgait.cli"])
@@ -620,6 +638,21 @@ def test_simulate_path_leaves_the_analysis_stack_unloaded(module):
     # scipy.signal, which nothing needs
     assert _loaded(f"import {module}",
                    ("scipy", "scipy.signal", "scipy.spatial")) == []
+
+
+def test_compare_leaves_scipy_the_analysis_and_the_simulator_unloaded(
+        cli_outputs, tmp_path):
+    # a comparison reads two reports and runs numpy statistics on them:
+    # a `softgait compare` process loads only cli, io and stability.stats
+    report, out = str(cli_outputs[3] / "report.json"), str(tmp_path / "c")
+    stack = ("scipy", "softgait.analysis", "softgait.signals",
+             "softgait.stability.balance", "softgait.stability.embedding",
+             "softgait.stability.lyapunov", "softgait.plant",
+             "softgait.controllers", "softgait.lut")
+    assert _loaded("from softgait.cli import main; assert main(['compare', "
+                   f"{report!r}, '--baseline', {report!r}, '--out', "
+                   f"{out!r}]) == 0", stack) == []
+    assert load_report(out)["candidates"]
 
 
 def test_analysis_leaves_the_simulator_and_scipy_signal_and_stats_unloaded():

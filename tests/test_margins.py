@@ -193,7 +193,7 @@ class TestFootStrikeDetection:
         rec = default_run
         heel = TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate)
         x = -butterworth_lowpass(heel, *STRIKE_FILTER).samples
-        distance = max(int(0.5 * rec.meta["stride_period"] * rec.rate), 1)
+        distance = max(int(0.25 * rec.meta["stride_period"] * rec.rate), 1)
         want = find_peaks(x, prominence=STRIKE_PROMINENCE_MM,
                           distance=distance)[0]
         assert len(want) == 200
@@ -208,6 +208,17 @@ class TestFootStrikeDetection:
             rec.meta["stride_period"])
         assert len(rec.events_left) == 201
         assert len(strikes) == 200
+
+    def test_short_strides_are_not_merged(self):
+        # a period jitter of 0.2 allows strides of 0.4 x nominal; every
+        # recorded strike after the first is detected within 5 samples
+        rec = generate_trial(RunConfig(period_jitter=0.2,
+                                       seed=1).to_trial_spec())
+        strikes = detect_foot_strikes(
+            TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate),
+            rec.meta["stride_period"])
+        events = rec.events_left[1:, None]
+        assert np.abs(events - strikes).min(axis=1).max() <= 5
 
 
 class TestComVelocity:

@@ -14,7 +14,7 @@ from softgait.io import PROSTHESIS_KEYS
 from softgait.lut import RHO, SIGMA, moment_map
 from softgait.plant import (ANKLE_DAMPING, DT, INERTIA_DEG,
                             MOTOR_LOOP_BANDWIDTH, TICK_UPDATE, PlantState,
-                            _expm, _template, generate_trial,
+                            _closed_loop, _expm, _template, generate_trial,
                             ground_deflection, step_plant)
 
 # AC K_d 10 at 63 kN/m, 20 strides, seed 3
@@ -123,9 +123,12 @@ class TestStepPlant:
 class TestTrialSpec:
     def test_rejects_out_of_range_values(self):
         spec = RunConfig(n_strides=10).to_trial_spec()
-        # an AC spec: its K_d must also exceed SIGMA*RHO / 2
+        # an AC spec: its K_d must also be at least SIGMA*RHO / 1.9
+        bound = SIGMA * RHO / 1.9
+        assert replace(spec, K_d=bound).K_d == bound
         for name, value in (("mode", "XX"), ("K_d", 0.0), ("K_d", -1.0),
                             ("K_d", SIGMA * RHO / 2),
+                            ("K_d", math.nextafter(bound, 0.0)),
                             ("ground_stiffness", 0.0),
                             ("ground_stiffness", math.nan),
                             ("n_strides", 1), ("n_strides", 10.5),
@@ -258,18 +261,19 @@ class TestClosedLoop:
     @pytest.mark.parametrize("ground", (math.inf, 63.0, 25.0))
     @pytest.mark.parametrize("mode, K_d", (
         ("TC", 15.0), ("AC", 10.0), ("AC", 15.0), ("AC", 20.0),
-        # just above AC's stability bound SIGMA*RHO / 2, where the moment
-        # loop rings
+        # just above SIGMA*RHO / 2, where the moment loop gain is near -1
+        # and the loop rings; TrialSpec refuses it for its chattering
+        # first strides, so the loop is run on the template directly
         ("AC", 2.6)))
     def test_matches_the_per_tick_reference(self, mode, K_d, ground, seed):
         """The staged loop (estimator and gait reference over the whole
         trial, then controller and plant) logs, bit for bit, what one loop
         stepping every stage with scalar table lookups logs."""
-        spec = RunConfig(mode=mode, K_d=K_d, ground_stiffness=ground,
-                         n_strides=20, seed=seed).to_trial_spec()
+        spec = RunConfig(ground_stiffness=ground, n_strides=20,
+                         seed=seed).to_trial_spec()
         _, omega, load = _template(spec)
         expected = reference_closed_loop(mode, K_d, omega, load)
-        log = generate_trial(spec).prosthesis
+        log = _closed_loop(mode, K_d, omega, load)
         for key in PROSTHESIS_KEYS:
             assert np.array_equal(log[key], expected[key], equal_nan=True), \
                 key
