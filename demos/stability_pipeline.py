@@ -29,17 +29,17 @@ def main():
                         help="use the full 150-stride windowing convention")
     args = parser.parse_args()
 
-    run = RunConfig(mode=args.mode, K_d=15.0, seed=args.seed)
     if args.full:
+        scale = {}
         settings = AnalysisSettings()
     else:
-        run.n_strides = 60
+        scale = {"n_strides": 60}
         settings = AnalysisSettings(exclude_strides=10, window_strides=25,
                                     n_windows=10, points_per_window=2500)
+    run = RunConfig(mode=args.mode, K_d=15.0, seed=args.seed, **scale)
 
     print(f"simulating {run.n_strides} strides in {args.mode} mode ...")
-    spec = run.to_trial_spec()
-    rec = generate_trial(spec)
+    rec = generate_trial(run)
 
     print("analyzing ...")
     report = analyze_trial(rec, settings)

@@ -24,9 +24,8 @@ from softgait.stiffness import (average_cycle, prosthesis_cycles,
 
 
 def stiffness_profile(mode, K_d, n_strides=60, seed=0):
-    spec = RunConfig(mode=mode, K_d=K_d, n_strides=n_strides,
-                     seed=seed).to_trial_spec()
-    rec = generate_trial(spec)
+    rec = generate_trial(RunConfig(mode=mode, K_d=K_d, n_strides=n_strides,
+                                   seed=seed))
     events = rec.events_left[10:]   # let the phase estimator settle
     cycles = prosthesis_cycles(TimeSeries(rec.prosthesis["q"], rec.rate),
                                TimeSeries(rec.prosthesis["M"], rec.rate),

@@ -8,17 +8,17 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .io import AXES, TrialRecording
+from .io import AXES, GRAVITY, HEEL_MARKER, TrialRecording, is_finite, is_int
 from .signals import TimeSeries, butterworth_lowpass, moving_average
-from .stability.balance import (GRAVITY, com_velocity, detect_foot_strikes,
-                                estimate_com, mos_ap, mos_ml,
+from .stability.balance import (com_velocity, detect_foot_strikes,
+                                estimate_com, marker, mos_ap, mos_ml,
                                 pendulum_eigenfrequency, pendulum_length,
                                 stance_frames, xcom)
 from .stability.embedding import EmbeddingParams
 from .stability.lyapunov import windowed_lyapunov
 # perfbench's TARGETS traces softgait.analysis.compare_reports, so the
 # name stays here; `compare` imports it from stability.stats
-from .stability.stats import compare_reports, is_finite  # noqa: F401
+from .stability.stats import compare_reports  # noqa: F401
 from .stiffness import average_cycle, prosthesis_cycles, quasi_stiffness
 
 LYAPUNOV_FILTER = (2, 10.0)   # order, cutoff Hz for divergence CoM
@@ -38,7 +38,7 @@ class AnalysisSettings:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in ("int", int) and not _is_int(value):
+            if f.type in ("int", int) and not is_int(value):
                 raise TypeError(f"{f.name} must be an integer, got {value!r}")
         if self.exclude_strides < 0:
             raise ValueError("exclude_strides must be non-negative, got "
@@ -59,14 +59,10 @@ class AnalysisSettings:
             if axis not in AXES:
                 raise ValueError(f"embedding_overrides: unknown axis {axis!r}")
             if not (isinstance(block, dict) and block.keys() == keys
-                    and all(map(_is_int, block.values()))):
+                    and all(map(is_int, block.values()))):
                 raise TypeError(f"embedding_overrides[{axis!r}] must be "
                                 f"{shape}, got {block!r}")
             EmbeddingParams(**block)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _positive_meta(meta: dict, key: str) -> float:
@@ -85,7 +81,7 @@ def analyze_trial(rec: TrialRecording,
     body_weight = _positive_meta(rec.meta, "body_mass") * GRAVITY
     nominal_stride = _positive_meta(rec.meta, "stride_period")
 
-    heel = rec.markers["LHEEL"]
+    heel = marker(rec.markers, HEEL_MARKER)
     strikes = detect_foot_strikes(TimeSeries(heel[:, 2], rate),
                                   nominal_stride)
     n_strides = max(len(strikes) - 1 - settings.exclude_strides, 0)

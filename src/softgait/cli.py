@@ -72,10 +72,10 @@ def cmd_simulate(args) -> str:
 
     with _fails(EXIT_IO, "error", OSError), \
             _fails(EXIT_INVALID, "invalid config", ConfigError):
-        config = RunConfig.from_file(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        spec = config.to_trial_spec()
+        # the seed is put in before the config is checked, so a config
+        # whose own seed is invalid runs under --seed
+        overrides = {} if args.seed is None else {"seed": args.seed}
+        spec = RunConfig.from_file(args.config, **overrides)
     # the spec is valid, so a ValueError is this trial failing: two foot
     # strikes in one tick, or fewer than two samples
     with _fails(EXIT_INVALID, "simulation failed",

@@ -166,7 +166,7 @@ def step_controller(mode: str, q: float, M: float, x_g: float,
     reference x_g (`tibia_reference_motor`) and its stride length over SSP.
 
     The AC law reads the raw moment: its loop gain on it, 1 - SIGMA*RHO / K_d,
-    stays in [-0.9, 1) from `plant.TrialSpec`'s bound K_d >= SIGMA*RHO / 1.9;
+    stays in [-0.9, 1) from `config.RunConfig`'s bound K_d >= SIGMA*RHO / 1.9;
     nearer -1 the first strides of a trial chatter.
     """
     x_m = moment_feedback(M)

@@ -1,7 +1,7 @@
 """Disk formats: trial recordings (one .npz of the raw arrays plus a JSON
 manifest), analysis reports, and flat CSVs for plotting.  The recording
 is all that the simulator and the analysis share, so this module imports
-neither."""
+neither and holds the facts of the format that both read."""
 
 from __future__ import annotations
 
@@ -16,6 +16,9 @@ import numpy as np
 MANIFEST_NAME = "manifest.json"
 RECORDING_NAME = "recording.npz"
 AXES = ("ML", "AP", "VT")    # marker column order, and a report's axis keys
+PELVIS_MARKERS = ("LASI", "RASI", "LPSI", "RPSI")   # their mean is the CoM
+HEEL_MARKER = "LHEEL"        # prosthetic side's heel; its strikes cut strides
+GRAVITY = 9.81               # m/s^2; force channels are in N, body mass in kg
 # per-tick channels of the closed-loop log, in recording column order
 PROSTHESIS_KEYS = ("x", "q", "M", "omega", "gait_percent", "L_s", "q_d",
                    "x_cmd")
@@ -53,6 +56,17 @@ class TrialRecording:
 
 class RecordingIOError(OSError):
     pass
+
+
+def is_int(value) -> bool:
+    """An integer as JSON gives it; a bool is not a number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """A finite number as JSON gives it; a bool is not a number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
@@ -100,7 +114,7 @@ def load_recording(path: str) -> TrialRecording:
         raise RecordingIOError(
             f"manifest {path} and its meta must be JSON objects")
     rate = manifest.get("rate")
-    if type(rate) not in (int, float) or not 0 < rate < math.inf:
+    if not (is_finite(rate) and rate > 0):
         raise RecordingIOError(
             f"manifest {path} needs a positive finite rate, got {rate!r}")
     arrays_path = os.path.join(os.path.dirname(path), RECORDING_NAME)

@@ -30,8 +30,6 @@ it computes reaches the markers or the CoP.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +37,9 @@ import numpy as np
 from .controllers import (DT, SSP, TibiaPhaseState, default_gait_lut,
                           default_moment_lut, step_controller,
                           tibia_phase_update, tibia_reference_motor)
-from .io import PROSTHESIS_KEYS, TrialRecording
+from .config import RunConfig
+from .io import (GRAVITY, HEEL_MARKER, PELVIS_MARKERS, PROSTHESIS_KEYS,
+                 TrialRecording)
 from .lut import RHO, SIGMA, moment_map
 
 DEG = math.pi / 180.0
@@ -56,7 +56,6 @@ VT_BOUNCE = 10.0          # mm
 TIBIA_AMPLITUDE = 10.0    # deg
 STANCE_END = 0.6          # stride fraction at toe-off; swing fills the rest
 PEAK_FORCE = 1.1          # vertical force peak, in body weights
-GRAVITY = 9.81            # m/s^2; the simulator loads no analysis module
 COP_AP_STRIKE = 250.0     # mm, fore-aft CoP at foot strike
 COP_AP_TRAVEL = 372.0     # mm, heel-to-toe CoP travel over stance
 COP_ML = 80.0             # mm, lateral CoP offset; the left foot's is negative
@@ -64,8 +63,9 @@ HEEL_ML = -90.0           # mm
 HEEL_AP = 150.0           # mm, fore-aft heel excursion amplitude
 HEEL_NOISE = 0.3          # heel marker noise, as a fraction of noise_mm
 OMEGA_NOISE = 2.0         # deg/s, tibia-velocity noise
-PELVIS_MARKERS = {"LASI": (-60.0, 80.0, 0.0), "RASI": (60.0, 80.0, 0.0),
-                  "LPSI": (-60.0, -80.0, 0.0), "RPSI": (60.0, -80.0, 0.0)}
+# mm from the pelvis center, in PELVIS_MARKERS order
+PELVIS_OFFSETS = ((-60.0, 80.0, 0.0), (60.0, 80.0, 0.0),
+                  (-60.0, -80.0, 0.0), (60.0, -80.0, 0.0))
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -148,58 +148,6 @@ def step_plant(state: PlantState, motor_cmd: float,
     return new
 
 
-@dataclass
-class TrialSpec:
-    """Everything that determines a generated trial, including the seed.
-
-    The defaults live in `config.RunConfig`; the range rules live here.
-    """
-
-    mode: str                 # "AC" or "TC"
-    K_d: float                # Nm/deg, commanded quasi-stiffness (AC)
-    ground_stiffness: float   # kN/m; inf = rigid
-    n_strides: int
-    stride_period: float      # s, mean stride duration
-    seed: int
-    period_jitter: float      # fractional sd of stride period
-    amplitude_jitter: float   # fractional sd of per-stride amplitudes
-    noise_mm: float           # marker measurement noise, smoothed
-    body_mass: float          # kg
-
-    def __post_init__(self):
-        if self.mode not in ("AC", "TC"):
-            raise ValueError(f"mode must be AC or TC, got {self.mode!r}")
-        # a bool is not a number; only the ground may be infinitely stiff
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type != "float":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
-            if f.name != "ground_stiffness" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        for name in ("K_d", "ground_stiffness", "stride_period", "body_mass"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        # AC's moment loop gain 1 - SIGMA*RHO/K_d: below -0.9 strides chatter
-        if self.mode == "AC" and not self.K_d >= SIGMA * RHO / 1.9:
-            raise ValueError("K_d must be at least SIGMA*RHO/1.9 in AC mode")
-        if not self.noise_mm >= 0:
-            raise ValueError("noise_mm must be non-negative")
-        # stride durations and amplitudes are scaled by 1 + jitter * g, g
-        # clipped to [-3, 3], so a third or more could give a stride no
-        # time or no motion at all
-        for name in ("period_jitter", "amplitude_jitter"):
-            if not 0 <= getattr(self, name) < 1 / 3:
-                raise ValueError(f"{name} must be in [0, 1/3)")
-        for name, least in (("n_strides", 2), ("seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral)
-                    and not isinstance(value, bool) and value >= least):
-                raise ValueError(f"{name} must be an integer of at least "
-                                 f"{least}, got {value!r}")
-
-
 def _stance_bump(u: np.ndarray) -> np.ndarray:
     """Double-bump vertical force template on stance fraction u in [0, 1],
     normalized to unit peak."""
@@ -234,7 +182,7 @@ def _smooth_noise(rng: np.random.Generator, n: int,
                                np.ones(window) / window, mode="same")[:n]
 
 
-def _template(spec: TrialSpec):
+def _template(spec: RunConfig):
     """(body, omega, load): the `TrialRecording` fields markers, CoP and
     events, then the tibia velocity (deg/s) and the dorsiflexing stance
     load (Nm) that drive the prosthesis.  Draws in a fixed order."""
@@ -280,7 +228,7 @@ def _template(spec: TrialSpec):
         + _smooth_noise(rng, n, spec.noise_mm)
     center = np.stack([com_ml, com_ap, com_vt], axis=1)
     markers = {name: center + np.asarray(off)
-               for name, off in PELVIS_MARKERS.items()}
+               for name, off in zip(PELVIS_MARKERS, PELVIS_OFFSETS)}
 
     # left heel: template height minus local ground deflection
     heel_noise = HEEL_NOISE * spec.noise_mm
@@ -288,7 +236,7 @@ def _template(spec: TrialSpec):
         + _smooth_noise(rng, n, heel_noise)
     heel_ml = np.full(n, HEEL_ML) + _smooth_noise(rng, n, heel_noise)
     heel_ap = HEEL_AP * np.cos(two_pi_s) + _smooth_noise(rng, n, heel_noise)
-    markers["LHEEL"] = np.stack([heel_ml, heel_ap, heel_vt], axis=1)
+    markers[HEEL_MARKER] = np.stack([heel_ml, heel_ap, heel_vt], axis=1)
 
     # CoP: heel-to-toe progression during stance, held elsewhere
     def cop_channels(s_leg, force, ml):
@@ -359,7 +307,7 @@ def _closed_loop(mode: str, K_d: float, omega: np.ndarray,
     return log
 
 
-def generate_trial(spec: TrialSpec) -> TrialRecording:
+def generate_trial(spec: RunConfig) -> TrialRecording:
     """Run the closed controller/plant loop under the kinematic template.
 
     Deterministic per spec (including seed): identical specs give

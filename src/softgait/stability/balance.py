@@ -8,30 +8,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..io import AXES
+from ..io import AXES, GRAVITY, PELVIS_MARKERS
 from ..signals import TimeSeries, butterworth_lowpass, finite_difference
 
-GRAVITY = 9.81  # m/s^2
 STRIKE_FILTER = (4, 5.0)       # order, cutoff Hz for heel height
 STRIKE_PROMINENCE_MM = 5.0     # minimum depth of a foot-strike minimum
 STANCE_FORCE_FRACTION = 0.05   # of body weight, stance threshold
-
-PELVIS_MARKERS = ("LASI", "RASI", "LPSI", "RPSI")
 
 
 class MarkerGapError(ValueError):
     """A required marker has missing (non-finite) frames; no imputation."""
 
 
+def marker(markers: dict[str, np.ndarray], name: str) -> np.ndarray:
+    """markers[name], refused when it is missing or has a gap."""
+    if name not in markers:
+        raise MarkerGapError(f"marker {name} missing")
+    if not np.all(np.isfinite(markers[name])):
+        raise MarkerGapError(f"marker {name} has non-finite frames")
+    return markers[name]
+
+
 def estimate_com(markers: dict[str, np.ndarray],
                  rate: float) -> dict[str, TimeSeries]:
     """CoM as the per-axis mean of the four pelvis markers (mm)."""
-    for name in PELVIS_MARKERS:
-        if name not in markers:
-            raise MarkerGapError(f"marker {name} missing")
-        if not np.all(np.isfinite(markers[name])):
-            raise MarkerGapError(f"marker {name} has non-finite frames")
-    stack = np.stack([markers[name] for name in PELVIS_MARKERS])
+    stack = np.stack([marker(markers, name) for name in PELVIS_MARKERS])
     com = stack.mean(axis=0)
     return {axis: TimeSeries(com[:, k], rate)
             for k, axis in enumerate(AXES)}
@@ -78,16 +79,30 @@ def _find_peaks(x: np.ndarray, prominence: float,
         if keep[j]:
             keep[lo[j]:j] = False
             keep[j + 1:hi[j]] = False
-    peaks = peaks[keep]
 
-    bases = []
-    for p in peaks.tolist():
-        left = np.flatnonzero(x[:p] > x[p])
-        right = np.flatnonzero(x[p + 1:] > x[p])
-        start = left[-1] + 1 if len(left) else 0
-        stop = p + 1 + right[0] if len(right) else len(x)
-        bases.append(max(x[start:p + 1].min(), x[p:stop].min()))
+    # on each side, the samples from the first one above a peak out to
+    # the nearest local maximum above it are all above the peak, so the
+    # side's minimum may run out to that maximum, or to the signal's end
+    at, heights = peaks.tolist(), x[peaks].tolist()
+    left = _nearest_above(at, heights, 0)
+    right = _nearest_above(at[::-1], heights[::-1], len(x) - 1)[::-1]
+    bases = [max(x[a:p + 1].min(), x[p:b + 1].min())
+             for a, p, b, kept in zip(left, at, right, keep) if kept]
+    peaks = peaks[keep]
     return peaks[x[peaks] - np.array(bases) >= prominence]
+
+
+def _nearest_above(at: list[int], heights: list[float],
+                   default: int) -> list[int]:
+    """For each position of `at` in turn, the nearest earlier one with a
+    greater height, or `default`; the stack holds those not yet topped."""
+    out, stack = [], []
+    for p, h in zip(at, heights):
+        while stack and stack[-1][1] <= h:
+            stack.pop()
+        out.append(stack[-1][0] if stack else default)
+        stack.append((p, h))
+    return out
 
 
 def pendulum_length(com: dict[str, TimeSeries], heel: np.ndarray,

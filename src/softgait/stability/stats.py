@@ -5,11 +5,10 @@ softgait import but `io`, so that `compare` loads no scipy."""
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from ..io import AXES
+from ..io import AXES, is_finite
 
 EXACT_MAX_N = 20
 ALPHA = 0.01      # significance level of every rank-sum comparison
@@ -146,9 +145,3 @@ def _field(report, *path: str, finite: bool = False):
         raise SchemaMismatchError(
             f"report {'.'.join(path)} is not a finite number")
     return value
-
-
-def is_finite(value) -> bool:
-    """A finite real number; a bool is not a number."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))

@@ -23,18 +23,17 @@ def gait_lut():
 @pytest.fixture(scope="session")
 def default_trial():
     """The default RunConfig() trial: 201 AC strides at seed 0."""
-    return generate_trial(RunConfig().to_trial_spec())
+    return generate_trial(RunConfig())
 
 
 @pytest.fixture(scope="session")
 def small_tc_trial():
     """A short tibia-controller trial shared by IO / analysis tests."""
-    spec = RunConfig(mode="TC", n_strides=45, seed=7).to_trial_spec()
+    spec = RunConfig(mode="TC", n_strides=45, seed=7)
     return generate_trial(spec)
 
 
 @pytest.fixture(scope="session")
 def small_ac_trial():
-    spec = RunConfig(mode="AC", K_d=15.0, n_strides=45,
-                     seed=7).to_trial_spec()
+    spec = RunConfig(mode="AC", K_d=15.0, n_strides=45, seed=7)
     return generate_trial(spec)

@@ -37,8 +37,7 @@ def _verdict(n: int, description: str, ok: bool):
 
 def _stiffness_profile(mode: str, K_d: float, seed: int = 0):
     """Closed-loop 60-stride trial and its quasi-stiffness profile."""
-    spec = RunConfig(mode=mode, K_d=K_d, n_strides=60,
-                     seed=seed).to_trial_spec()
+    spec = RunConfig(mode=mode, K_d=K_d, n_strides=60, seed=seed)
     rec = generate_trial(spec)
     events = rec.events_left[10:]   # drop the estimator's transient
     cycles = prosthesis_cycles(TimeSeries(rec.prosthesis["q"], rec.rate),
@@ -113,7 +112,7 @@ def test_criterion_3_rosenstein_correctness():
     # waveform repeated exactly (simulation floats carry ~1e-12 stride-to-
     # stride jitter, so exact periodicity is imposed by tiling)
     spec = RunConfig(mode="TC", n_strides=40, seed=0, period_jitter=0.0,
-                     amplitude_jitter=0.0, noise_mm=0.0).to_trial_spec()
+                     amplitude_jitter=0.0, noise_mm=0.0)
     rec = generate_trial(spec)
     com_ml = np.mean([rec.markers[mk][:, 0] for mk in
                       ("LASI", "RASI", "LPSI", "RPSI")], axis=0)
@@ -210,11 +209,9 @@ def test_criterion_7_ground_compliance():
     # whole-trial wiring: the heel marker sinks by F/k_g, so the rigid and
     # compliant trials differ by a deflection that scales as 1/k_g
     base = dict(mode="TC", n_strides=8, seed=2, noise_mm=0.0)
-    rigid = generate_trial(RunConfig(**base).to_trial_spec())
-    soft63 = generate_trial(RunConfig(
-        ground_stiffness=63.0, **base).to_trial_spec())
-    soft25 = generate_trial(RunConfig(
-        ground_stiffness=25.0, **base).to_trial_spec())
+    rigid = generate_trial(RunConfig(**base))
+    soft63 = generate_trial(RunConfig(ground_stiffness=63.0, **base))
+    soft25 = generate_trial(RunConfig(ground_stiffness=25.0, **base))
     heel = lambda rec: rec.markers["LHEEL"][:, 2]
     d63 = np.max(heel(rigid) - heel(soft63))
     d25 = np.max(heel(rigid) - heel(soft25))

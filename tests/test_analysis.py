@@ -1,5 +1,7 @@
 import collections
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from softgait.config import RunConfig
 from softgait.plant import generate_trial
 from softgait.signals import TimeSeries
 from softgait.stability.balance import detect_foot_strikes
-from softgait.stability.stats import (ALPHA, SchemaMismatchError,
-                                      compare_reports)
+from softgait.stability.stats import (ALPHA, EXPONENTS, MARGINS,
+                                      SchemaMismatchError, compare_reports)
 from softgait.stiffness import (average_cycle, prosthesis_cycles,
                                 quasi_stiffness)
 
@@ -158,8 +160,7 @@ def fake_report(lam, mos_vals, mode="TC"):
 def other_seed_report():
     """An AC trial at another seed than tc_report's: same-seed trials
     share their markers and CoP, so their exponents and margins agree."""
-    rec = generate_trial(RunConfig(mode="AC", K_d=15.0, n_strides=45,
-                                   seed=8).to_trial_spec())
+    rec = generate_trial(RunConfig(mode="AC", K_d=15.0, n_strides=45, seed=8))
     return analyze_trial(rec, FAST_SETTINGS)
 
 
@@ -275,3 +276,63 @@ class TestCompareReports:
         # read once per report
         assert len(reads) == 3 * 15
         assert set(reads.values()) == {1}
+
+
+@pytest.fixture(scope="module")
+def demo_settings():
+    """The windows demos/cli_workflow.py analyses its 60-stride trials at."""
+    demo = Path(__file__).parent.parent / "demos" / "cli_workflow.py"
+    return AnalysisSettings(**runpy.run_path(str(demo))["ANALYSIS"])
+
+
+@pytest.fixture(scope="module")
+def demo_ac_trial():
+    return generate_trial(RunConfig(mode="AC", K_d=15.0, n_strides=60,
+                                    seed=1))
+
+
+@pytest.fixture(scope="module")
+def demo_ac_report(demo_ac_trial, demo_settings):
+    return analyze_trial(demo_ac_trial, demo_settings)
+
+
+class TestMetamorphic:
+    """Transforms of a recording or a comparison, and how the physics says
+    the result must follow them."""
+
+    def test_translation_moves_no_exponent_or_margin(
+            self, demo_ac_trial, demo_ac_report, demo_settings):
+        # mm along (ML, AP, VT); a CoP's columns are ML, AP and force, so
+        # the one shift moves its position and leaves its force
+        shift = np.array([100.0, 5000.0, 0.0])
+        rec = demo_ac_trial
+        moved = analyze_trial(replace(
+            rec, markers={k: v + shift for k, v in rec.markers.items()},
+            cop_left=rec.cop_left + shift, cop_right=rec.cop_right + shift),
+            demo_settings)
+        assert moved["embedding"] == demo_ac_report["embedding"]
+        for axis, horizon in EXPONENTS:
+            np.testing.assert_allclose(
+                moved["lyapunov"][axis][horizon]["mean"],
+                demo_ac_report["lyapunov"][axis][horizon]["mean"],
+                rtol=1e-9, atol=0)
+        for side, direction in MARGINS:
+            got = moved["mos"][side][direction]
+            want = demo_ac_report["mos"][side][direction]
+            for key in ("mean", "per_cycle"):
+                np.testing.assert_allclose(got[key], want[key], rtol=1e-9,
+                                           atol=0)
+
+    def test_swapping_baseline_and_candidate_flips_every_delta(
+            self, demo_ac_report, demo_settings):
+        tc = analyze_trial(generate_trial(RunConfig(mode="TC", n_strides=60,
+                                                    seed=2)), demo_settings)
+        ab = compare_reports(tc, {"c": demo_ac_report})["candidates"]["c"]
+        ba = compare_reports(demo_ac_report, {"c": tc})["candidates"]["c"]
+        for axis, horizon in EXPONENTS:
+            d_ab = ab["delta_lambda"][axis][horizon]["delta"]
+            assert d_ab != 0
+            assert ba["delta_lambda"][axis][horizon]["delta"] == -d_ab
+        for side, direction in MARGINS:
+            assert ba["mos"][side][direction]["p_value"] == \
+                ab["mos"][side][direction]["p_value"]

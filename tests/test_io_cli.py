@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -155,7 +156,7 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.mode == "AC"
         assert math.isinf(cfg.ground_stiffness)
-        spec = RunConfig(n_strides=2).to_trial_spec()
+        spec = RunConfig(n_strides=2)
         assert generate_trial(spec).meta["ground_stiffness"] == "rigid"
 
     def test_rigid_string_accepted(self):
@@ -171,18 +172,36 @@ class TestRunConfig:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            RunConfig(mode="XX").to_trial_spec()
+            RunConfig(mode="XX")
         with pytest.raises(ConfigError):
-            RunConfig(mode="AC", K_d=0.0).to_trial_spec()
+            RunConfig(mode="AC", K_d=0.0)
         with pytest.raises(ConfigError, match="K_d"):
-            RunConfig(mode="AC", K_d=2.5).to_trial_spec()
+            RunConfig(mode="AC", K_d=2.5)
         with pytest.raises(ConfigError):
-            RunConfig(n_strides=1).to_trial_spec()
+            RunConfig(n_strides=1)
+
+    def test_readme_table_is_the_config(self):
+        """README's run.json table lists RunConfig's fields, in order, with
+        their defaults; "rigid" stands for an infinite ground stiffness."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        table = readme.split("| key | unit | default | valid |\n")[1]
+        rows = []
+        for line in table.splitlines()[1:]:
+            if not line.startswith("|"):
+                break
+            key, _, default = (cell.strip(" `") for cell in
+                               line.split("|")[1:4])
+            default = json.loads(default)
+            rows.append((key, math.inf if default == "rigid" else default))
+        want = [(f.name, f.default) for f in fields(RunConfig)]
+        assert rows == want
+        assert [type(v) for _, v in rows] == [type(v) for _, v in want]
 
     def test_to_trial_spec_carries_condition(self):
         cfg = RunConfig(mode="AC", K_d=20.0, ground_stiffness=63.0,
                         n_strides=30, seed=5)
         spec = cfg.to_trial_spec()
+        assert spec is cfg
         assert spec.mode == "AC"
         assert spec.K_d == 20.0
         assert spec.ground_stiffness == 63.0
@@ -270,7 +289,7 @@ def determinism_report(tmp_path_factory):
     the determinism trial."""
     demo = Path(__file__).parent.parent / "demos" / "cli_workflow.py"
     analysis = runpy.run_path(str(demo))["ANALYSIS"]
-    rec = generate_trial(RunConfig(**DETERMINISM_RUN).to_trial_spec())
+    rec = generate_trial(RunConfig(**DETERMINISM_RUN))
     path = tmp_path_factory.mktemp("determinism") / "report.json"
     save_report(analyze_trial(rec, AnalysisSettings(**analysis)), str(path))
     return analysis, path.read_bytes()
@@ -295,8 +314,8 @@ def test_report_embedding_block_is_an_override(tmp_path, determinism_report):
     analysis, library_bytes = determinism_report
     assert "embedding_overrides" not in analysis
     block = json.loads(library_bytes)["embedding"]
-    save_recording(generate_trial(RunConfig(**DETERMINISM_RUN)
-                                  .to_trial_spec()), str(tmp_path / "rec"))
+    save_recording(generate_trial(RunConfig(**DETERMINISM_RUN)),
+                   str(tmp_path / "rec"))
     (tmp_path / "analysis.json").write_text(
         json.dumps(dict(analysis, embedding_overrides=block)))
     assert main(["analyze", str(tmp_path / "rec"), "--config",
@@ -369,6 +388,21 @@ class TestCliErrorCodes:
         err = capsys.readouterr().err
         assert err.startswith("invalid config:") and "perturbations" in err
         assert not (tmp_path / "o").exists()
+
+    def test_seed_override_is_checked_in_place_of_the_configs(self, tmp_path,
+                                                              capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"mode": "TC", "n_strides": 6,
+                                      "seed": -1}))
+        assert main(["simulate", "--config", str(config), "--seed", "3",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert load_recording(str(tmp_path / "o")).meta["seed"] == 3
+        config.write_text(json.dumps({"mode": "TC", "n_strides": 6}))
+        assert main(["simulate", "--config", str(config), "--seed", "-1",
+                     "--out", str(tmp_path / "p")]) == 1
+        assert capsys.readouterr().err == ("invalid config: seed must be an "
+                                           "integer of at least 0, got -1\n")
+        assert not (tmp_path / "p").exists()
 
     def test_failed_simulation_is_reported(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -486,6 +520,24 @@ class TestCliErrorCodes:
             if damage is drop_arrays:
                 # a recording in the old CSV layout fails the same way
                 assert RECORDING_NAME in err
+
+    @pytest.mark.parametrize("name", ("LHEEL", "LASI"))
+    def test_missing_marker_is_invalid(self, tmp_path, small_tc_trial,
+                                       capsys, name):
+        rec = tmp_path / "rec"
+        save_recording(small_tc_trial, str(rec))
+        with np.load(rec / RECORDING_NAME) as npz:
+            arrays = {k: npz[k] for k in npz.files if k != f"marker_{name}"}
+        np.savez(rec / RECORDING_NAME, **arrays)
+        # windows the recording can fill, so only the marker can fail
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps(TINY_ANALYSIS))
+        code = main(["analyze", str(rec), "--config", str(settings),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"analysis failed: marker {name} missing\n"
+        assert not (tmp_path / "o").exists()
 
     def test_bad_analysis_settings_is_invalid(self, tmp_path,
                                               small_tc_trial, capsys):

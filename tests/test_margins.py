@@ -22,7 +22,7 @@ def default_run(request, default_trial):
     """The default RunConfig() trial at seeds 0 to 4."""
     seed = request.param
     return default_trial if seed == 0 \
-        else generate_trial(RunConfig(seed=seed).to_trial_spec())
+        else generate_trial(RunConfig(seed=seed))
 
 
 def make_markers(n=200, rate=100.0, seed=0):
@@ -212,8 +212,7 @@ class TestFootStrikeDetection:
     def test_short_strides_are_not_merged(self):
         # a period jitter of 0.2 allows strides of 0.4 x nominal; every
         # recorded strike after the first is detected within 5 samples
-        rec = generate_trial(RunConfig(period_jitter=0.2,
-                                       seed=1).to_trial_spec())
+        rec = generate_trial(RunConfig(period_jitter=0.2, seed=1))
         strikes = detect_foot_strikes(
             TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate),
             rec.meta["stride_period"])

@@ -120,9 +120,9 @@ class TestStepPlant:
         assert state.moment == moment_map(state.x, state.q)
 
 
-class TestTrialSpec:
+class TestRunConfigRanges:
     def test_rejects_out_of_range_values(self):
-        spec = RunConfig(n_strides=10).to_trial_spec()
+        spec = RunConfig(n_strides=10)
         # an AC spec: its K_d must also be at least SIGMA*RHO / 1.9
         bound = SIGMA * RHO / 1.9
         assert replace(spec, K_d=bound).K_d == bound
@@ -177,16 +177,14 @@ class TestGenerateTrial:
         assert np.all(mids < rec.events_left[1:])
 
     def test_deterministic_for_fixed_seed(self):
-        spec = RunConfig(mode="TC", n_strides=6, seed=11).to_trial_spec()
+        spec = RunConfig(mode="TC", n_strides=6, seed=11)
         a, b = generate_trial(spec), generate_trial(spec)
         assert np.array_equal(a.markers["LHEEL"], b.markers["LHEEL"])
         assert np.array_equal(a.prosthesis["M"], b.prosthesis["M"])
 
     def test_seed_changes_output(self):
-        a = generate_trial(
-            RunConfig(mode="TC", n_strides=6, seed=11).to_trial_spec())
-        b = generate_trial(
-            RunConfig(mode="TC", n_strides=6, seed=12).to_trial_spec())
+        a = generate_trial(RunConfig(mode="TC", n_strides=6, seed=11))
+        b = generate_trial(RunConfig(mode="TC", n_strides=6, seed=12))
         assert not np.array_equal(a.markers["LHEEL"], b.markers["LHEEL"])
 
     @pytest.mark.parametrize("mode", ("TC", "AC"))
@@ -194,7 +192,7 @@ class TestGenerateTrial:
         """Every noise level draws the marker noise, so the tibia velocity
         noise after it comes from the same point of the seeded stream."""
         logs = [generate_trial(RunConfig(mode=mode, n_strides=6, seed=2,
-                                         noise_mm=noise).to_trial_spec())
+                                         noise_mm=noise))
                 .prosthesis for noise in (0.0, 0.5, 1.0)]
         for key in PROSTHESIS_KEYS:
             for log in logs[1:]:
@@ -215,17 +213,17 @@ class TestGenerateTrial:
 
     def test_rejects_too_few_strides(self):
         with pytest.raises(ValueError):
-            generate_trial(RunConfig(mode="TC", n_strides=1).to_trial_spec())
+            generate_trial(RunConfig(mode="TC", n_strides=1))
 
     def test_rejects_a_trial_of_fewer_than_two_samples(self):
-        spec = RunConfig(stride_period=1e-300, n_strides=6).to_trial_spec()
+        spec = RunConfig(stride_period=1e-300, n_strides=6)
         with pytest.raises(ValueError, match="samples"):
             generate_trial(spec)
 
     def test_vertical_force_peak_scales_with_mass(self):
         rec = generate_trial(RunConfig(mode="TC", n_strides=6, seed=0,
                                        noise_mm=0.0,
-                                       amplitude_jitter=0.0).to_trial_spec())
+                                       amplitude_jitter=0.0))
         peak = np.max(rec.cop_left[:, 2])
         assert peak == pytest.approx(1.1 * 59.0 * 9.81, rel=0.01)
 
@@ -236,7 +234,7 @@ class TestGenerateTrial:
         last-ulp differences between platforms do not reach the digest."""
         rec = generate_trial(RunConfig(mode="AC", K_d=10.0,
                                        ground_stiffness=63.0, n_strides=20,
-                                       seed=3).to_trial_spec())
+                                       seed=3))
         arrays = {"cop_left": rec.cop_left, "cop_right": rec.cop_right,
                   "events_left": rec.events_left,
                   "events_right": rec.events_right}
@@ -262,15 +260,14 @@ class TestClosedLoop:
     @pytest.mark.parametrize("mode, K_d", (
         ("TC", 15.0), ("AC", 10.0), ("AC", 15.0), ("AC", 20.0),
         # just above SIGMA*RHO / 2, where the moment loop gain is near -1
-        # and the loop rings; TrialSpec refuses it for its chattering
+        # and the loop rings; RunConfig refuses it for its chattering
         # first strides, so the loop is run on the template directly
         ("AC", 2.6)))
     def test_matches_the_per_tick_reference(self, mode, K_d, ground, seed):
         """The staged loop (estimator and gait reference over the whole
         trial, then controller and plant) logs, bit for bit, what one loop
         stepping every stage with scalar table lookups logs."""
-        spec = RunConfig(ground_stiffness=ground, n_strides=20,
-                         seed=seed).to_trial_spec()
+        spec = RunConfig(ground_stiffness=ground, n_strides=20, seed=seed)
         _, omega, load = _template(spec)
         expected = reference_closed_loop(mode, K_d, omega, load)
         log = _closed_loop(mode, K_d, omega, load)
@@ -284,7 +281,7 @@ class TestClosedLoop:
         length past what the motor can unload at push-off, so the gait
         reference saturates at the motor's range end."""
         spec = RunConfig(mode=mode, amplitude_jitter=0.33, n_strides=10,
-                         seed=14).to_trial_spec()
+                         seed=14)
         _, omega, load = _template(spec)
         expected = reference_closed_loop(mode, spec.K_d, omega, load)
         log = generate_trial(spec).prosthesis
@@ -307,7 +304,7 @@ class TestLoadResponse:
         rec = generate_trial(RunConfig(
             mode=mode, K_d=K_d, n_strides=30, seed=1, body_mass=body_mass,
             noise_mm=0.0, period_jitter=0.0,
-            amplitude_jitter=0.0).to_trial_spec())
+            amplitude_jitter=0.0))
         strikes = rec.events_left[10:]
         at = strikes[:-1] + np.round(0.4 * np.diff(strikes)).astype(int)
         return rec.prosthesis["q"][at].mean(), rec.prosthesis["M"][at].mean()
