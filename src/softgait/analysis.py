@@ -23,7 +23,7 @@ from .stiffness import average_cycle, prosthesis_cycles, quasi_stiffness
 
 LYAPUNOV_FILTER = (2, 10.0)   # order, cutoff Hz for divergence CoM
 MOS_FILTER = (4, 5.0)         # order, cutoff Hz for MOS kinematics
-COP_WINDOW = 10               # moving-average samples for CoP
+COP_WINDOW = 0.1              # s, trailing moving average of CoP
 
 
 @dataclass
@@ -117,10 +117,10 @@ def analyze_trial(rec: TrialRecording,
 
     def side_mos(cop: np.ndarray, stance: np.ndarray,
                  side_events: np.ndarray):
-        cop_ml_f = moving_average(TimeSeries(cop[:, 0], rate), COP_WINDOW)
-        cop_ap_f = moving_average(TimeSeries(cop[:, 1], rate), COP_WINDOW)
-        ml = mos_ml(xc["ML"], cop_ml_f.samples, stance, side_events)
-        ap = mos_ap(xc["AP"], cop_ap_f.samples, stance, side_events)
+        ml = mos_ml(xc["ML"], _average_cop(cop[:, 0], rate), stance,
+                    side_events)
+        ap = mos_ap(xc["AP"], _average_cop(cop[:, 1], rate), stance,
+                    side_events)
         return ml, ap
 
     left_ml, left_ap = side_mos(
@@ -167,6 +167,12 @@ def analyze_trial(rec: TrialRecording,
         "profiles": {name: mean.tolist() for name, mean in avg.items()},
     }
     return report
+
+
+def _average_cop(samples: np.ndarray, rate: float) -> np.ndarray:
+    """CoP coordinate averaged over the trailing COP_WINDOW seconds."""
+    return moving_average(TimeSeries(samples, rate),
+                          round(COP_WINDOW * rate)).samples
 
 
 def _mos_entry(res) -> dict:

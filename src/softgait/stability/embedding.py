@@ -14,6 +14,7 @@ from ..signals import TimeSeries
 FNN_RATIO_TOL = 15.0    # Kennel's first criterion: extra/pair distance
 FNN_SIZE_TOL = 2.0      # Kennel's second criterion: distance/attractor size
 FNN_THRESHOLD = 0.01    # FNN fraction at which a dimension is accepted
+_FNN_FIRST_BLOCK = 256  # rows in a dimension's first FNN query
 
 
 class NoMinimumError(ValueError):
@@ -110,6 +111,12 @@ def fnn_dimension(series: TimeSeries, tau: int,
     FNN_SIZE_TOL).  Dimensions are tried from 1 up and the search stops
     at the first accepted one, which is reported as at least 2.
 
+    Each dimension's rows are queried in blocks that double from
+    _FNN_FIRST_BLOCK rows.  A row's neighbor does not depend on which
+    other rows are queried, and the count of false rows only grows, so a
+    dimension is rejected as soon as that count over all usable rows
+    reaches FNN_THRESHOLD: the fraction of every row would too.
+
     Returns (dim, saturated); saturated means no dimension up to max_dim,
     or up to the last one the series is long enough to test, was
     accepted, and max_dim was returned instead.
@@ -122,13 +129,20 @@ def fnn_dimension(series: TimeSeries, tau: int,
         if usable < 2:
             break
         pts = _embed_raw(x, tau, dim)[:usable]
-        dist, idx = cKDTree(pts).query(pts, k=2, workers=-1)
-        # an exact copy of a point may come back first, the point second
-        own = idx[:, 1] == np.arange(usable)
-        dist, idx = dist[:, 1], np.where(own, idx[:, 0], idx[:, 1])
-        extra = np.abs(x[dim * tau:] - x[idx + dim * tau])
-        ratio_false = extra > FNN_RATIO_TOL * dist
-        size_false = np.hypot(dist, extra) / attractor_size > FNN_SIZE_TOL
-        if np.mean(ratio_false | size_false) < FNN_THRESHOLD:
+        tree = cKDTree(pts)
+        n_false, lo, block = 0, 0, _FNN_FIRST_BLOCK
+        while lo < usable and n_false / usable < FNN_THRESHOLD:
+            hi = min(lo + block, usable)
+            dist, idx = tree.query(pts[lo:hi], k=2, workers=-1)
+            # an exact copy of a point may come back first, the point second
+            own = idx[:, 1] == np.arange(lo, hi)
+            dist, idx = dist[:, 1], np.where(own, idx[:, 0], idx[:, 1])
+            extra = np.abs(x[lo + dim * tau:hi + dim * tau]
+                           - x[idx + dim * tau])
+            ratio_false = extra > FNN_RATIO_TOL * dist
+            size_false = np.hypot(dist, extra) / attractor_size > FNN_SIZE_TOL
+            n_false += int(np.count_nonzero(ratio_false | size_false))
+            lo, block = hi, 2 * block
+        if n_false / usable < FNN_THRESHOLD:
             return max(dim, 2), False
     return max_dim, True

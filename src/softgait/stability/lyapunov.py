@@ -20,7 +20,9 @@ HORIZON_STRIDES = 10   # strides each neighbor pair is tracked for
 MAX_LAG = 30           # AMI lags searched for the embedding delay
 FALLBACK_TAU = 10      # delay used when AMI has no minimum within MAX_LAG
 MAX_DIM = 8            # largest embedding dimension FNN may return
-SHARED_K = 16          # nearest candidates per row in the windows' search
+# nearest candidates per row in the windows' first search; rows left
+# without a neighbor in some window are searched again at 4x the k
+SHARED_K = 4
 # neighbor pairs tracked at once; 256 was slower, and it sums in another
 # order, so its bits differ
 PAIR_CHUNK = 64
@@ -64,13 +66,14 @@ def _own_neighbors(base: np.ndarray, rows: np.ndarray, theiler: int
                         0, len(base))
 
 
-def _log_distances(series: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
+def _log_distances(win: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
                    tau: int, dim: int, horizon: int) -> np.ndarray:
     """ln distance of each delay-vector pair (i, j) at steps 0..horizon,
-    from sliding windows on the scalar series the vectors were built from
-    instead of per-step gathers."""
-    win = sliding_window_view(series, horizon + 1 + (dim - 1) * tau)
-    d2 = win[i_idx] - win[j_idx]
+    from `win`, the sliding windows of horizon + 1 + (dim - 1) * tau
+    samples on the scalar series the vectors were built from, instead of
+    per-step gathers."""
+    d2 = win[i_idx]
+    d2 -= win[j_idx]
     np.square(d2, out=d2)
     tot = d2[:, :horizon + 1] + d2[:, tau:tau + horizon + 1]
     for m in range(2, dim):
@@ -159,9 +162,12 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
     window's normalized series, and its delay vectors, are an exact slice
     of one normalization and embedding of all the windowed strides.  The
     windows therefore share one neighbor search over the union of their
-    base points.  A neighbor pair is tracked once for each run of
-    consecutive windows that chose it, and its log distances are summed
-    into those windows in a fixed order.
+    base points: every row is queried for its SHARED_K nearest
+    candidates, and only the rows that still lack a neighbor in some
+    window that contains them are queried again, at 4x the k, until none
+    is left or k reaches the union's size.  A neighbor pair is tracked
+    once for each run of consecutive windows that chose it, and its log
+    distances are summed into those windows in a fixed order.
     """
     if n_windows < 1:
         raise ValueError(f"n_windows must be at least 1, got {n_windows}")
@@ -196,25 +202,31 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
     # Window w's base points are rows [w*spst, w*spst + n_track) of the
     # union.  Candidates come sorted by distance, so the first one inside
     # the window and outside the Theiler band is the window's own nearest
-    # neighbor; rows without one fall back to the window's own search.
+    # neighbor.  A row that has none among its k candidates in some window
+    # is queried again at 4x the k; at k = len(union) every row is a
+    # candidate, so a row still without one has no neighbor there.
     union = whole[:(n_windows - 1) * spst + n_track]
-    k = min(SHARED_K, len(union))
-    _, cand = cKDTree(union).query(union, k=k, workers=-1)
-    cand = cand.reshape(len(union), k)
+    tree = cKDTree(union)
     table = np.full((n_windows + 2, len(union)), -1)
-    n_pairs = np.empty(n_windows)
-    for w in range(n_windows):
-        lo, hi = w * spst, w * spst + n_track
-        rows = np.arange(lo, hi)
-        has, nbr = _first_valid(rows, cand[lo:hi], spst, lo, hi)
-        miss = np.flatnonzero(~has)
-        if len(miss):
-            has[miss], nbr_own = _own_neighbors(union[lo:hi], miss, spst)
-            nbr[miss] = nbr_own + lo
-        n_pairs[w] = np.count_nonzero(has)
-        if n_pairs[w] < 10:
-            raise ValueError("fewer than 10 valid neighbor pairs")
-        table[w + 1, rows[has]] = nbr[has]
+    rows, k = np.arange(len(union)), min(SHARED_K, len(union))
+    while True:
+        _, cand = tree.query(union[rows], k=k, workers=-1)
+        cand = cand.reshape(len(rows), k)
+        lacking = np.zeros(len(union), dtype=bool)
+        for w in range(n_windows):
+            lo, hi = w * spst, w * spst + n_track
+            a, b = np.searchsorted(rows, (lo, hi))
+            in_w = rows[a:b]
+            need = table[w + 1, in_w] < 0   # not found in an earlier round
+            has, nbr = _first_valid(in_w, cand[a:b], spst, lo, hi)
+            table[w + 1, in_w[need & has]] = nbr[need & has]
+            lacking[in_w[need & ~has]] = True
+        if k == len(union) or not lacking.any():
+            break
+        rows, k = np.flatnonzero(lacking), min(4 * k, len(union))
+    n_pairs = np.count_nonzero(table[1:-1] >= 0, axis=1)
+    if n_pairs.min() < 10:
+        raise ValueError("fewer than 10 valid neighbor pairs")
 
     # Runs with the same windows form a group; each group's pairs are
     # summed chunk by chunk and added to its windows once.
@@ -224,11 +236,13 @@ def windowed_lyapunov(series: TimeSeries, events: np.ndarray,
                                  j_idx[order])
     new_group = np.flatnonzero((np.diff(first) != 0) | (np.diff(stop) != 0))
     bounds = np.concatenate(([0], new_group + 1, [len(first)]))
+    win = sliding_window_view(normalized.samples,
+                              horizon + 1 + (params.dim - 1) * params.tau)
     sums = np.zeros((n_windows, horizon + 1))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         group_i, group_j = i_idx[lo:hi], j_idx[lo:hi]
         sums[first[lo]:stop[lo]] += sum(
-            _log_distances(normalized.samples, group_i[c:c + PAIR_CHUNK],
+            _log_distances(win, group_i[c:c + PAIR_CHUNK],
                            group_j[c:c + PAIR_CHUNK], params.tau, params.dim,
                            horizon).sum(axis=0)
             for c in range(0, hi - lo, PAIR_CHUNK))

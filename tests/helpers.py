@@ -12,13 +12,15 @@ import math
 from itertools import combinations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from softgait import controllers as ctl
 from softgait.lut import SIGMA, moment_map
 from softgait.io import PROSTHESIS_KEYS
 from softgait.plant import INERTIA_DEG, TICK_UPDATE
 from softgait.signals import TimeSeries, time_normalize
-from softgait.stability.embedding import EmbeddingParams, delay_embed
+from softgait.stability.embedding import (FNN_RATIO_TOL, FNN_SIZE_TOL,
+                                          EmbeddingParams, delay_embed)
 from softgait.stability.lyapunov import rosenstein_divergence
 
 LOG_FLOOR = 1e-300
@@ -193,6 +195,42 @@ def reference_log_distances(series: np.ndarray, i_idx: np.ndarray,
     for m in range(1, dim):
         tot += d2[:, m * tau:m * tau + horizon + 1]
     return np.log(np.maximum(np.sqrt(tot), LOG_FLOOR))
+
+
+def reference_fnn_fractions(series: TimeSeries, tau: int,
+                            max_dim: int) -> list[float]:
+    """False-neighbor fraction of each dimension from 1 up to max_dim, or
+    to the last one the series is long enough to test, each from one
+    query of every usable row and the mean over all of them."""
+    x = series.samples
+    attractor_size = float(np.std(x))
+    fractions = []
+    for dim in range(1, max_dim + 1):
+        usable = len(x) - dim * tau
+        if usable < 2:
+            break
+        pts = np.stack([x[k * tau:k * tau + usable] for k in range(dim)],
+                       axis=1)
+        dist, idx = cKDTree(pts).query(pts, k=2)
+        own = idx[:, 1] == np.arange(usable)
+        dist, idx = dist[:, 1], np.where(own, idx[:, 0], idx[:, 1])
+        extra = np.abs(x[dim * tau:] - x[idx + dim * tau])
+        ratio_false = extra > FNN_RATIO_TOL * dist
+        size_false = np.hypot(dist, extra) / attractor_size > FNN_SIZE_TOL
+        fractions.append(float(np.mean(ratio_false | size_false)))
+    return fractions
+
+
+def reference_fnn_dimension(series: TimeSeries, tau: int, max_dim: int,
+                            threshold: float) -> tuple[int, bool]:
+    """fnn_dimension from every row's fraction: the first dimension whose
+    fraction is below the threshold, reported as at least 2, or
+    (max_dim, True) when none is."""
+    for dim, fraction in enumerate(reference_fnn_fractions(series, tau,
+                                                           max_dim), start=1):
+        if fraction < threshold:
+            return max(dim, 2), False
+    return max_dim, True
 
 
 def per_stride_time_normalize(series: TimeSeries, events: np.ndarray,

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from softgait import analysis
 from softgait.analysis import AnalysisSettings, analyze_trial
 from softgait.config import RunConfig
 from softgait.plant import generate_trial
-from softgait.signals import TimeSeries
+from softgait.signals import TimeSeries, moving_average
 from softgait.stability.balance import detect_foot_strikes
 from softgait.stability.stats import (ALPHA, EXPONENTS, MARGINS,
                                       SchemaMismatchError, compare_reports)
@@ -139,6 +140,40 @@ class TestAnalyzeTrial:
                     {"points_per_window": True}):
             with pytest.raises(TypeError):
                 AnalysisSettings(**bad)
+
+
+class TestCopAverage:
+    """The CoP is averaged over COP_WINDOW seconds, whatever the
+    recording's rate: a CoP step becomes a ramp of the same duration."""
+
+    @pytest.mark.parametrize("rate", [100.0, 200.0])
+    def test_a_step_ramps_for_a_tenth_of_a_second(self, rate):
+        at = int(rate)                     # the step, 1 s in
+        step = np.zeros(2 * at)
+        step[at:] = 30.0
+        out = analysis._average_cop(step, rate)
+        window = round(0.1 * rate)
+        assert np.all(out[:at] == 0.0)
+        # each sample of the window adds 1/window of the step
+        assert np.allclose(out[at:at + window],
+                           30.0 * np.arange(1, window + 1) / window,
+                           rtol=0, atol=1e-12)
+        assert np.all(out[at + window - 1:] == 30.0)
+
+    def test_the_ramp_lasts_as_long_at_either_rate(self):
+        ramps = []
+        for rate in (100.0, 200.0):
+            step = np.repeat([0.0, 30.0], int(rate))
+            out = analysis._average_cop(step, rate)
+            # seconds from the step up to and including full height
+            ramps.append((np.count_nonzero((out > 0) & (out < 30)) + 1)
+                         / rate)
+        assert ramps == [0.1, 0.1]
+
+    def test_ten_samples_at_100_hz(self):
+        x = np.random.default_rng(0).standard_normal(500)
+        assert np.array_equal(analysis._average_cop(x, 100.0),
+                              moving_average(TimeSeries(x, 100.0), 10).samples)
 
 
 def fake_report(lam, mos_vals, mode="TC"):

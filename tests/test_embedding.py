@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from helpers import reference_ami_curve
+from helpers import (gait_like_velocity, reference_ami_curve,
+                     reference_fnn_dimension, reference_fnn_fractions)
 from softgait.signals import TimeSeries
+from softgait.stability import embedding
 from softgait.stability.embedding import (EmbeddingParams, NoMinimumError,
                                           ami_curve, ami_delay, delay_embed,
                                           fnn_dimension)
@@ -178,3 +181,79 @@ class TestFnn:
         x = np.linspace(0.0, 1.0, 2000)
         dim, _ = fnn_dimension(series(x), tau=5, max_dim=6)
         assert dim >= 2
+
+
+def noisy_sine():
+    rng = np.random.default_rng(0)
+    t = np.arange(4000)
+    return series(np.sin(2 * np.pi * t / 100.0)
+                  + 0.02 * rng.standard_normal(4000))
+
+
+# (series, tau, max_dim): white noise saturates; the sine's dimension 3
+# and the gait-like series' dimension 4 have fractions just under and
+# just over 1 %
+FNN_CASES = {
+    "white_noise": (lambda: series(np.random.default_rng(5).normal(
+        size=3000)), 1, 4),
+    "sine": (noisy_sine, 25, 6),
+    "gait_ML": (lambda: gait_like_velocity("ML", seed=2), 12, 8),
+    "gait_AP": (lambda: gait_like_velocity("AP", seed=2), 11, 8),
+}
+
+
+class TestFnnStopsEarly:
+    """fnn_dimension queries each dimension's rows in growing blocks and
+    rejects it once the false rows so far reach the threshold of all
+    usable rows; it must give the (dim, saturated) of one query of every
+    row per dimension."""
+
+    @pytest.mark.parametrize("case", sorted(FNN_CASES))
+    def test_matches_one_query_per_dimension(self, case):
+        make, tau, max_dim = FNN_CASES[case]
+        x = make()
+        assert fnn_dimension(x, tau, max_dim) == reference_fnn_dimension(
+            x, tau, max_dim, embedding.FNN_THRESHOLD)
+        if case == "white_noise":
+            assert fnn_dimension(x, tau, max_dim) == (max_dim, True)
+
+    @pytest.mark.parametrize("case", ["sine", "gait_ML"])
+    def test_threshold_at_a_dimensions_exact_fraction(self, case,
+                                                      monkeypatch):
+        # a fraction equal to the threshold rejects the dimension; the
+        # next float above it accepts the dimension
+        make, tau, max_dim = FNN_CASES[case]
+        x = make()
+        fractions = reference_fnn_fractions(x, tau, max_dim)
+        for dim, f in enumerate(fractions, start=1):
+            if f == 0.0:
+                break
+            for threshold in (f, np.nextafter(f, 1.0)):
+                monkeypatch.setattr(embedding, "FNN_THRESHOLD", threshold)
+                want = reference_fnn_dimension(x, tau, max_dim, threshold)
+                assert fnn_dimension(x, tau, max_dim) == want, (dim, f)
+            if min(fractions[:dim - 1], default=1.0) > f:
+                assert want == (max(dim, 2), False)
+
+    @pytest.mark.parametrize("case", ["white_noise", "gait_ML"])
+    def test_a_rejected_dimension_queries_fewer_rows(self, case,
+                                                     monkeypatch):
+        make, tau, max_dim = FNN_CASES[case]
+        x = make()
+        queried = {}
+
+        class RecordingTree(cKDTree):
+            def query(self, pts, k=1, **kwargs):
+                queried[self.n] = queried.get(self.n, 0) + len(pts)
+                return super().query(pts, k=k, **kwargs)
+        monkeypatch.setattr(embedding, "cKDTree", RecordingTree)
+        dim, saturated = fnn_dimension(x, tau, max_dim)
+        # one tree of len(x) - d * tau usable rows per dimension d tried
+        tried = range(1, max_dim + 1 if saturated else dim + 1)
+        assert sorted(queried) == sorted(len(x) - d * tau for d in tried)
+        accepted = None if saturated else len(x) - dim * tau
+        for usable, rows in queried.items():
+            if usable == accepted:
+                assert rows == usable
+            else:
+                assert rows < usable

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.spatial import cKDTree
 
 from helpers import (brute_force_divergence, gait_like_velocity,
                      per_window_divergence, reference_log_distances)
@@ -103,7 +105,8 @@ class TestLogDistancesMatchesGather:
                                         [last, 7, last]))
                 j_idx = np.concatenate((rng.integers(0, last + 1, 300),
                                         [0, 7, last - 1]))
-                got = lyapunov._log_distances(x, i_idx, j_idx, tau, dim,
+                win = sliding_window_view(x, horizon + 1 + (dim - 1) * tau)
+                got = lyapunov._log_distances(win, i_idx, j_idx, tau, dim,
                                               horizon)
                 want = reference_log_distances(x, i_idx, j_idx, tau, dim,
                                                horizon)
@@ -204,8 +207,9 @@ class TestSharedSearchMatchesPerWindowLoop:
     vectors step by step, up to summation order."""
 
     WINDOWS = dict(window_strides=20, n_windows=8, points_per_window=2000)
-    # base points per window at tau=10, dim=3: 2000 - 2*10 - 10 strides*100
-    N_TRACK = 980
+    # union rows at tau=10, dim=3: 7 windows' offsets of 100 rows, then
+    # 2000 - 2*10 - 10 strides*100 = 980 base points of the last window
+    N_UNION = 7 * 100 + 980
 
     def jittered(self):
         # criterion-6-style data: stride lengths jitter around the period
@@ -217,46 +221,86 @@ class TestSharedSearchMatchesPerWindowLoop:
             + 0.05 * rng.standard_normal(len(t))
         return TimeSeries(x, 100.0), events
 
-    def assert_matches_loop(self, monkeypatch, series, events, params=None):
-        """Compare with the per-window loop; return how many window rows
-        fell back to their window's own neighbor search."""
-        fallback = []
-        own = lyapunov._own_neighbors
+    @staticmethod
+    def windowed_with_queries(monkeypatch, series, events, params, windows):
+        """windowed_lyapunov's result and its neighbor queries, each as
+        (rows queried, k)."""
+        queries = []
 
-        def counting(base, rows, theiler):
-            fallback.append(len(rows))
-            return own(base, rows, theiler)
-        monkeypatch.setattr(lyapunov, "_own_neighbors", counting)
-        res = windowed_lyapunov(series, events, params=params, **self.WINDOWS)
-        monkeypatch.setattr(lyapunov, "_own_neighbors", own)
+        class RecordingTree(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                queries.append((len(x), k))
+                return super().query(x, k=k, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(lyapunov, "cKDTree", RecordingTree)
+            res = windowed_lyapunov(series, events, params=params, **windows)
+        return res, queries
+
+    def assert_matches_loop(self, monkeypatch, series, events, params=None,
+                            windows=WINDOWS):
+        """Compare with the per-window loop; return the shared search's
+        queries."""
+        res, queries = self.windowed_with_queries(monkeypatch, series,
+                                                  events, params, windows)
         short, long_, curve = per_window_divergence(
-            series, events, params=res.params, **self.WINDOWS)
+            series, events, params=res.params, **windows)
         assert np.max(np.abs(res.per_window_short - short)) < 1e-12
         assert np.max(np.abs(res.per_window_long - long_)) < 1e-12
         assert np.max(np.abs(res.mean_curve - curve)) < 1e-12
-        return sum(fallback)
+        return queries
 
     def test_jittered_strides(self, monkeypatch):
-        assert self.assert_matches_loop(
-            monkeypatch, *self.jittered(), EmbeddingParams(tau=10, dim=3)) == 0
+        queries = self.assert_matches_loop(
+            monkeypatch, *self.jittered(), EmbeddingParams(tau=10, dim=3))
+        assert queries[0] == (self.N_UNION, lyapunov.SHARED_K)
 
     def test_estimated_embedding(self, monkeypatch):
         series = gait_like_velocity("AP", seed=4, n_strides=30)
         events = np.arange(31) * 100
         self.assert_matches_loop(monkeypatch, series, events)
 
-    def test_every_row_falls_back(self, monkeypatch):
+    def test_every_row_needs_a_second_round(self, monkeypatch):
         # the single candidate of each row is the row itself
         monkeypatch.setattr(lyapunov, "SHARED_K", 1)
-        fallback = self.assert_matches_loop(
+        queries = self.assert_matches_loop(
             monkeypatch, *self.jittered(), EmbeddingParams(tau=10, dim=3))
-        assert fallback == self.WINDOWS["n_windows"] * self.N_TRACK
+        assert queries[:2] == [(self.N_UNION, 1), (self.N_UNION, 4)]
 
-    def test_shared_and_fallback_rows_mix(self, monkeypatch):
-        monkeypatch.setattr(lyapunov, "SHARED_K", 8)
-        fallback = self.assert_matches_loop(
+    def test_some_rows_need_a_second_round(self, monkeypatch):
+        monkeypatch.setattr(lyapunov, "SHARED_K", 2)
+        queries = self.assert_matches_loop(
             monkeypatch, *self.jittered(), EmbeddingParams(tau=10, dim=3))
-        assert 0 < fallback < self.WINDOWS["n_windows"] * self.N_TRACK
+        assert queries[0] == (self.N_UNION, 2)
+        assert len(queries) > 1 and 0 < queries[1][0] < self.N_UNION
+        assert queries[1][1] == 8
+        # each round queries only rows left from the one before
+        assert all(b[0] <= a[0] for a, b in zip(queries, queries[1:]))
+
+    # 13-stride windows of 10 points at tau=9, dim=2 keep 130 - 9 - 100
+    # = 21 base points, one more than twice the Theiler band of 10: the
+    # middle row of each window has no neighbor outside its band
+    SHORT = dict(window_strides=13, n_windows=4, points_per_window=130)
+
+    def test_rows_without_any_neighbor_stop_the_search(self, monkeypatch):
+        n_union = 3 * 10 + 21
+        queries = self.assert_matches_loop(
+            monkeypatch, *self.jittered(), EmbeddingParams(tau=9, dim=2),
+            windows=self.SHORT)
+        # the last round reaches every row, and the four middle rows are
+        # among those it still queries
+        assert [k for _, k in queries] == [4, 16, n_union]
+        assert 4 <= queries[-1][0] < n_union
+
+    def test_too_few_pairs_raise_as_the_per_window_loop_does(self,
+                                                             monkeypatch):
+        # tau=15 leaves 15 base points: 8 have a neighbor in their window
+        series, events = self.jittered()
+        params = EmbeddingParams(tau=15, dim=2)
+        with pytest.raises(ValueError, match="fewer than 10 valid neighbor"):
+            per_window_divergence(series, events, params=params, **self.SHORT)
+        with pytest.raises(ValueError, match="fewer than 10 valid neighbor"):
+            self.windowed_with_queries(monkeypatch, series, events, params,
+                                       self.SHORT)
 
 
 class TestHenonCalibration:
