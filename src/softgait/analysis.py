@@ -13,7 +13,7 @@ from .signals import TimeSeries, butterworth_lowpass, moving_average
 from .stability.balance import (com_velocity, detect_foot_strikes,
                                 estimate_com, marker, mos_ap, mos_ml,
                                 pendulum_eigenfrequency, pendulum_length,
-                                stance_frames, xcom)
+                                stance_frames, stance_onsets, xcom)
 from .stability.embedding import EmbeddingParams
 from .stability.lyapunov import windowed_lyapunov
 # perfbench's TARGETS traces softgait.analysis.compare_reports, so the
@@ -79,11 +79,17 @@ def analyze_trial(rec: TrialRecording,
         settings = AnalysisSettings()
     rate = rec.rate
     body_weight = _positive_meta(rec.meta, "body_mass") * GRAVITY
-    nominal_stride = _positive_meta(rec.meta, "stride_period")
+    cops = {"left": rec.cop_left, "right": rec.cop_right}
+    stance, stance_counts = {}, {}
+    for side, cop in cops.items():
+        if not np.all(np.isfinite(cop)):
+            raise ValueError(f"cop_{side} has non-finite frames")
+        stance[side], stance_counts[side] = stance_frames(
+            cop[:, 2], body_weight, rate)
 
     heel = marker(rec.markers, HEEL_MARKER)
     strikes = detect_foot_strikes(TimeSeries(heel[:, 2], rate),
-                                  nominal_stride)
+                                  stance["left"])
     n_strides = max(len(strikes) - 1 - settings.exclude_strides, 0)
     need = settings.window_strides + settings.n_windows - 1
     if n_strides < need:
@@ -115,23 +121,18 @@ def analyze_trial(rec: TrialRecording,
     omega0 = pendulum_eigenfrequency(length_m)
     xc = xcom(com_mos, vel_mos, length_m)
 
-    def side_mos(cop: np.ndarray, stance: np.ndarray,
-                 side_events: np.ndarray):
-        ml = mos_ml(xc["ML"], _average_cop(cop[:, 0], rate), stance,
-                    side_events)
-        ap = mos_ap(xc["AP"], _average_cop(cop[:, 1], rate), stance,
-                    side_events)
-        return ml, ap
-
-    left_ml, left_ap = side_mos(
-        rec.cop_left, stance_frames(rec.cop_left[:, 2], body_weight), events)
-    # right strikes: the onsets of right stance on the force channel,
-    # within the span of the analysed left strides
-    right_stance = stance_frames(rec.cop_right[:, 2], body_weight)
-    onsets = np.flatnonzero(right_stance[1:] & ~right_stance[:-1]) + 1
-    right_ml, right_ap = side_mos(
-        rec.cop_right, right_stance,
-        onsets[(onsets >= events[0]) & (onsets <= events[-1])])
+    # right strikes: the right stance onsets within the span of the
+    # analysed left strides
+    onsets = stance_onsets(stance["right"])
+    side_events = {"left": events, "right": onsets[
+        (onsets >= events[0]) & (onsets <= events[-1])]}
+    mos = {side: {
+        "ML": _mos_entry(mos_ml(xc["ML"], _average_cop(cop[:, 0], rate),
+                                stance[side], side_events[side])),
+        "AP": _mos_entry(mos_ap(xc["AP"], _average_cop(cop[:, 1], rate),
+                                stance[side], side_events[side])),
+        "stance": stance_counts[side],
+    } for side, cop in cops.items()}
 
     # the average cycle of the filtered prosthesis angle, moment and
     # angular velocity, and its quasi-stiffness
@@ -154,10 +155,7 @@ def analyze_trial(rec: TrialRecording,
                      "sd": lam[a].lambda_long_sd},
         } for a in AXES},
         "divergence": {a: lam[a].mean_curve.tolist() for a in AXES},
-        "mos": {
-            "left": {"ML": _mos_entry(left_ml), "AP": _mos_entry(left_ap)},
-            "right": {"ML": _mos_entry(right_ml), "AP": _mos_entry(right_ap)},
-        },
+        "mos": mos,
         "quasi_stiffness": {
             "stance_percent": profile.stance_percent.tolist(),
             "stiffness": [None if not np.isfinite(v) else float(v)

@@ -39,6 +39,8 @@ class TrialRecording:
 
     def __post_init__(self):
         n = len(self.cop_left)
+        if len(self.cop_right) != n:
+            raise ValueError("cop_right length mismatch")
         for name, arr in self.markers.items():
             if len(arr) != n:
                 raise ValueError(f"marker {name} length mismatch")

@@ -3,7 +3,6 @@ margins of stability."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,8 +11,13 @@ from ..io import AXES, GRAVITY, PELVIS_MARKERS
 from ..signals import TimeSeries, butterworth_lowpass, finite_difference
 
 STRIKE_FILTER = (4, 5.0)       # order, cutoff Hz for heel height
-STRIKE_PROMINENCE_MM = 5.0     # minimum depth of a foot-strike minimum
 STANCE_FORCE_FRACTION = 0.05   # of body weight, stance threshold
+# s, the shortest stance run and the shortest swing gap that the force
+# channel keeps; shorter ones are noise crossing the threshold.  It is also
+# the width of the window searched for a strike before each stance onset:
+# after the debounce, onsets are at least 2 * MIN_PHASE_S apart, so the
+# windows never overlap and strikes strictly increase.
+MIN_PHASE_S = 0.1
 
 
 class MarkerGapError(ValueError):
@@ -43,66 +47,25 @@ def com_velocity(com: dict[str, TimeSeries]) -> dict[str, TimeSeries]:
     return {axis: finite_difference(ts) for axis, ts in com.items()}
 
 
+def stance_onsets(stance: np.ndarray) -> np.ndarray:
+    """The frames where a stance run begins; stance at frame 0 has none."""
+    return np.flatnonzero(stance[1:] & ~stance[:-1]) + 1
+
+
 def detect_foot_strikes(heel_vt: TimeSeries,
-                        nominal_stride_s: float) -> np.ndarray:
-    """Foot-strikes as prominent local minima of the filtered heel height,
-    at least a quarter of the nominal stride apart."""
+                        stance: np.ndarray) -> np.ndarray:
+    """One foot-strike per stance onset: the frame of the lowest filtered
+    heel height in the MIN_PHASE_S up to and including the onset.  An
+    onset with less than a whole window before it is not a strike."""
     vt = butterworth_lowpass(heel_vt, *STRIKE_FILTER).samples
-    min_dist = max(int(0.25 * nominal_stride_s * heel_vt.sample_rate), 1)
-    peaks = _find_peaks(-vt, STRIKE_PROMINENCE_MM, min_dist)
-    if len(peaks) == 0:
-        raise ValueError("no foot-strike minima found")
-    return peaks
-
-
-def _find_peaks(x: np.ndarray, prominence: float,
-                distance: float) -> np.ndarray:
-    """scipy.signal.find_peaks(x, prominence=, distance=)[0]: the local
-    maxima of `x` left after thinning to `distance` samples apart, highest
-    first, that rise at least `prominence` over their base.  A peak's base
-    is the higher of the minima of `x` between it and the nearest sample
-    above it on each side, or the signal's end when there is none."""
-    # a strict rise, an optional plateau, then a strict fall; a plateau
-    # counts at its middle
-    slope = (x[1:] > x[:-1]).astype(np.int8) - (x[1:] < x[:-1])
-    turns = np.flatnonzero(slope)
-    top = np.flatnonzero((slope[turns[:-1]] > 0) & (slope[turns[1:]] < 0))
-    peaks = (turns[top] + 1 + turns[top + 1]) // 2
-
-    # from the highest peak down (in np.argsort's order, as scipy), drop
-    # the peaks closer than `distance` to one kept
-    distance = math.ceil(distance)
-    lo = np.searchsorted(peaks, peaks - distance, side="right").tolist()
-    hi = np.searchsorted(peaks, peaks + distance, side="left").tolist()
-    keep = np.ones(len(peaks), dtype=bool)
-    for j in np.argsort(x[peaks])[::-1].tolist():
-        if keep[j]:
-            keep[lo[j]:j] = False
-            keep[j + 1:hi[j]] = False
-
-    # on each side, the samples from the first one above a peak out to
-    # the nearest local maximum above it are all above the peak, so the
-    # side's minimum may run out to that maximum, or to the signal's end
-    at, heights = peaks.tolist(), x[peaks].tolist()
-    left = _nearest_above(at, heights, 0)
-    right = _nearest_above(at[::-1], heights[::-1], len(x) - 1)[::-1]
-    bases = [max(x[a:p + 1].min(), x[p:b + 1].min())
-             for a, p, b, kept in zip(left, at, right, keep) if kept]
-    peaks = peaks[keep]
-    return peaks[x[peaks] - np.array(bases) >= prominence]
-
-
-def _nearest_above(at: list[int], heights: list[float],
-                   default: int) -> list[int]:
-    """For each position of `at` in turn, the nearest earlier one with a
-    greater height, or `default`; the stack holds those not yet topped."""
-    out, stack = [], []
-    for p, h in zip(at, heights):
-        while stack and stack[-1][1] <= h:
-            stack.pop()
-        out.append(stack[-1][0] if stack else default)
-        stack.append((p, h))
-    return out
+    width = round(MIN_PHASE_S * heel_vt.sample_rate)
+    onsets = stance_onsets(stance)
+    onsets = onsets[onsets >= width]
+    if len(onsets) == 0:
+        raise ValueError("no foot strikes: no stance onset in the force "
+                         "channel")
+    windows = onsets[:, None] + np.arange(-width, 1)
+    return onsets - width + np.argmin(vt[windows], axis=1)
 
 
 def pendulum_length(com: dict[str, TimeSeries], heel: np.ndarray,
@@ -173,7 +136,21 @@ def mos_ap(xcom_ap: TimeSeries, cop_ap: np.ndarray, stance: np.ndarray,
     return _mos(xcom_ap, cop_ap, stance, events, np.max)
 
 
-def stance_frames(vertical_force: np.ndarray,
-                  body_weight_n: float) -> np.ndarray:
-    """Stance mask: vertical force above a body-weight fraction."""
-    return vertical_force > STANCE_FORCE_FRACTION * body_weight_n
+def stance_frames(vertical_force: np.ndarray, body_weight_n: float,
+                  rate: float) -> tuple[np.ndarray, dict[str, int]]:
+    """Stance mask: vertical force above a body-weight fraction, less the
+    stance runs shorter than MIN_PHASE_S, then with the swing gaps shorter
+    than MIN_PHASE_S between two stance runs closed.  Also returns how
+    many runs were dropped and gaps closed."""
+    shortest = round(MIN_PHASE_S * rate)
+    above = vertical_force > STANCE_FORCE_FRACTION * body_weight_n
+    start, end = np.flatnonzero(np.diff(above, prepend=False,
+                                        append=False)).reshape(-1, 2).T
+    long = end - start >= shortest
+    start, end = start[long], end[long]
+    gaps = np.flatnonzero(start[1:] - end[:-1] < shortest)
+    start, end = np.delete(start, gaps + 1), np.delete(end, gaps)
+    steps = np.zeros(len(above) + 1, dtype=np.int8)
+    steps[start], steps[end] = 1, -1
+    counts = {"runs_dropped": int(np.sum(~long)), "gaps_closed": len(gaps)}
+    return np.cumsum(steps[:-1]) > 0, counts

@@ -16,9 +16,10 @@ from scipy.spatial import cKDTree
 
 from softgait import controllers as ctl
 from softgait.lut import SIGMA, moment_map
-from softgait.io import PROSTHESIS_KEYS
+from softgait.io import GRAVITY, PROSTHESIS_KEYS
 from softgait.plant import INERTIA_DEG, TICK_UPDATE
 from softgait.signals import TimeSeries, time_normalize
+from softgait.stability.balance import detect_foot_strikes, stance_frames
 from softgait.stability.embedding import (FNN_RATIO_TOL, FNN_SIZE_TOL,
                                           EmbeddingParams, delay_embed)
 from softgait.stability.lyapunov import rosenstein_divergence
@@ -404,3 +405,12 @@ def gait_like_velocity(axis: str, seed: int, n_strides: int = 50,
     colored /= max(colored.std(), 1e-12)
     x = stride_amp * x + noise * colored
     return TimeSeries(x, float(pts_per_stride))
+
+
+def left_strikes(rec) -> np.ndarray:
+    """A recording's left foot-strikes, detected as `analyze_trial`
+    detects them: from the left heel and the left force channel."""
+    stance, _ = stance_frames(rec.cop_left[:, 2],
+                              rec.meta["body_mass"] * GRAVITY, rec.rate)
+    return detect_foot_strikes(
+        TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate), stance)

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import left_strikes
 from softgait import analysis
 from softgait.analysis import AnalysisSettings, analyze_trial
 from softgait.config import RunConfig
 from softgait.plant import generate_trial
 from softgait.signals import TimeSeries, moving_average
-from softgait.stability.balance import detect_foot_strikes
 from softgait.stability.stats import (ALPHA, EXPONENTS, MARGINS,
                                       SchemaMismatchError, compare_reports)
 from softgait.stiffness import (average_cycle, prosthesis_cycles,
@@ -72,9 +72,7 @@ class TestAnalyzeTrial:
         # prosthesis_cycles -> average_cycle -> quasi_stiffness on the
         # analysed strikes, as the stiffness demo and criterion 1 call it
         rec = small_ac_trial
-        strikes = detect_foot_strikes(
-            TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate),
-            rec.meta["stride_period"])
+        strikes = left_strikes(rec)
         cycles = prosthesis_cycles(TimeSeries(rec.prosthesis["q"], rec.rate),
                                    TimeSeries(rec.prosthesis["M"], rec.rate),
                                    strikes[FAST_SETTINGS.exclude_strides:])
@@ -123,12 +121,37 @@ class TestAnalyzeTrial:
         # strikes detected as analyze_trial detects them; the divergence
         # step is left out to keep the test fast
         rec = default_trial
-        strikes = detect_foot_strikes(
-            TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate),
-            rec.meta["stride_period"])
+        strikes = left_strikes(rec)
         s = AnalysisSettings()
         assert len(strikes) >= s.exclude_strides + s.window_strides \
             + s.n_windows
+
+    def test_force_noise_moves_no_stride_or_margin(self, default_trial):
+        # 10 N sd (1.7 % of body weight) crosses the stance threshold in
+        # swing; the debounce drops those runs and counts them.  One small
+        # window: the margins depend only on the strikes and exclude_strides
+        settings = AnalysisSettings(
+            window_strides=20, n_windows=1, points_per_window=2000,
+            embedding_overrides=FAST_SETTINGS.embedding_overrides)
+        rng = np.random.default_rng(1)
+        noisy = replace(default_trial,
+                        cop_left=default_trial.cop_left.copy(),
+                        cop_right=default_trial.cop_right.copy())
+        for cop in (noisy.cop_left, noisy.cop_right):
+            cop[:, 2] += rng.normal(0.0, 10.0, len(cop))
+        clean = analyze_trial(default_trial, settings)
+        got = analyze_trial(noisy, settings)
+        assert clean["n_analyzed_strides"] == got["n_analyzed_strides"] == 174
+        for side, cycles in (("left", 174), ("right", 173)):
+            assert clean["mos"][side]["stance"] == {"runs_dropped": 0,
+                                                    "gaps_closed": 0}
+            assert got["mos"][side]["stance"]["runs_dropped"] > 0
+            for direction in ("ML", "AP"):
+                entry = got["mos"][side][direction]
+                assert len(entry["per_cycle"]) == cycles
+                assert entry["mean"] == pytest.approx(
+                    clean["mos"][side][direction]["mean"], rel=0, abs=0.01)
+        assert got["quasi_stiffness"] == clean["quasi_stiffness"]
 
     def test_errors_when_everything_excluded(self, small_tc_trial):
         with pytest.raises(ValueError):

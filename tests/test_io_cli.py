@@ -280,7 +280,7 @@ class TestCliSuccess:
 # the trial CI simulates twice and analyses with the demo's windows
 DETERMINISM_RUN = {"mode": "AC", "K_d": 10.0, "n_strides": 60, "seed": 1}
 DETERMINISM_REPORT_SHA256 = (
-    "46fbea8315cf6800d33c29d5dcddd401bf555f1b802577b8b98b59e9f3ab4021")
+    "6132b13db5a443fcbebdb1c8d0df61d80fa7a7bef2858f02f6ab75a7dbfb5292")
 
 
 @pytest.fixture(scope="module")
@@ -499,9 +499,13 @@ class TestCliErrorCodes:
             raw = json.loads(path.read_text())
             path.write_text(json.dumps(dict(raw, rate=True)))
 
+        def short_cop_right(rec):
+            rewrite(rec, cop_right=small_tc_trial.cop_right[:-500])
+
         for damage in (drop_arrays, truncate_arrays, drop_events_right,
                        manifest_not_object, meta_not_object, object_array,
-                       float_events, flat_marker, wrong_n_samples, bool_rate):
+                       float_events, flat_marker, wrong_n_samples, bool_rate,
+                       short_cop_right):
             rec = tmp_path / damage.__name__
             shutil.copytree(good, rec)
             damage(rec)
@@ -537,6 +541,28 @@ class TestCliErrorCodes:
         assert code == 1
         assert capsys.readouterr().err == \
             f"analysis failed: marker {name} missing\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("column", (0, 2), ids=("cop", "force"))
+    def test_non_finite_force_channel_is_invalid(self, tmp_path,
+                                                 small_tc_trial, capsys,
+                                                 column):
+        # NaN on every 40th right stance frame would split the stances
+        rec = tmp_path / "rec"
+        save_recording(small_tc_trial, str(rec))
+        cop_right = small_tc_trial.cop_right.copy()
+        stance = np.flatnonzero(cop_right[:, 2] > 100.0)
+        cop_right[stance[::40], column] = np.nan
+        with np.load(rec / RECORDING_NAME) as npz:
+            arrays = dict(npz, cop_right=cop_right)
+        np.savez(rec / RECORDING_NAME, **arrays)
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps(TINY_ANALYSIS))
+        code = main(["analyze", str(rec), "--config", str(settings),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "analysis failed: cop_right has non-finite frames\n"
         assert not (tmp_path / "o").exists()
 
     def test_bad_analysis_settings_is_invalid(self, tmp_path,
@@ -600,9 +626,8 @@ class TestCliErrorCodes:
         settings = tmp_path / "settings.json"
         settings.write_text(json.dumps(TINY_ANALYSIS))
         # None deletes the key
-        for key, value in (("body_mass", None), ("stride_period", None),
-                           ("body_mass", "59"), ("stride_period", "1.47"),
-                           ("stride_period", 0.0)):
+        for key, value in (("body_mass", None), ("body_mass", "59"),
+                           ("body_mass", 0.0)):
             rec = tmp_path / f"rec_{key}_{value}"
             save_recording(small_tc_trial, str(rec))
             manifest = rec / MANIFEST_NAME
@@ -618,6 +643,25 @@ class TestCliErrorCodes:
             err = capsys.readouterr().err
             assert err.startswith("analysis failed:") and key in err
             assert not (tmp_path / "o").exists()
+
+    def test_recording_without_stride_period_is_analysed(
+            self, tmp_path, small_tc_trial):
+        # strides come from the force channels, so `body_mass` is the only
+        # meta that the analysis reads
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps(TINY_ANALYSIS))
+        rec = tmp_path / "rec"
+        save_recording(small_tc_trial, str(rec))
+        manifest = rec / MANIFEST_NAME
+        raw = json.loads(manifest.read_text())
+        raw["meta"] = {"body_mass": raw["meta"]["body_mass"]}
+        manifest.write_text(json.dumps(raw))
+        assert main(["analyze", str(rec), "--config", str(settings),
+                     "--out", str(tmp_path / "o")]) == 0
+        report = load_report(str(tmp_path / "o" / "report.json"))
+        want = analyze_trial(small_tc_trial, AnalysisSettings(**TINY_ANALYSIS))
+        assert report["mos"] == _round_sig(want["mos"])
+        assert report["lyapunov"] == _round_sig(want["lyapunov"])
 
     def test_schema_mismatch_is_invalid(self, tmp_path, cli_outputs,
                                         capsys):

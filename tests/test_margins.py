@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import find_peaks
 
-from helpers import exhaustive_mos
+from helpers import exhaustive_mos, left_strikes
 from softgait.config import RunConfig
 from softgait.plant import generate_trial
-from softgait.signals import TimeSeries, butterworth_lowpass
-from softgait.stability.balance import (GRAVITY, STRIKE_FILTER,
-                                        STRIKE_PROMINENCE_MM, MarkerGapError,
-                                        _find_peaks, com_velocity,
-                                        detect_foot_strikes, estimate_com,
-                                        mos_ap, mos_ml,
+from softgait.signals import TimeSeries
+from softgait.stability.balance import (GRAVITY, MarkerGapError,
+                                        com_velocity, detect_foot_strikes,
+                                        estimate_com, mos_ap, mos_ml,
                                         pendulum_eigenfrequency,
-                                        pendulum_length, stance_frames, xcom)
+                                        pendulum_length, stance_frames,
+                                        stance_onsets, xcom)
 
 
 @pytest.fixture(scope="module", params=range(5))
@@ -133,91 +131,97 @@ class TestMosAgainstExhaustiveScan:
 class TestStanceFrames:
     def test_threshold_at_body_weight_fraction(self):
         bw = 59.0 * GRAVITY
-        force = np.array([0.0, 0.04 * bw, 0.06 * bw, bw])
-        mask = stance_frames(force, bw)
-        assert mask.tolist() == [False, False, True, True]
+        force = np.repeat([0.0, 0.04 * bw, 0.06 * bw, bw], 10)
+        mask, counts = stance_frames(force, bw, 100.0)
+        assert mask.tolist() == [False] * 20 + [True] * 20
+        assert counts == {"runs_dropped": 0, "gaps_closed": 0}
+
+    @pytest.mark.parametrize("rate", [100.0, 200.0])
+    def test_short_runs_dropped_then_short_gaps_closed(self, rate):
+        # in units of 0.01 s: stance runs of 9 (too short), 30, 10 and 40
+        # frames, with swing gaps of 20, 9 (too short) and 10 between them;
+        # the run of 9 is dropped, which leaves the gap around it long
+        bw = 59.0 * GRAVITY
+        layout = [(0, 20), (1, 9), (0, 20), (1, 30), (0, 9), (1, 10),
+                  (0, 10), (1, 40), (0, 5)]
+        per = round(rate / 100.0)
+        force = np.repeat([bw * on for on, n in layout],
+                          [n * per for on, n in layout])
+        mask, counts = stance_frames(force, bw, rate)
+        want = np.repeat([0, 1, 0, 1, 0], [49, 49, 10, 40, 5]) > 0
+        assert np.array_equal(mask, np.repeat(want, per))
+        assert counts == {"runs_dropped": 1, "gaps_closed": 1}
+        assert stance_onsets(mask).tolist() == [49 * per, 108 * per]
+
+    def test_runs_and_gaps_at_the_recording_ends(self):
+        # a short stance run at an end is dropped; a short swing at an end
+        # lies between no two stance runs, so it stays swing
+        bw = 59.0 * GRAVITY
+        force = np.repeat([bw, 0.0, bw, 0.0], [5, 20, 30, 3])
+        mask, counts = stance_frames(force, bw, 100.0)
+        assert np.array_equal(mask, np.repeat([0, 0, 1, 0],
+                                               [5, 20, 30, 3]) > 0)
+        assert counts == {"runs_dropped": 1, "gaps_closed": 0}
 
 
 class TestFootStrikeDetection:
     def test_detects_minima_of_synthetic_heel(self):
+        # the heel is lowest at each stride start; the force rises 0.03 s
+        # later and stays up for 60 % of the stride
         rate, stride = 100.0, 1.4
         n = int(20 * stride * rate)
         t = np.arange(n) / rate
         s = (t / stride) % 1.0
         height = 40.0 * np.sin(np.pi * s) ** 2 + 5.0
         height += 0.3 * np.random.default_rng(0).normal(size=n)
-        strikes = detect_foot_strikes(TimeSeries(height, rate),
-                                      nominal_stride_s=stride)
+        stance = ((t - 0.03) / stride) % 1.0 < 0.6
+        strikes = detect_foot_strikes(TimeSeries(height, rate), stance)
         truth = np.round(np.arange(1, 20) * stride * rate)
-        assert len(strikes) >= 18
-        for ev in strikes:
-            assert np.min(np.abs(truth - ev)) <= 3
+        assert len(strikes) == 19
+        assert np.abs(strikes - truth).max() <= 3
 
     def test_no_minima_raises(self):
-        flat = TimeSeries(np.zeros(500), 100.0)
-        with pytest.raises(ValueError):
-            detect_foot_strikes(flat, nominal_stride_s=1.0)
+        # without a stance onset no heel minimum is searched
+        heel = TimeSeries(np.zeros(500), 100.0)
+        for stance in (np.zeros(500, dtype=bool), np.ones(500, dtype=bool)):
+            with pytest.raises(ValueError, match="no stance onset"):
+                detect_foot_strikes(heel, stance)
 
-    def test_peak_helper_equals_find_peaks(self):
-        rng = np.random.default_rng(0)
-        signals = [np.zeros(0), np.zeros(1), np.zeros(50), np.arange(50.0),
-                   np.arange(50.0)[::-1], np.array([0.0, 1.0, 0.0]),
-                   np.array([0.0, 2.0, 2.0, 0.0]),
-                   np.array([1.0, 0.0, 0.0, 3.0, 3.0])]
-        for k in range(1500):
-            n = int(rng.integers(2, 300))
-            kind = k % 5
-            if kind == 0:
-                x = rng.normal(size=n)
-            elif kind == 1:     # ties and short plateaus
-                x = np.round(2.0 * rng.normal(size=n))
-            elif kind == 2:
-                x = np.cumsum(rng.normal(size=n))
-            elif kind == 3:     # long plateaus, some at the edges
-                x = np.repeat(np.round(rng.normal(size=n)),
-                              rng.integers(1, 6, size=n))[:n]
-            else:               # periodic with peaks near the edges
-                x = np.round(np.sin(np.arange(n) / rng.uniform(1.0, 20.0)
-                                    + rng.uniform(0.0, 6.3))
-                             + 0.3 * rng.normal(size=n), 1)
-            signals.append(x)
-        for x in signals:
-            prominence = float(rng.choice([0.0, 0.3, 1.0, 3.0]))
-            distance = float(rng.choice([1, 2, 3, 7, 30])) \
-                * rng.choice([1.0, rng.uniform(1.0, 1.5)])
-            want = find_peaks(x, prominence=prominence, distance=distance)[0]
-            assert np.array_equal(_find_peaks(x, prominence, distance), want)
-
-    def test_peak_helper_equals_find_peaks_at_paper_scale(self, default_run):
-        # the heel signal and settings of detect_foot_strikes
-        rec = default_run
-        heel = TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate)
-        x = -butterworth_lowpass(heel, *STRIKE_FILTER).samples
-        distance = max(int(0.25 * rec.meta["stride_period"] * rec.rate), 1)
-        want = find_peaks(x, prominence=STRIKE_PROMINENCE_MM,
-                          distance=distance)[0]
-        assert len(want) == 200
-        assert np.array_equal(
-            _find_peaks(x, STRIKE_PROMINENCE_MM, distance), want)
+    @pytest.mark.parametrize("first, want", [(9, [296]), (10, [10, 296])])
+    def test_onset_needs_a_whole_window_before_it(self, first, want):
+        # the heel is lowest at frame 296, 4 frames before the last onset
+        heel = TimeSeries(np.abs(np.arange(500) - 296.0), 100.0)
+        stance = np.zeros(500, dtype=bool)
+        stance[[first, first + 1, 300]] = True
+        assert stance_onsets(stance).tolist() == [first, 300]
+        assert detect_foot_strikes(heel, stance).tolist() == want
 
     def test_one_strike_per_default_stride(self, default_run):
-        # the strike at sample 0 of a 201-stride trial is never a minimum
+        # the strike at sample 0 of a 201-stride trial is never an onset
         rec = default_run
-        strikes = detect_foot_strikes(
-            TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate),
-            rec.meta["stride_period"])
         assert len(rec.events_left) == 201
-        assert len(strikes) == 200
+        assert len(left_strikes(rec)) == 200
 
     def test_short_strides_are_not_merged(self):
         # a period jitter of 0.2 allows strides of 0.4 x nominal; every
         # recorded strike after the first is detected within 5 samples
         rec = generate_trial(RunConfig(period_jitter=0.2, seed=1))
-        strikes = detect_foot_strikes(
-            TimeSeries(rec.markers["LHEEL"][:, 2], rec.rate),
-            rec.meta["stride_period"])
         events = rec.events_left[1:, None]
-        assert np.abs(events - strikes).min(axis=1).max() <= 5
+        assert np.abs(events - left_strikes(rec)).min(axis=1).max() <= 5
+
+    @pytest.mark.parametrize("config", [
+        {"period_jitter": 0.3, "seed": 1},
+        {"amplitude_jitter": 0.3, "ground_stiffness": 25.0},
+        {"body_mass": 120.0, "ground_stiffness": 25.0}],
+        ids=["period_jitter", "amplitude_jitter_25", "body_mass_25"])
+    def test_every_strike_found_on_irregular_and_soft_ground(self, config):
+        # the heel minima with the nominal stride's spacing missed or split
+        # strides here, up to 31 samples off
+        rec = generate_trial(RunConfig(**config))
+        strikes = left_strikes(rec)
+        events = rec.events_left[1:, None]
+        assert len(strikes) == 200
+        assert np.abs(events - strikes).min(axis=1).max() <= 3
 
 
 class TestComVelocity:
